@@ -68,7 +68,6 @@ from .sdp import (
     CERTIFIED_INFEASIBLE,
     FEASIBLE,
     UNDECIDED,
-    AscentTrace,
     DualCertificate,
     SolveOutcome,
     SolverConfig,

@@ -156,7 +156,6 @@ def _config_document(config: SolverConfig) -> dict:
         "margin": config.margin,
         "restarts": config.restarts,
         "seed": config.seed,
-        "polish_sweeps": config.polish_sweeps,
     }
 
 

@@ -56,10 +56,19 @@ def _add_scenario_flags(parser, default_settings=2):
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-iters", type=int, default=5000)
+    parser.add_argument(
+        "--seed", type=int,
+        help="accepted for compatibility but ignored by the interior-point solver (warns)",
+    )
+    parser.add_argument(
+        "--max-iters", type=int, default=5000,
+        help="cap on interior-point steps (default 5000; a solve takes about 10-20)",
+    )
     parser.add_argument("--margin", type=float, default=1e-3)
-    parser.add_argument("--restarts", type=int, default=4)
+    parser.add_argument(
+        "--restarts", type=int,
+        help="must be positive; accepted for compatibility but ignored by the interior-point solver (warns)",
+    )
 
 
 def _add_source_flags(parser):
@@ -131,12 +140,11 @@ def _parse_pin(text: str) -> hierarchy.PinPolicy:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        max_iters=args.max_iters,
-        margin=args.margin,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    ignored = {name: getattr(args, name) for name in ("seed", "restarts")}
+    ignored = {name: value for name, value in ignored.items() if value is not None}
+    for name in ignored:
+        print(f"warning: --{name} is ignored by the interior-point solver", file=sys.stderr)
+    return SolverConfig(max_iters=args.max_iters, margin=args.margin, **ignored)
 
 
 def _write_json(path: str | None, document: dict) -> None:

@@ -1,14 +1,35 @@
 """Feasibility solver for affine families of real symmetric matrices.
 
-The question "is there a v in the box with Gamma(v) >= 0" is answered by
-maximizing the concave function f(v) = lambda_min(gamma0 + sum_k v_k G_k)
-with projected supergradient ascent: at the current iterate, a unit
-eigenvector u of the smallest eigenvalue gives the supergradient component
-g_k = u' G_k u, steps shrink like 1/sqrt(t), and iterates are projected onto
-the variable box.  Several restarts from seeded random box points guard
-against slow starts; the best value is kept.  A coordinate-wise line-search
-polish sharpens the returned maximum, and near-feasible points are refined
-by alternating projections between the PSD cone and the affine slice.
+The question "is there a v with Gamma(v) = gamma0 + sum_k v_k G_k >= 0" is
+answered by maximizing lambda_min(Gamma(v)), the semidefinite program
+
+    max t   subject to   gamma0 + sum_k v_k G_k - t I >= 0,
+
+whose dual is
+
+    min <gamma0, Z>   subject to   Tr Z = 1,  <G_k, Z> = 0,  Z >= 0.
+
+Both are solved together by a primal-dual interior-point method with the HKM
+search direction (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) and
+Mehrotra's predictor-corrector steps, started from the strictly feasible
+pair Z = I/n, v = the centre of the variable box.  The solve stops when the
+relative duality gap reaches GAP_TOL.  On boundary-feasible data, such as
+product states with optimum exactly 0, the Newton system degenerates first;
+the solve then stops at the last iterate (the stall exit): when the Schur
+complement is no longer positive definite, or when a step shrinks below
+MIN_STEP.  The Schur complement is assembled a block of variables at a
+time, so its transient memory stays bounded; the complement itself holds
+(K + 1)^2 floats for K variables.
+
+The first solve ignores the variable box.  Its maximizer is clipped to the
+box and lambda_star = lambda_min(Gamma(v_star)) recomputed, so lambda_star is
+always an attained value.  When the clipping loses value, the maximizer has
+left the box (possible only when the optimum is negative, or with interval
+pins), and a second solve adds the box as linear constraints
+lo_k <= v_k <= hi_k; variables with a zero-width box are enforced by the
+clipping alone.  At convergence lambda_star is therefore the optimum over
+the box, and the certificate value <gamma0, Z> from the first solve is an
+upper bound on it, equal to it when the box does not bind.
 
 Infeasibility is never reported on optimizer convergence alone.  A dual
 certificate is a symmetric Z >= 0 with Tr Z = 1 and <G_k, Z> = 0 for every
@@ -23,11 +44,9 @@ eigendecomposition and inner products, independently of the solver.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .hierarchy import AffineMatrixFamily
 
@@ -37,18 +56,28 @@ UNDECIDED = "UNDECIDED"
 
 # A point counts as a feasibility witness when lambda_min is above this.
 WITNESS_TOL = 1e-8
-# Alternating-projection rounding is attempted when the best value found is
-# within this window below feasibility.
-ROUNDING_WINDOW = 0.05
+# The interior-point solve stops once the relative duality gap is this small.
+GAP_TOL = 1e-9
+# Stall exit: a step shorter than this ends the solve.
+MIN_STEP = 1e-8
+# Fraction of the distance to the cone boundary that each step covers.
+STEP_FRACTION = 0.98
+# Entries per array in a block of the Schur assembly; its transient memory
+# is a few times this many floats, whatever the family's size.
+SCHUR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for :func:`maximize_lambda_min`.
 
-    ``margin`` is the decision threshold separating a certified negative
-    value from numerical noise; it must stay well above ``tol_cert``, the
-    tolerance at which certificates are verified.
+    ``max_iters`` caps the number of Newton steps; the solve normally stops
+    well before on its gap or stall exit.  ``margin`` is the decision
+    threshold separating a certified negative value from numerical noise;
+    it must stay well above ``tol_cert``, the tolerance at which
+    certificates are verified.  ``seed``, ``restarts`` and ``step_scale``
+    belonged to an earlier first-order solver; they are still accepted and
+    validated but ignored.
     """
 
     max_iters: int = 5000
@@ -57,7 +86,6 @@ class SolverConfig:
     margin: float = 1e-3
     restarts: int = 4
     seed: int = 0
-    polish_sweeps: int = 3
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -70,8 +98,6 @@ class SolverConfig:
             raise ValueError("margin must exceed tol_cert")
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
-        if self.polish_sweeps < 0:
-            raise ValueError("polish_sweeps must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -89,16 +115,6 @@ class SolveOutcome:
     v_star: np.ndarray
     certificate: DualCertificate | None
     iterations: int
-
-
-@dataclass
-class AscentTrace:
-    """Iterate information the certificate extractor works from."""
-
-    v_best: np.ndarray
-    lambda_best: float
-    tail_vectors: np.ndarray
-    tail_weights: np.ndarray
 
 
 def min_eigen(matrix) -> tuple[float, np.ndarray]:
@@ -120,7 +136,7 @@ class _FamilyOps:
         self.dim = family.dim
         self.nvars = family.num_variables
         rows, cols, vidx = [], [], []
-        counts = np.zeros(self.nvars)
+        counts = np.zeros(self.nvars, dtype=int)
         for k, pattern in enumerate(family.basis):
             i_idx, j_idx = np.nonzero(np.triu(pattern, 1))
             rows.append(i_idx)
@@ -130,7 +146,8 @@ class _FamilyOps:
         self.rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
         self.cols = np.concatenate(cols) if cols else np.zeros(0, dtype=int)
         self.vidx = np.concatenate(vidx) if vidx else np.zeros(0, dtype=int)
-        self.counts = counts
+        # Positions are grouped by variable; starts[k] is where k's group begins.
+        self.starts = np.cumsum(counts) - counts
         # <G_k, G_k>: each variable position appears in both triangles.
         self.norms = 2.0 * counts
         if self.nvars and (counts == 0).any():
@@ -140,33 +157,36 @@ class _FamilyOps:
         bounds = np.asarray(family.bounds, dtype=float).reshape(self.nvars, 2)
         self.lo = bounds[:, 0]
         self.hi = bounds[:, 1]
+        if not (np.isfinite(bounds).all() and (self.lo <= self.hi).all()):
+            raise ValueError("family bounds must be finite intervals")
+        # Variables whose box has an interior; a zero-width box is enforced
+        # by clipping alone.
+        self.boxed = np.flatnonzero(self.hi > self.lo)
+        # Variable ranges [k0, k1) for the Schur assembly, each small enough
+        # that its arrays of dim^2 or E entries per variable (E = number of
+        # variable positions) hold at most SCHUR_BLOCK entries.
+        width = max(1, SCHUR_BLOCK // max(self.dim * self.dim, self.rows.size))
+        ends = np.append(self.starts, self.rows.size)
+        self.blocks = [
+            (k0, min(k0 + width, self.nvars), ends[k0], ends[min(k0 + width, self.nvars)])
+            for k0 in range(0, self.nvars, width)
+        ]
 
-    def gamma(self, v: np.ndarray) -> np.ndarray:
-        out = self.gamma0.copy()
-        if self.nvars:
-            vals = v[self.vidx]
-            out[self.rows, self.cols] = vals
-            out[self.cols, self.rows] = vals
+    def combine(self, v: np.ndarray) -> np.ndarray:
+        """sum_k v_k G_k."""
+        out = np.zeros((self.dim, self.dim))
+        vals = v[self.vidx]
+        out[self.rows, self.cols] = vals
+        out[self.cols, self.rows] = vals
         return out
 
-    def lambda_min(self, v: np.ndarray) -> tuple[float, np.ndarray]:
-        w, vec = np.linalg.eigh(self.gamma(v))
-        return float(w[0]), vec[:, 0]
-
-    def supergradient(self, u: np.ndarray) -> np.ndarray:
-        weights = u[self.rows] * u[self.cols]
-        return 2.0 * np.bincount(self.vidx, weights=weights, minlength=self.nvars)
+    def gamma(self, v: np.ndarray) -> np.ndarray:
+        return self.gamma0 + self.combine(v)
 
     def inner_with_basis(self, z: np.ndarray) -> np.ndarray:
         """<G_k, Z> for every k."""
         weights = z[self.rows, self.cols] + z[self.cols, self.rows]
         return np.bincount(self.vidx, weights=weights, minlength=self.nvars)
-
-    def read_back(self, matrix: np.ndarray) -> np.ndarray:
-        """Project a symmetric matrix onto the family slice, per variable."""
-        sums = self.inner_with_basis(matrix)
-        means = sums / self.norms
-        return np.clip(means, self.lo, self.hi)
 
     def affine_project(self, z: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto {Tr Z = 1, <G_k, Z> = 0 for all k}.
@@ -183,95 +203,148 @@ class _FamilyOps:
             z[self.cols, self.rows] -= coeff[self.vidx]
         return z + (1.0 - np.trace(z)) / self.dim * np.eye(self.dim)
 
+    def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+        """Matrix-block part of the HKM Schur complement M_ij = Tr(A_i X A_j S^-1).
 
-def _product_start(family: AffineMatrixFamily, ops: _FamilyOps) -> np.ndarray:
-    """Moments of independent +-1 signs with the pinned one-body means.
+        The matrix parts of the constraints are A_0 = I and A_k = -G_k, so
+        M_kl = Tr(G_k X G_l S^-1) = <G_k, X G_l S^-1> for k, l >= 1.  The
+        products X G_l S^-1 are formed a block of variables at a time, which
+        bounds the transient memory.
+        """
+        m = np.empty((self.nvars + 1, self.nvars + 1))
+        m[0, 0] = np.sum(x * s_inv)
+        if self.nvars:
+            cross = -self.inner_with_basis(x @ s_inv)
+            m[0, 1:] = cross
+            m[1:, 0] = cross
+            r, c = self.rows, self.cols
+            for k0, k1, a, b in self.blocks:
+                g = np.zeros((k1 - k0, self.dim, self.dim))
+                g[self.vidx[a:b] - k0, r[a:b], c[a:b]] = 1.0
+                g[self.vidx[a:b] - k0, c[a:b], r[a:b]] = 1.0
+                y = x @ g @ s_inv
+                m[1 + k0:1 + k1, 1:] = np.add.reduceat(
+                    y[:, r, c] + y[:, c, r], self.starts, axis=1
+                )
+        return m
 
-    Each variable is a word; assigning every letter an independent random
-    sign whose mean is the letter's pinned one-body moment (zero when none
-    is pinned) gives the word the product of those means.  This is the
-    completion an uncorrelated local model would produce, and when the
-    pinned data itself comes from a product state the entire matrix becomes
-    that model's Gram matrix, so the start is already feasible.
+    def constraints(self, z: np.ndarray) -> np.ndarray:
+        """(<A_0, Z>, ..., <A_K, Z>) = (Tr Z, -<G_k, Z>)."""
+        return np.concatenate(([np.trace(z)], -self.inner_with_basis(z)))
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """sum_i y_i A_i = y_0 I - sum_k y_k G_k."""
+        return y[0] * np.eye(self.dim) - self.combine(y[1:])
+
+
+def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
+    """L^-1 for matrix = L L'; raises LinAlgError unless positive definite."""
+    return np.linalg.inv(np.linalg.cholesky(matrix))
+
+
+def _max_step(l_inv: np.ndarray, d: np.ndarray, w: np.ndarray, dw: np.ndarray) -> float:
+    """Largest alpha with L L' + alpha d >= 0 and w + alpha dw >= 0.
+
+    Capped at 1 / STEP_FRACTION.
     """
-    mu = {key[0]: value for key, value in family.pinned if len(key) == 1}
-    v = np.zeros(ops.nvars)
-    for k, (_, letters) in enumerate(family.variables):
-        value = 1.0
-        for letter in letters:
-            value *= mu.get(letter, 0.0)
-        v[k] = value
-    return np.clip(v, ops.lo, ops.hi)
+    lowest = min(
+        float(np.linalg.eigvalsh(l_inv @ d @ l_inv.T)[0]),
+        float(np.min(dw / w, initial=0.0)),
+    )
+    return 1.0 / STEP_FRACTION if lowest >= -STEP_FRACTION else -1.0 / lowest
 
 
-def _coordinate_polish(ops: _FamilyOps, v: np.ndarray, lam: float, sweeps: int):
-    """Cyclic exact line maximization along coordinates.
+def _interior_point(ops: _FamilyOps, box: np.ndarray, max_iters: int):
+    """Mehrotra predictor-corrector HKM steps on the primal-dual pair.
 
-    f is concave, hence unimodal along every line, so a bounded scalar
-    search per coordinate is reliable; endpoints are probed explicitly.
+    The variables k in ``box`` also get the linear constraints v_k >= lo_k
+    and v_k <= hi_k.  The iterate is (X, u, y, S, w): X the dual matrix Z,
+    u >= 0 the multipliers of the box rows, y = (t, v), S = Gamma(v) - t I
+    and w >= 0 the box slacks v - lo and hi - v.  Returns the last X, v and
+    the number of steps.
     """
-    v = v.copy()
-    for _ in range(sweeps):
-        improved = False
-        for k in range(ops.nvars):
-            lo, hi = ops.lo[k], ops.hi[k]
-            if hi - lo < 1e-12:
-                continue
-            current = v[k]
+    n = ops.dim
+    eye = np.eye(n)
+    # Box row j reads sign_j v_idx_j <= c_box_j.
+    idx = np.concatenate((box, box))
+    sign = np.repeat([-1.0, 1.0], box.size)
+    c_box = sign * np.concatenate((ops.lo[box], ops.hi[box]))
+    diagonal = np.arange(1, ops.nvars + 1)
 
-            def negated(x, k=k):
-                v[k] = x
-                return -ops.lambda_min(v)[0]
+    def constraints(z, u):
+        out = ops.constraints(z)
+        out[1:] += np.bincount(idx, weights=sign * u, minlength=ops.nvars)
+        return out
 
-            result = minimize_scalar(
-                negated, bounds=(lo, hi), method="bounded", options={"xatol": 1e-11}
-            )
-            best_x, best_f = current, lam
-            if -float(result.fun) > best_f:
-                best_x, best_f = float(result.x), -float(result.fun)
-            for x in (lo, hi):
-                v[k] = x
-                f = ops.lambda_min(v)[0]
-                if f > best_f:
-                    best_x, best_f = x, f
-            v[k] = best_x
-            if best_f > lam + 1e-15:
-                lam = best_f
-                improved = True
-        if not improved:
+    b = np.zeros(ops.nvars + 1)
+    b[0] = 1.0
+    y = np.concatenate(([0.0], 0.5 * (ops.lo + ops.hi)))
+    y[0] = float(np.linalg.eigvalsh(ops.gamma(y[1:]))[0]) - 1.0
+    s = ops.gamma(y[1:]) - y[0] * eye
+    w = c_box - sign * y[1:][idx]
+    # Z = I/n has <G_k, Z> = 0, so any u with equal pairs is primal
+    # feasible; this one is centred, with u_j w_j = <Z, S> / n.
+    x = eye / n
+    u = float(np.sum(x * s)) / n / w
+    pairs = n + idx.size
+    steps = 0
+    while steps < max_iters:
+        primal = float(np.sum(ops.gamma0 * x) + c_box @ u)
+        if primal - y[0] <= GAP_TOL * (1.0 + abs(primal) + abs(y[0])):
             break
-    return v, lam
-
-
-def _feasibility_rounding(ops: _FamilyOps, v0: np.ndarray, max_iters=4000, stop_tol=1e-10):
-    """Alternating projections between the PSD cone and the family slice.
-
-    Converges to a feasible completion whenever one exists near the start;
-    only the best in-slice point actually visited is returned, so the result
-    is always an honest witness candidate.
-    """
-    v = v0.copy()
-    best_lam = -np.inf
-    best_v = v0.copy()
-    for _ in range(max_iters):
-        w, vec = np.linalg.eigh(ops.gamma(v))
-        lam = float(w[0])
-        if lam > best_lam:
-            best_lam = lam
-            best_v = v.copy()
-        if lam >= -stop_tol:
+        try:
+            lx_inv = _inverse_cholesky(x)
+            ls_inv = _inverse_cholesky(s)
+            s_inv = ls_inv.T @ ls_inv
+            m = ops.schur(x, s_inv)
+            m[diagonal, diagonal] += np.bincount(idx, weights=u / w, minlength=ops.nvars)
+            lm_inv = _inverse_cholesky(m)
+        except np.linalg.LinAlgError:
             break
-        psd = (vec * np.clip(w, 0.0, None)) @ vec.T
-        v = ops.read_back(psd)
-    return best_v, best_lam
+        mu = float(np.sum(x * s) + u @ w) / pairs
+        r_primal = b - constraints(x, u)
+        r_dual = ops.gamma0 - ops.adjoint(y) - s
+        r_box = c_box - sign * y[1:][idx] - w
+        base = constraints(x @ r_dual @ s_inv, u * r_box / w) + r_primal
+
+        def direction(target, target_box):
+            # Solves dX S + X dS = target S and du w + u dw = target_box w
+            # together with the linear residuals; HKM then symmetrizes dX.
+            rhs = base - constraints(target, target_box)
+            dy = lm_inv.T @ (lm_inv @ rhs)
+            ds = r_dual - ops.adjoint(dy)
+            dw = r_box - sign * dy[1:][idx]
+            dx = target - x @ ds @ s_inv
+            return 0.5 * (dx + dx.T), target_box - u * dw / w, dy, ds, dw
+
+        dx, du, dy, ds, dw = direction(-x, -u)
+        alpha_p = min(1.0, _max_step(lx_inv, dx, u, du))
+        alpha_d = min(1.0, _max_step(ls_inv, ds, w, dw))
+        mu_aff = float(
+            np.sum((x + alpha_p * dx) * (s + alpha_d * ds))
+            + (u + alpha_p * du) @ (w + alpha_d * dw)
+        ) / pairs
+        sigma = min(1.0, (mu_aff / mu) ** 3)
+        # Corrector: centring plus Mehrotra's second-order term dX dS.
+        dx, du, dy, ds, dw = direction(
+            sigma * mu * s_inv - x - dx @ ds @ s_inv, (sigma * mu - du * dw) / w - u
+        )
+        alpha_p = min(1.0, STEP_FRACTION * _max_step(lx_inv, dx, u, du))
+        alpha_d = min(1.0, STEP_FRACTION * _max_step(ls_inv, ds, w, dw))
+        x, u = x + alpha_p * dx, u + alpha_p * du
+        y, s, w = y + alpha_d * dy, s + alpha_d * ds, w + alpha_d * dw
+        steps += 1
+        if min(alpha_p, alpha_d) < MIN_STEP:
+            break
+    return x, y[1:], steps
 
 
 def maximize_lambda_min(
     family: AffineMatrixFamily, config: SolverConfig | None = None
 ) -> SolveOutcome:
-    """Maximize lambda_min over the variable box and decide feasibility.
+    """Maximize lambda_min over the family and decide feasibility.
 
-    Returns FEASIBLE with a witness when the best value clears the witness
+    Returns FEASIBLE with a witness when lambda_star clears the witness
     tolerance, CERTIFIED_INFEASIBLE when a verified dual certificate with
     value below -margin is extracted, and UNDECIDED otherwise.
     """
@@ -279,123 +352,35 @@ def maximize_lambda_min(
     if family.dim == 0:
         raise ValueError("degenerate family of dimension 0")
     ops = _FamilyOps(family)
-    nvars = ops.nvars
-    rng = np.random.default_rng(cfg.seed)
-    step_base = cfg.step_scale * (1.0 + np.linalg.norm(ops.gamma0))
-
-    best_lam = -np.inf
-    best_v = np.zeros(nvars)
-    best_tail_u = None
-    best_tail_w = None
-    iterations = 0
-    tail_len = 300
-
-    for restart in range(cfg.restarts):
-        if restart == 0:
-            v = _product_start(family, ops)
-        elif restart == 1:
-            v = np.clip(np.zeros(nvars), ops.lo, ops.hi)
-        else:
-            v = rng.uniform(ops.lo, ops.hi)
-        tail_u: deque = deque(maxlen=tail_len)
-        tail_w: deque = deque(maxlen=tail_len)
-        lam_r = -np.inf
-        v_r = v.copy()
-        for t in range(1, cfg.max_iters + 1):
-            iterations += 1
-            lam, u = ops.lambda_min(v)
-            if lam > lam_r:
-                lam_r = lam
-                v_r = v.copy()
-            step = step_base / np.sqrt(t)
-            tail_u.append(u)
-            tail_w.append(step)
-            if nvars == 0:
-                break
-            v = np.clip(v + step * ops.supergradient(u), ops.lo, ops.hi)
-        if lam_r > best_lam:
-            best_lam = lam_r
-            best_v = v_r
-            best_tail_u = np.array(tail_u)
-            best_tail_w = np.array(tail_w)
-        if nvars == 0:
-            break
-
-    if nvars and cfg.polish_sweeps:
-        best_v, best_lam = _coordinate_polish(ops, best_v, best_lam, cfg.polish_sweeps)
-    if nvars and -ROUNDING_WINDOW < best_lam < WITNESS_TOL:
-        v_round, lam_round = _feasibility_rounding(ops, best_v)
-        if lam_round > best_lam:
-            best_lam, best_v = lam_round, v_round
+    z, v, iterations = _interior_point(ops, np.zeros(0, dtype=int), cfg.max_iters)
+    unboxed = float(np.linalg.eigvalsh(ops.gamma(v))[0])
+    v_star = np.clip(v, ops.lo, ops.hi)
+    lambda_star = float(np.linalg.eigvalsh(ops.gamma(v_star))[0])
+    if lambda_star < unboxed - GAP_TOL * (1.0 + abs(unboxed)):
+        # The maximizer left the box, so solve again inside it.  The
+        # certificate still comes from the first solve, whose Z is the best
+        # one of the verified form.
+        _, v, more = _interior_point(ops, ops.boxed, cfg.max_iters)
+        iterations += more
+        v_star = np.clip(v, ops.lo, ops.hi)
+        lambda_star = float(np.linalg.eigvalsh(ops.gamma(v_star))[0])
 
     certificate = None
-    if best_lam >= -WITNESS_TOL:
+    if lambda_star >= -WITNESS_TOL:
         status = FEASIBLE
     else:
-        trace = AscentTrace(
-            v_best=best_v,
-            lambda_best=best_lam,
-            tail_vectors=best_tail_u,
-            tail_weights=best_tail_w,
-        )
-        candidate = extract_certificate(family, trace, cfg.tol_cert)
-        if candidate is not None and verify_certificate(family, candidate, cfg.tol_cert):
-            certificate = candidate
+        certificate = extract_certificate(family, z, cfg.tol_cert)
         if certificate is not None and certificate.value < -cfg.margin:
             status = CERTIFIED_INFEASIBLE
         else:
             status = UNDECIDED
     return SolveOutcome(
         status=status,
-        lambda_star=float(best_lam),
-        v_star=best_v,
+        lambda_star=lambda_star,
+        v_star=v_star,
         certificate=certificate,
         iterations=iterations,
     )
-
-
-def _simplex_project(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    desc = np.sort(y)[::-1]
-    cumulative = np.cumsum(desc) - 1.0
-    counts = np.arange(1, y.size + 1)
-    mask = desc - cumulative / counts > 0.0
-    rho = counts[mask][-1]
-    theta = cumulative[rho - 1] / rho
-    return np.clip(y - theta, 0.0, None)
-
-
-def _spectraplex_project(s: np.ndarray) -> np.ndarray:
-    """Projection onto {S symmetric, S >= 0, Tr S = 1}."""
-    w, v = np.linalg.eigh(0.5 * (s + s.T))
-    w = _simplex_project(w)
-    return (v * w) @ v.T
-
-
-def _cluster_mixing(ops: _FamilyOps, basis_u: np.ndarray, tol: float) -> np.ndarray:
-    """Mixing matrix over a bottom eigencluster.
-
-    Minimizes sum_k <G_k, U S U'>^2 over the spectraplex by projected
-    gradient descent.  At an interior maximizer of f the minimum is zero:
-    some convex combination of bottom eigenvectors is orthogonal to every
-    variable direction.
-    """
-    r = basis_u.shape[1]
-    b = np.zeros((ops.nvars, r, r))
-    np.add.at(b, ops.vidx, basis_u[ops.rows][:, :, None] * basis_u[ops.cols][:, None, :])
-    np.add.at(b, ops.vidx, basis_u[ops.cols][:, :, None] * basis_u[ops.rows][:, None, :])
-    s = np.eye(r) / r
-    lipschitz = 2.0 * float(np.sum(b * b))
-    if lipschitz <= 0.0:
-        return s
-    eta = 1.0 / lipschitz
-    for _ in range(500):
-        inner = np.einsum("kij,ij->k", b, s)
-        if np.abs(inner).max() < 0.01 * tol:
-            break
-        grad = 2.0 * np.einsum("k,kij->ij", inner, b)
-        s = _spectraplex_project(s - eta * grad)
-    return s
 
 
 def _repair(ops: _FamilyOps, z0: np.ndarray, tol: float, max_rounds=2000) -> np.ndarray | None:
@@ -410,55 +395,20 @@ def _repair(ops: _FamilyOps, z0: np.ndarray, tol: float, max_rounds=2000) -> np.
 
 
 def extract_certificate(
-    family: AffineMatrixFamily, trace: AscentTrace, tol: float = 1e-7
+    family: AffineMatrixFamily, z: np.ndarray, tol: float = 1e-7
 ) -> DualCertificate | None:
-    """Build a dual certificate from solver iterates, or return None.
+    """Turn an approximate dual solution Z into a verified certificate.
 
-    Candidates are convex combinations of outer products of minimum
-    eigenvectors: mixtures over the bottom eigencluster at the best point
-    (several cluster widths are tried) and the step-weighted average over
-    the ascent tail.  Each candidate is projected onto the affine set
-    {Tr Z = 1, <G_k, Z> = 0} with PSD repair and verified; the verified
-    candidate of lowest value wins.  Failure to project or verify yields
-    None, never an unchecked certificate.
+    Z is repaired onto {Tr Z = 1, <G_k, Z> = 0, Z >= 0} and the result is
+    checked by :func:`verify_certificate`.  Failure to repair or verify
+    yields None, never an unchecked certificate.
     """
     ops = _FamilyOps(family)
-    v_best = np.asarray(trace.v_best, dtype=float)
-    w, vec = np.linalg.eigh(ops.gamma(v_best))
-    scale = max(1.0, float(np.abs(w).max()))
-
-    candidates: list[np.ndarray] = []
-    seen_sizes: set[int] = set()
-    for delta in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2):
-        size = int(np.searchsorted(w, w[0] + delta * scale, side="right"))
-        size = min(max(size, 1), ops.dim)
-        if size in seen_sizes:
-            continue
-        seen_sizes.add(size)
-        cluster = vec[:, :size]
-        if size == 1:
-            candidates.append(np.outer(cluster[:, 0], cluster[:, 0]))
-        else:
-            mixing = _cluster_mixing(ops, cluster, tol)
-            candidates.append(cluster @ mixing @ cluster.T)
-    if trace.tail_vectors is not None and len(trace.tail_vectors):
-        weights = np.asarray(trace.tail_weights, dtype=float)
-        weights = weights / weights.sum()
-        tail = np.asarray(trace.tail_vectors, dtype=float)
-        candidates.append(np.einsum("t,ti,tj->ij", weights, tail, tail))
-
-    best: DualCertificate | None = None
-    for z0 in candidates:
-        z = _repair(ops, z0, tol)
-        if z is None:
-            continue
-        value = float(np.sum(ops.gamma0 * z))
-        candidate = DualCertificate(matrix=z, value=value)
-        if not verify_certificate(family, candidate, tol):
-            continue
-        if best is None or value < best.value:
-            best = candidate
-    return best
+    repaired = _repair(ops, np.asarray(z, dtype=float), tol)
+    if repaired is None:
+        return None
+    candidate = DualCertificate(matrix=repaired, value=float(np.sum(ops.gamma0 * repaired)))
+    return candidate if verify_certificate(family, candidate, tol) else None
 
 
 def verify_certificate(

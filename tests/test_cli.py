@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import momentcert
 from momentcert.cli import main
 
 FAST_FLAGS = ["--max-iters", "800", "--restarts", "2"]
@@ -133,3 +138,27 @@ def test_robustness_command(tmp_path, capsys):
     assert "p*" in printed
     report = json.loads(out.read_text())
     assert report["bracket"][1] - report["bracket"][0] <= 0.5
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize alone adds about half a second and 50 MB to start-up.
+    package_root = str(Path(momentcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import sys, momentcert.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_ignored_solver_flags_warn(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--state", "basis:000", "--suite", "w", "--seed", "3", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "--seed is ignored" in err
+    assert "--restarts" not in err
+    # The value is still validated and recorded with the run's configuration.
+    assert json.loads(out.read_text())["meta"]["config"]["seed"] == 3
+    assert run(["analyze", "--state", "basis:000", "--suite", "w"]) == 0
+    assert "ignored" not in capsys.readouterr().err

@@ -1,17 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from momentcert import (
     CERTIFIED_INFEASIBLE,
     FEASIBLE,
-    AscentTrace,
+    CorrelatorTable,
     DualCertificate,
+    PinPolicy,
     SolverConfig,
+    assemble,
+    correlator_table,
     extract_certificate,
+    make_state,
     maximize_lambda_min,
     min_eigen,
+    standard_suite,
     verify_certificate,
 )
+from momentcert import sdp
 from momentcert.hierarchy import AffineMatrixFamily
 
 from helpers import grid_max_lambda_min, random_family
@@ -115,16 +123,11 @@ def test_extraction_skipped_when_feasible():
 
 def test_extract_certificate_trivial():
     family = _family(np.diag([1.0, -1.0]), [])
-    lam, u = min_eigen(family.gamma0)
-    trace = AscentTrace(
-        v_best=np.zeros(0),
-        lambda_best=lam,
-        tail_vectors=u[None, :],
-        tail_weights=np.ones(1),
-    )
-    cert = extract_certificate(family, trace)
+    _, u = min_eigen(family.gamma0)
+    cert = extract_certificate(family, np.outer(u, u), 1e-7)
     assert cert is not None
     assert cert.value == pytest.approx(-1.0, abs=1e-9)
+    assert verify_certificate(family, cert)
 
 
 def test_verify_rejects_bad_certificates():
@@ -213,6 +216,39 @@ def test_solver_against_grid_oracle():
             assert out.lambda_star <= out.certificate.value + 1e-6
 
 
+def test_lambda_star_is_the_boxed_optimum_when_the_clip_binds():
+    # Without the [-1, 1] box this family's maximizer has |v_k| > 1, so
+    # clipping it to the box would lose about 0.02; lambda_star must still
+    # be the optimum over the box.
+    family = random_family(np.random.default_rng(12), 6, 2)
+    wide = _family(family.gamma0, family.basis, np.tile([-10.0, 10.0], (2, 1)))
+    unboxed = maximize_lambda_min(wide).v_star
+    assert np.abs(unboxed).max() > 1.1
+    clipped = min_eigen(family.gamma(np.clip(unboxed, -1.0, 1.0)))[0]
+    out = maximize_lambda_min(family)
+    assert out.lambda_star >= clipped + 1e-2
+    assert abs(out.lambda_star - grid_max_lambda_min(family)) <= 1e-6
+    assert min_eigen(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
+    assert out.status == CERTIFIED_INFEASIBLE
+    assert out.lambda_star <= out.certificate.value
+
+
+def test_schur_blocks_match_dense_formula(monkeypatch):
+    # M_ij = Tr(A_i X A_j S^-1) with A_0 = I and A_k = -G_k, assembled in
+    # several row blocks, against the same sums taken densely.
+    monkeypatch.setattr(sdp, "SCHUR_BLOCK", 40)
+    rng = np.random.default_rng(5)
+    family = random_family(rng, 9, 12)
+    ops = sdp._FamilyOps(family)
+    assert len(ops.blocks) > 1
+    a = rng.normal(size=(9, 9))
+    b = rng.normal(size=(9, 9))
+    x, w = a @ a.T, b @ b.T
+    mats = [np.eye(9)] + [-g for g in family.basis]
+    dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
+    assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
 def test_certificate_bounds_lambda_min_everywhere():
     # The point of the certificate: <gamma0, Z> upper-bounds lambda_min over
     # the whole box, so sampling can never beat a verified value.
@@ -248,3 +284,54 @@ def test_determinism():
     assert first.lambda_star == second.lambda_star
     assert np.array_equal(first.v_star, second.v_star)
     assert first.status == second.status
+
+
+def _state_family(structure, state, suite):
+    table = correlator_table(make_state(state, 3), standard_suite(suite), structure)
+    return assemble(structure, table, PinPolicy.all())
+
+
+@pytest.mark.parametrize(
+    "structure_name, state, suite, optimum",
+    [
+        ("structure_322", "w", "w", -0.17809),
+        ("structure_322", "ghz", "ghz", -0.09446),
+        ("structure_332", "graph-linear", "graph", -0.19729),
+    ],
+)
+def test_lambda_star_is_the_optimum(request, structure_name, state, suite, optimum):
+    family = _state_family(request.getfixturevalue(structure_name), state, suite)
+    out = maximize_lambda_min(family)
+    assert out.status == CERTIFIED_INFEASIBLE
+    assert abs(out.lambda_star - optimum) <= 1e-5
+    # lambda_star is attained and the certificate bounds it from above.
+    assert min_eigen(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
+    assert out.lambda_star <= out.certificate.value
+    assert out.certificate.value - out.lambda_star <= 1e-6
+
+
+def test_interval_pins_give_the_boxed_optimum(structure_322):
+    # Every pin widened to value +- 1e-6: the box contains the point-pinned
+    # family, so its optimum is at least W's -0.1780942, and only just.
+    table = correlator_table(make_state("w", 3), standard_suite("w"), structure_322)
+    widened = CorrelatorTable(table.scenario, {k: (table.value(k), 1e-6) for k in table.keys()})
+    family = assemble(structure_322, widened, PinPolicy.all(), interval_sigmas=1.0)
+    out = maximize_lambda_min(family)
+    assert -0.1780942 - 1e-9 <= out.lambda_star <= -0.17809 + 1e-5
+    assert min_eigen(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
+    assert np.all((family.bounds[:, 0] <= out.v_star) & (out.v_star <= family.bounds[:, 1]))
+
+
+@pytest.mark.parametrize(
+    "structure_name, suite", [("structure_332", "graph"), ("structure_322", "w")]
+)
+def test_basis_states_are_feasible(request, structure_name, suite):
+    # Product eigenstates put the optimum exactly at 0, on the cone boundary.
+    # On the graph suite the Newton system degenerates before the gap
+    # closes, so those solves end on the stall exit.
+    structure = request.getfixturevalue(structure_name)
+    for bits in itertools.product("01", repeat=3):
+        family = _state_family(structure, "basis:" + "".join(bits), suite)
+        out = maximize_lambda_min(family)
+        assert out.status == FEASIBLE
+        assert min_eigen(family.gamma(out.v_star))[0] >= -1e-8
