@@ -73,6 +73,7 @@ from .sdp import (
     SolverConfig,
     extract_certificate,
     maximize_lambda_min,
+    maximize_visibility,
     min_eigen,
     verify_certificate,
 )

@@ -9,6 +9,7 @@ else is INCONCLUSIVE.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .errors import (
     SchemaError,
 )
 from .hierarchy import (
+    VALUE_TOL,
     AffineMatrixFamily,
     MomentMatrixStructure,
     PinPolicy,
@@ -42,13 +44,12 @@ from .sdp import (
     SolverConfig,
     SolveOutcome,
     maximize_lambda_min,
+    maximize_visibility,
     verify_certificate,
 )
 
 NONLOCAL = "NONLOCAL"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -246,49 +247,62 @@ def robustness(
     tolerance: float = 1e-2,
     config: SolverConfig | None = None,
 ) -> RobustnessResult:
-    """Critical visibility by bisection on the NONLOCAL predicate.
+    """Critical white-noise visibility from one parametric SDP.
 
-    Requires NONLOCAL at visibility 1 and INCONCLUSIVE at 0; the NONLOCAL
-    region is assumed to be an interval ending at 1.  Verdicts at already
-    visited points are cached (the pipeline is deterministic) and the
-    bracket endpoints are re-checked each step, so a monotonicity violation
-    surfaces as NoBracket instead of a silently wrong threshold.
+    Requires NONLOCAL at visibility 1 and INCONCLUSIVE at 0.  The pinned
+    correlators of p rho + (1 - p) I / 2^n are affine in p, so the families
+    at p = 0 and p = 1 span every visibility, and
+    :func:`~momentcert.sdp.maximize_visibility` gives p_star, the largest p
+    at which some completion keeps lambda_min above -margin.  At or below
+    p_star every certificate value is at least -margin, so the verdict is
+    INCONCLUSIVE; above it the unboxed optimum, and with it the certificate
+    value, lies below -margin.  Two full analyses confirm this: NONLOCAL at
+    hi = min(1, p_star + tolerance / 2) and INCONCLUSIVE at
+    lo = max(0, p_star - tolerance / 2), which form the bracket.  If either
+    disagrees, NoBracket is raised instead of returning an unconfirmed
+    threshold.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     policy = policy if policy is not None else PinPolicy.all()
     config = config if config is not None else SolverConfig()
     verdict_cache: dict[float, str] = {}
     evaluations: list[tuple[float, str]] = []
 
+    def request_at(p: float) -> AnalysisRequest:
+        return AnalysisRequest(
+            source=SimulatedSource(state, suite, p),
+            scenario=scenario,
+            level=level,
+            policy=policy,
+            config=config,
+        )
+
     def verdict_at(p: float) -> str:
         if p not in verdict_cache:
-            request = AnalysisRequest(
-                source=SimulatedSource(state, suite, p),
-                scenario=scenario,
-                level=level,
-                policy=policy,
-                config=config,
-            )
-            verdict_cache[p] = analyze(request).verdict
+            verdict_cache[p] = analyze(request_at(p)).verdict
             evaluations.append((p, verdict_cache[p]))
         return verdict_cache[p]
 
-    lo, hi = 0.0, 1.0
-    if verdict_at(hi) != NONLOCAL:
-        raise NoBracket(f"verdict at visibility 1 is {verdict_at(hi)}, not {NONLOCAL}")
-    if verdict_at(lo) != INCONCLUSIVE:
-        raise NoBracket(f"verdict at visibility 0 is {verdict_at(lo)}, not {INCONCLUSIVE}")
-    while hi - lo > tolerance:
-        if verdict_at(lo) != INCONCLUSIVE or verdict_at(hi) != NONLOCAL:
-            raise NoBracket(f"bracket [{lo}, {hi}] lost its verdict pattern")
-        mid = 0.5 * (lo + hi)
-        if verdict_at(mid) == NONLOCAL:
-            hi = mid
-        else:
-            lo = mid
+    if verdict_at(1.0) != NONLOCAL:
+        raise NoBracket(f"verdict at visibility 1 is {verdict_at(1.0)}, not {NONLOCAL}")
+    if verdict_at(0.0) != INCONCLUSIVE:
+        raise NoBracket(f"verdict at visibility 0 is {verdict_at(0.0)}, not {INCONCLUSIVE}")
+    structure = build_structure(scenario, level)
+    low, high = (
+        assemble(structure, request_table(request_at(p), structure), policy) for p in (0.0, 1.0)
+    )
+    p_star = maximize_visibility(low, high, config).p_star
+    if not 0.0 <= p_star <= 1.0:
+        raise NoBracket(f"critical visibility {p_star} lies outside [0, 1]")
+    lo = max(0.0, p_star - 0.5 * tolerance)
+    hi = min(1.0, p_star + 0.5 * tolerance)
+    while hi - lo > tolerance:  # rounding can widen the bracket by an ulp
+        hi = math.nextafter(hi, lo)
+    if verdict_at(hi) != NONLOCAL or verdict_at(lo) != INCONCLUSIVE:
+        raise NoBracket(f"verdicts at [{lo}, {hi}] do not confirm p* = {p_star}")
     return RobustnessResult(
-        p_star=0.5 * (lo + hi),
+        p_star=p_star,
         bracket=(lo, hi),
         tolerance=tolerance,
         evaluations=tuple(evaluations),
@@ -325,6 +339,18 @@ def _expect_int(document, path: str) -> int:
     return document
 
 
+def _is_number(document) -> bool:
+    return isinstance(document, (int, float)) and not isinstance(document, bool)
+
+
+def _is_finite(number) -> bool:
+    """Whether a JSON number is a finite float; NaN, Infinity and huge integers are not."""
+    try:
+        return math.isfinite(float(number))
+    except OverflowError:
+        return False
+
+
 def ingest_table(document) -> CorrelatorTable:
     """Validate a table document and build the CorrelatorTable.
 
@@ -332,7 +358,8 @@ def ingest_table(document) -> CorrelatorTable:
     outside [-1, 1], and DuplicateMoment for repeated keys.
     """
     _expect(isinstance(document, dict), "$", "expected a JSON object")
-    _expect(document.get("schema_version") == 1, "schema_version", "expected 1")
+    version = _expect_int(document.get("schema_version"), "schema_version")
+    _expect(version == 1, "schema_version", "expected 1")
     scenario_doc = document.get("scenario")
     _expect(isinstance(scenario_doc, dict), "scenario", "expected an object")
     parties = _expect_int(scenario_doc.get("parties"), "scenario.parties")
@@ -367,15 +394,15 @@ def ingest_table(document) -> CorrelatorTable:
         except ValueError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
         value = item.get("value")
-        _expect(isinstance(value, (int, float)) and not isinstance(value, bool), f"{path}.value", "expected a number")
-        if abs(value) > 1.0 + VALUE_TOL:
+        _expect(_is_number(value), f"{path}.value", "expected a number")
+        if not _is_finite(value) or abs(value) > 1.0 + VALUE_TOL:
             raise RangeError(f"{path}.value: {value} outside [-1, 1]")
         sigma = item.get("sigma")
         if sigma is not None:
             _expect(
-                isinstance(sigma, (int, float)) and not isinstance(sigma, bool) and sigma >= 0.0,
+                _is_number(sigma) and _is_finite(sigma) and sigma >= 0.0,
                 f"{path}.sigma",
-                "expected a nonnegative number",
+                "expected a finite nonnegative number",
             )
         if key in entries:
             raise DuplicateMoment(f"{path}: duplicate moment {key_name(key)}")

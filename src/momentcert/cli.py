@@ -100,11 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("table", help="path of the table JSON document")
     p_ingest.add_argument("--out", help="rewrite the normalized table to this path")
 
-    p_rob = sub.add_parser("robustness", help="bisect the critical white-noise visibility")
+    p_rob = sub.add_parser(
+        "robustness", help="compute and confirm the critical white-noise visibility"
+    )
     _add_scenario_flags(p_rob)
     _add_source_flags(p_rob)
     p_rob.add_argument("--pin", default="all")
-    p_rob.add_argument("--tol", type=float, default=1e-2, help="bracket width tolerance")
+    p_rob.add_argument(
+        "--tol", type=float, default=1e-2,
+        help="width of the confirming bracket around p* (default 1e-2)",
+    )
     _add_solver_flags(p_rob)
     p_rob.add_argument("--out", help="write the robustness report to this path")
 

@@ -33,7 +33,7 @@ class SchemaError(ValueError):
 
 
 class NoBracket(RuntimeError):
-    """Robustness bisection has no valid NONLOCAL/INCONCLUSIVE bracket."""
+    """Robustness has no confirmed NONLOCAL/INCONCLUSIVE bracket."""
 
 
 class PipelineError(RuntimeError):

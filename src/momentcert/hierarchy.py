@@ -29,7 +29,8 @@ from .algebra import (
 )
 from .errors import MissingMoment, RangeError
 
-# Tolerated overshoot when validating moment values against [-1, 1].
+# Tolerated overshoot when validating moment values against [-1, 1]; the
+# one such tolerance, shared with quantum and analysis.
 VALUE_TOL = 1e-9
 
 

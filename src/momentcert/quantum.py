@@ -14,12 +14,12 @@ import numpy as np
 
 from .algebra import MomentKey, Scenario, key_name, validate_moment_key
 from .errors import MissingMoment, RangeError
+from .hierarchy import VALUE_TOL
 
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 IMAG_TOL = 1e-10
-VALUE_TOL = 1e-9
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

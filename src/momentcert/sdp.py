@@ -40,10 +40,22 @@ variable direction; for any v whatsoever,
 so <gamma0, Z> < 0 proves that no completion is positive semidefinite.  The
 certificate is checked by :func:`verify_certificate` using nothing but an
 eigendecomposition and inner products, independently of the solver.
+
+The same interior-point method also solves a second program.  Two families
+that share their variables and differ in gamma0 mix into
+gamma0(p) = gamma0(low) + p Delta, with Delta = gamma0(high) - gamma0(low);
+:func:`maximize_visibility` finds the largest p for which
+
+    gamma0(low) + p Delta + sum_k v_k G_k + margin I >= 0
+
+for some unbounded v, in one solve.  Its objective matrix is -Delta in
+place of I, and its start p = 0, v = 0.  Past that p the optimum of the
+unboxed lambda program lies below -margin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +70,10 @@ UNDECIDED = "UNDECIDED"
 WITNESS_TOL = 1e-8
 # The interior-point solve stops once the relative duality gap is this small.
 GAP_TOL = 1e-9
+# ... provided the residual of the linear constraints on Z is this small.
+# With A_0 = I the start Z = I/n satisfies them and the steps keep them up
+# to rounding; otherwise the steps have to reach them first.
+FEAS_TOL = 1e-6
 # Stall exit: a step shorter than this ends the solve.
 MIN_STEP = 1e-8
 # Fraction of the distance to the cone boundary that each step covers.
@@ -69,7 +85,7 @@ SCHUR_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for :func:`maximize_lambda_min`.
+    """Knobs for :func:`maximize_lambda_min` and :func:`maximize_visibility`.
 
     ``max_iters`` caps the number of Newton steps; the solve normally stops
     well before on its gap or stall exit.  ``margin`` is the decision
@@ -88,6 +104,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iters", "step_scale", "tol_cert", "margin", "restarts"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.step_scale <= 0.0:
@@ -129,11 +148,26 @@ def min_eigen(matrix) -> tuple[float, np.ndarray]:
 
 
 class _FamilyOps:
-    """Index-array machinery for fast evaluation of one affine family."""
+    """Index-array machinery for fast evaluation of one affine family.
 
-    def __init__(self, family: AffineMatrixFamily):
+    It also carries the semidefinite program solved over the family,
+
+        max y_0   subject to   S = C - y_0 A_0 + sum_k v_k G_k >= 0,
+
+    through its objective matrix A_0 and constant matrix C.  The defaults
+    A_0 = I and C = gamma0 give the lambda_min program, with y_0 = t.
+    """
+
+    def __init__(
+        self,
+        family: AffineMatrixFamily,
+        a0: np.ndarray | None = None,
+        c: np.ndarray | None = None,
+    ):
         self.gamma0 = np.asarray(family.gamma0, dtype=float)
         self.dim = family.dim
+        self.a0 = np.eye(self.dim) if a0 is None else np.asarray(a0, dtype=float)
+        self.c = self.gamma0 if c is None else np.asarray(c, dtype=float)
         self.nvars = family.num_variables
         rows, cols, vidx = [], [], []
         counts = np.zeros(self.nvars, dtype=int)
@@ -152,8 +186,10 @@ class _FamilyOps:
         self.norms = 2.0 * counts
         if self.nvars and (counts == 0).any():
             raise ValueError("family has a variable with empty support")
-        if self.rows.size and np.abs(self.gamma0[self.rows, self.cols]).max() > 0.0:
-            raise ValueError("gamma0 overlaps a variable support")
+        if self.rows.size and any(
+            np.abs(m[self.rows, self.cols]).max() > 0.0 for m in (self.c, self.a0)
+        ):
+            raise ValueError("gamma0 or the objective overlaps a variable support")
         bounds = np.asarray(family.bounds, dtype=float).reshape(self.nvars, 2)
         self.lo = bounds[:, 0]
         self.hi = bounds[:, 1]
@@ -206,15 +242,15 @@ class _FamilyOps:
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """Matrix-block part of the HKM Schur complement M_ij = Tr(A_i X A_j S^-1).
 
-        The matrix parts of the constraints are A_0 = I and A_k = -G_k, so
-        M_kl = Tr(G_k X G_l S^-1) = <G_k, X G_l S^-1> for k, l >= 1.  The
-        products X G_l S^-1 are formed a block of variables at a time, which
-        bounds the transient memory.
+        The matrix parts of the constraints are A_0 and A_k = -G_k, so
+        M_0k = -<G_k, X A_0 S^-1> and M_kl = Tr(G_k X G_l S^-1) =
+        <G_k, X G_l S^-1> for k, l >= 1.  The products X G_l S^-1 are formed
+        a block of variables at a time, which bounds the transient memory.
         """
         m = np.empty((self.nvars + 1, self.nvars + 1))
-        m[0, 0] = np.sum(x * s_inv)
+        m[0, 0] = np.sum((self.a0 @ x @ self.a0) * s_inv)
         if self.nvars:
-            cross = -self.inner_with_basis(x @ s_inv)
+            cross = -self.inner_with_basis(x @ self.a0 @ s_inv)
             m[0, 1:] = cross
             m[1:, 0] = cross
             r, c = self.rows, self.cols
@@ -229,12 +265,12 @@ class _FamilyOps:
         return m
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
-        """(<A_0, Z>, ..., <A_K, Z>) = (Tr Z, -<G_k, Z>)."""
-        return np.concatenate(([np.trace(z)], -self.inner_with_basis(z)))
+        """(<A_0, Z>, ..., <A_K, Z>) = (Tr A_0 Z, -<G_k, Z>)."""
+        return np.concatenate(([np.trace(self.a0 @ z)], -self.inner_with_basis(z)))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """sum_i y_i A_i = y_0 I - sum_k y_k G_k."""
-        return y[0] * np.eye(self.dim) - self.combine(y[1:])
+        """sum_i y_i A_i = y_0 A_0 - sum_k y_k G_k."""
+        return y[0] * self.a0 - self.combine(y[1:])
 
 
 def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -254,13 +290,17 @@ def _max_step(l_inv: np.ndarray, d: np.ndarray, w: np.ndarray, dw: np.ndarray) -
     return 1.0 / STEP_FRACTION if lowest >= -STEP_FRACTION else -1.0 / lowest
 
 
-def _interior_point(ops: _FamilyOps, box: np.ndarray, max_iters: int):
+def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: int):
     """Mehrotra predictor-corrector HKM steps on the primal-dual pair.
 
-    The variables k in ``box`` also get the linear constraints v_k >= lo_k
-    and v_k <= hi_k.  The iterate is (X, u, y, S, w): X the dual matrix Z,
-    u >= 0 the multipliers of the box rows, y = (t, v), S = Gamma(v) - t I
-    and w >= 0 the box slacks v - lo and hi - v.  Returns the last X, v and
+    Maximizes y_0 subject to S = C - y_0 A_0 + sum_k v_k G_k >= 0 (the
+    program ``ops`` carries) from the start y = (y_0, v), where S must be
+    positive definite, together with min <C, Z> subject to <A_0, Z> = 1,
+    <G_k, Z> = 0 and Z >= 0 from Z = I/n.  The variables k in ``box`` also
+    get the linear constraints v_k >= lo_k and v_k <= hi_k.  The iterate is
+    (X, u, y, S, w): X the matrix Z, u >= 0 the multipliers of the box rows
+    and w >= 0 the box slacks v - lo and hi - v.  Every iterate keeps S
+    positive definite, so each y_0 is attained.  Returns the last X, y and
     the number of steps.
     """
     n = ops.dim
@@ -278,19 +318,20 @@ def _interior_point(ops: _FamilyOps, box: np.ndarray, max_iters: int):
 
     b = np.zeros(ops.nvars + 1)
     b[0] = 1.0
-    y = np.concatenate(([0.0], 0.5 * (ops.lo + ops.hi)))
-    y[0] = float(np.linalg.eigvalsh(ops.gamma(y[1:]))[0]) - 1.0
-    s = ops.gamma(y[1:]) - y[0] * eye
+    s = ops.c - ops.adjoint(y)
     w = c_box - sign * y[1:][idx]
-    # Z = I/n has <G_k, Z> = 0, so any u with equal pairs is primal
-    # feasible; this one is centred, with u_j w_j = <Z, S> / n.
+    # With A_0 = I, X = I/n has <A_0, X> = 1 and <G_k, X> = 0, so any u
+    # with equal pairs is primal feasible; this one is centred, with
+    # u_j w_j = <X, S> / n.  Other A_0 start primal infeasible.
     x = eye / n
     u = float(np.sum(x * s)) / n / w
     pairs = n + idx.size
     steps = 0
     while steps < max_iters:
-        primal = float(np.sum(ops.gamma0 * x) + c_box @ u)
-        if primal - y[0] <= GAP_TOL * (1.0 + abs(primal) + abs(y[0])):
+        r_primal = b - constraints(x, u)
+        primal = float(np.sum(ops.c * x) + c_box @ u)
+        scale = 1.0 + abs(primal) + abs(y[0])
+        if primal - y[0] <= GAP_TOL * scale and np.abs(r_primal).max() <= FEAS_TOL:
             break
         try:
             lx_inv = _inverse_cholesky(x)
@@ -302,8 +343,7 @@ def _interior_point(ops: _FamilyOps, box: np.ndarray, max_iters: int):
         except np.linalg.LinAlgError:
             break
         mu = float(np.sum(x * s) + u @ w) / pairs
-        r_primal = b - constraints(x, u)
-        r_dual = ops.gamma0 - ops.adjoint(y) - s
+        r_dual = ops.c - ops.adjoint(y) - s
         r_box = c_box - sign * y[1:][idx] - w
         base = constraints(x @ r_dual @ s_inv, u * r_box / w) + r_primal
 
@@ -336,7 +376,7 @@ def _interior_point(ops: _FamilyOps, box: np.ndarray, max_iters: int):
         steps += 1
         if min(alpha_p, alpha_d) < MIN_STEP:
             break
-    return x, y[1:], steps
+    return x, y, steps
 
 
 def maximize_lambda_min(
@@ -352,7 +392,11 @@ def maximize_lambda_min(
     if family.dim == 0:
         raise ValueError("degenerate family of dimension 0")
     ops = _FamilyOps(family)
-    z, v, iterations = _interior_point(ops, np.zeros(0, dtype=int), cfg.max_iters)
+    # Start at the centre of the box, with t one below lambda_min there.
+    y = np.concatenate(([0.0], 0.5 * (ops.lo + ops.hi)))
+    y[0] = float(np.linalg.eigvalsh(ops.gamma(y[1:]))[0]) - 1.0
+    z, y_end, iterations = _interior_point(ops, y, np.zeros(0, dtype=int), cfg.max_iters)
+    v = y_end[1:]
     unboxed = float(np.linalg.eigvalsh(ops.gamma(v))[0])
     v_star = np.clip(v, ops.lo, ops.hi)
     lambda_star = float(np.linalg.eigvalsh(ops.gamma(v_star))[0])
@@ -360,7 +404,8 @@ def maximize_lambda_min(
         # The maximizer left the box, so solve again inside it.  The
         # certificate still comes from the first solve, whose Z is the best
         # one of the verified form.
-        _, v, more = _interior_point(ops, ops.boxed, cfg.max_iters)
+        _, y_end, more = _interior_point(ops, y, ops.boxed, cfg.max_iters)
+        v = y_end[1:]
         iterations += more
         v_star = np.clip(v, ops.lo, ops.hi)
         lambda_star = float(np.linalg.eigvalsh(ops.gamma(v_star))[0])
@@ -381,6 +426,43 @@ def maximize_lambda_min(
         certificate=certificate,
         iterations=iterations,
     )
+
+
+@dataclass(frozen=True)
+class VisibilityOutcome:
+    """The largest visibility p_star found feasible, and the steps taken."""
+
+    p_star: float
+    iterations: int
+
+
+def maximize_visibility(
+    low: AffineMatrixFamily, high: AffineMatrixFamily, config: SolverConfig | None = None
+) -> VisibilityOutcome:
+    """Largest p at which the mixed family still clears -margin.
+
+    ``low`` and ``high`` must share their variables and differ only in
+    gamma0; at visibility p the family's gamma0 is
+    gamma0(low) + p Delta with Delta = gamma0(high) - gamma0(low).  Solves
+
+        max p   subject to   gamma0(low) + p Delta + sum_k v_k G_k + margin I >= 0
+
+    with v unbounded, so p_star is where the optimum of the unboxed lambda
+    program crosses -margin.  The solve starts at p = 0, v = 0, where
+    gamma0(low) + margin I must be positive definite.  Every iterate is
+    feasible, so p_star never exceeds the exact threshold.
+    """
+    cfg = config if config is not None else SolverConfig()
+    if low.dim != high.dim or low.variables != high.variables:
+        raise ValueError("families must share their dimension and variables")
+    constant = low.gamma0 + cfg.margin * np.eye(low.dim)
+    if float(np.linalg.eigvalsh(constant)[0]) <= 0.0:
+        raise ValueError("gamma0(low) + margin I is not positive definite")
+    ops = _FamilyOps(low, a0=low.gamma0 - high.gamma0, c=constant)
+    _, y, iterations = _interior_point(
+        ops, np.zeros(ops.nvars + 1), np.zeros(0, dtype=int), cfg.max_iters
+    )
+    return VisibilityOutcome(p_star=float(y[0]), iterations=iterations)
 
 
 def _repair(ops: _FamilyOps, z0: np.ndarray, tol: float, max_rounds=2000) -> np.ndarray | None:
@@ -418,7 +500,11 @@ def verify_certificate(
 
     Uses only an eigendecomposition and inner products; in particular it
     does not trust the stored value, which is recomputed and compared.
+    A non-finite ``tol`` raises ValueError: every comparison against NaN is
+    false, so it would accept anything.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     z = np.asarray(certificate.matrix, dtype=float)
     if z.shape != (family.dim, family.dim):
         return False

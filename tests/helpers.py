@@ -3,14 +3,25 @@
 Everything here recomputes results through a different route than the
 library: brute-force enumeration for the word algebra, Born-rule outcome
 distributions for expectations, grid refinement for the solver, and an
-explicit classical mixture for separable completions.
+explicit classical mixture for separable completions, and bisection on
+full analyses for the critical visibility.
 """
 
 import itertools
 
 import numpy as np
 
-from momentcert import expectation, min_eigen
+from momentcert import (
+    INCONCLUSIVE,
+    NONLOCAL,
+    AnalysisRequest,
+    PinPolicy,
+    SimulatedSource,
+    SolverConfig,
+    analyze,
+    expectation,
+    min_eigen,
+)
 from momentcert.hierarchy import AffineMatrixFamily
 from momentcert.quantum import IDENTITY_2
 
@@ -144,3 +155,31 @@ def classical_completion(family, state, suite, scenario):
                 product *= assignment[letter]
             word_moments[word_letters] += weight * product
     return np.array([word_moments[w] for _, w in family.variables])
+
+
+def bisect_visibility(state, suite, scenario, tolerance, config=None, level=2):
+    """Bracket (lo, hi) of the critical visibility by bisection on verdicts.
+
+    Each step runs a full analysis at the midpoint; lo stays INCONCLUSIVE,
+    hi stays NONLOCAL, and the loop ends once hi - lo <= tolerance.
+    """
+
+    def verdict(p):
+        request = AnalysisRequest(
+            source=SimulatedSource(state, suite, p),
+            scenario=scenario,
+            level=level,
+            policy=PinPolicy.all(),
+            config=config if config is not None else SolverConfig(),
+        )
+        return analyze(request).verdict
+
+    lo, hi = 0.0, 1.0
+    assert verdict(lo) == INCONCLUSIVE and verdict(hi) == NONLOCAL
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if verdict(mid) == NONLOCAL:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

@@ -23,11 +23,14 @@ from momentcert import (
     family_for_request,
     ingest_table,
     make_state,
+    maximize_lambda_min,
     robustness,
     standard_suite,
     table_document,
     verify_certificate,
 )
+
+from helpers import bisect_visibility
 
 FAST = SolverConfig(max_iters=800, restarts=2)
 S322 = Scenario(3, 2)
@@ -187,6 +190,29 @@ def test_robustness_small_run():
     assert result.evaluations[1] == (0.0, INCONCLUSIVE)
 
 
+def test_robustness_rejects_non_finite_tolerance():
+    # NaN fails every comparison, so a plain positivity check lets it through.
+    for bad in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="tolerance"):
+            robustness("w", "w", S322, tolerance=bad)
+
+
+@pytest.mark.parametrize("state", ["w", "ghz"])
+def test_robustness_matches_bisection(state):
+    result = robustness(state, state, S322, tolerance=1e-2)
+    # Two endpoint verdicts, then two confirmations around p*.
+    assert [v for _, v in result.evaluations] == [NONLOCAL, INCONCLUSIVE, NONLOCAL, INCONCLUSIVE]
+    lo, hi = bisect_visibility(state, state, S322, tolerance=1e-3)
+    assert lo <= result.p_star <= hi
+    assert result.bracket[0] <= lo and hi <= result.bracket[1]
+    if state == "w":
+        assert abs(result.p_star - 0.84968) <= 1e-5
+    at_threshold = maximize_lambda_min(
+        family_for_request(_request(state, state, visibility=result.p_star))
+    )
+    assert abs(at_threshold.lambda_star + SolverConfig().margin) <= 1e-6
+
+
 def _w_document(structure):
     table = correlator_table(make_state("w", 3), standard_suite("w"), structure)
     return table_document(table)
@@ -248,3 +274,27 @@ def test_table_document_roundtrip(structure_322):
     assert set(back.keys()) == set(table.keys())
     for key in table.keys():
         assert back.value(key) == table.value(key)
+
+
+def test_ingest_rejects_non_finite_numbers(structure_322):
+    document = _w_document(structure_322)
+    document["moments"][0]["sigma"] = 1
+    ingest_table(document)
+    # json.loads accepts Infinity and NaN, and integers of any size.
+    for text in ("Infinity", "NaN", "1" + "0" * 400):
+        document["moments"][0]["sigma"] = json.loads(text)
+        with pytest.raises(SchemaError, match=r"moments\[0\]\.sigma"):
+            ingest_table(document)
+    del document["moments"][0]["sigma"]
+    for text in ("NaN", "-Infinity", "1" + "0" * 400):
+        document["moments"][0]["value"] = json.loads(text)
+        with pytest.raises(RangeError, match=r"moments\[0\]\.value"):
+            ingest_table(document)
+
+
+def test_ingest_schema_version_must_be_the_integer_one(structure_322):
+    document = _w_document(structure_322)
+    for version in (True, 1.0, "1"):
+        document["schema_version"] = version
+        with pytest.raises(SchemaError, match="schema_version"):
+            ingest_table(document)

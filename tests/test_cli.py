@@ -140,6 +140,12 @@ def test_robustness_command(tmp_path, capsys):
     assert report["bracket"][1] - report["bracket"][0] <= 0.5
 
 
+def test_robustness_command_rejects_nan_tolerance(capsys):
+    code = run(["robustness", "--state", "w", "--suite", "w", "--tol", "nan"] + FAST_FLAGS)
+    assert code == 1
+    assert "tolerance" in capsys.readouterr().err
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.optimize alone adds about half a second and 50 MB to start-up.
     package_root = str(Path(momentcert.__file__).resolve().parents[1])

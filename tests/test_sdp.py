@@ -6,15 +6,20 @@ import pytest
 from momentcert import (
     CERTIFIED_INFEASIBLE,
     FEASIBLE,
+    AnalysisRequest,
     CorrelatorTable,
     DualCertificate,
     PinPolicy,
+    Scenario,
+    SimulatedSource,
     SolverConfig,
     assemble,
     correlator_table,
     extract_certificate,
+    family_for_request,
     make_state,
     maximize_lambda_min,
+    maximize_visibility,
     min_eigen,
     standard_suite,
     verify_certificate,
@@ -335,3 +340,36 @@ def test_basis_states_are_feasible(request, structure_name, suite):
         out = maximize_lambda_min(family)
         assert out.status == FEASIBLE
         assert min_eigen(family.gamma(out.v_star))[0] >= -1e-8
+
+
+def test_config_rejects_non_finite_values():
+    for name in ("tol_cert", "margin", "step_scale", "max_iters", "restarts"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: bad})
+
+
+def test_verify_rejects_non_finite_tolerance(structure_322):
+    # Every comparison against NaN is false, so a NaN tolerance would wave
+    # through this junk certificate.
+    table = correlator_table(make_state("w", 3), standard_suite("w"), structure_322)
+    family = assemble(structure_322, table)
+    junk = DualCertificate(matrix=-np.ones((22, 22)), value=-123.0)
+    assert not verify_certificate(family, junk, 1e-7)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            verify_certificate(family, junk, bad)
+
+
+def _family_at(state, visibility, suite=None, scenario=Scenario(3, 2)):
+    source = SimulatedSource(state, suite or state, visibility)
+    return family_for_request(AnalysisRequest(source=source, scenario=scenario))
+
+
+def test_maximize_visibility_rejects_mismatched_families():
+    other = _family_at("w", 1.0, suite="graph", scenario=Scenario(3, 3))
+    with pytest.raises(ValueError, match="share"):
+        maximize_visibility(_family_at("w", 0.0), other)
+    # Starting at p = 0 needs gamma0(low) + margin I > 0.
+    with pytest.raises(ValueError, match="positive definite"):
+        maximize_visibility(_family_at("w", 1.0), _family_at("w", 0.0))
