@@ -14,6 +14,8 @@ positive-semidefinite completion the solver searches for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from sys import intern
 
 import numpy as np
 
@@ -204,11 +206,33 @@ class AffineMatrixFamily:
             out += value * pattern
         return out
 
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Upper-triangle positions of every variable, grouped by variable.
+
+        ``(rows, cols, vidx)``: position p is entry (rows[p], cols[p]) of
+        variable vidx[p].  Derived once per family by :func:`support_arrays`.
+        """
+        return support_arrays(self.basis)
+
     def variable_names(self) -> list[str]:
-        names = []
-        for kind, payload in self.variables:
-            names.append(key_name(payload))
-        return names
+        # Interned, so every report of a scenario shares one copy of each name.
+        return [intern(key_name(payload)) for _, payload in self.variables]
+
+
+def support_arrays(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, vidx)`` of the 0/1 patterns' upper-triangle entries.
+
+    Positions are listed variable by variable, each in row-major order.
+    """
+    upper = np.triu_indices(basis[0].shape[0] if basis else 0, 1)
+    hits = [np.flatnonzero(pattern[upper]) for pattern in basis]
+    at = np.concatenate(hits) if hits else np.zeros(0, dtype=int)
+    sizes = np.array([h.size for h in hits], dtype=int)
+    arrays = (upper[0][at], upper[1][at], np.repeat(np.arange(len(hits)), sizes))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _checked_value(key: MomentKey, value: float) -> float:

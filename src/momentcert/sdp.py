@@ -17,9 +17,13 @@ relative duality gap reaches GAP_TOL.  On boundary-feasible data, such as
 product states with optimum exactly 0, the Newton system degenerates first;
 the solve then stops at the last iterate (the stall exit): when the Schur
 complement is no longer positive definite, or when a step shrinks below
-MIN_STEP.  The Schur complement is assembled a block of variables at a
-time, so its transient memory stays bounded; the complement itself holds
-(K + 1)^2 floats for K variables.
+MIN_STEP.  The Schur complement of each Newton step is assembled from
+low-rank products: a variable with s entry positions makes X G_k S^-1 a
+product of rank 2s, and variables of one support size are taken in blocks
+whose transient memory stays bounded.  The complement itself holds
+(K + 1)^2 floats for K variables; its Cholesky factorization is only the
+positive-definiteness test, and the predictor and corrector directions come
+from direct solves with it.
 
 The first solve ignores the variable box.  Its maximizer is clipped to the
 box and lambda_star = lambda_min(Gamma(v_star)) recomputed, so lambda_star is
@@ -169,17 +173,8 @@ class _FamilyOps:
         self.a0 = np.eye(self.dim) if a0 is None else np.asarray(a0, dtype=float)
         self.c = self.gamma0 if c is None else np.asarray(c, dtype=float)
         self.nvars = family.num_variables
-        rows, cols, vidx = [], [], []
-        counts = np.zeros(self.nvars, dtype=int)
-        for k, pattern in enumerate(family.basis):
-            i_idx, j_idx = np.nonzero(np.triu(pattern, 1))
-            rows.append(i_idx)
-            cols.append(j_idx)
-            vidx.append(np.full(i_idx.size, k, dtype=int))
-            counts[k] = i_idx.size
-        self.rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
-        self.cols = np.concatenate(cols) if cols else np.zeros(0, dtype=int)
-        self.vidx = np.concatenate(vidx) if vidx else np.zeros(0, dtype=int)
+        self.rows, self.cols, self.vidx = family.support
+        counts = np.bincount(self.vidx, minlength=self.nvars)
         # Positions are grouped by variable; starts[k] is where k's group begins.
         self.starts = np.cumsum(counts) - counts
         # <G_k, G_k>: each variable position appears in both triangles.
@@ -198,15 +193,22 @@ class _FamilyOps:
         # Variables whose box has an interior; a zero-width box is enforced
         # by clipping alone.
         self.boxed = np.flatnonzero(self.hi > self.lo)
-        # Variable ranges [k0, k1) for the Schur assembly, each small enough
-        # that its arrays of dim^2 or E entries per variable (E = number of
-        # variable positions) hold at most SCHUR_BLOCK entries.
-        width = max(1, SCHUR_BLOCK // max(self.dim * self.dim, self.rows.size))
-        ends = np.append(self.starts, self.rows.size)
-        self.blocks = [
-            (k0, min(k0 + width, self.nvars), ends[k0], ends[min(k0 + width, self.nvars)])
-            for k0 in range(0, self.nvars, width)
-        ]
+        # Blocks (ks, a, b) for the Schur assembly: the variables ks share
+        # one support size s, and row j of the (len(ks), 2s) arrays a and b
+        # lists (r..., c...) and (c..., r...) over the positions of ks[j].
+        # Each block is small enough that its arrays of dim^2, 2s dim or E
+        # entries per variable (E = number of variable positions) hold at
+        # most SCHUR_BLOCK entries.
+        self.blocks = []
+        for size in sorted(set(counts.tolist())):
+            ks = np.flatnonzero(counts == size)
+            per_variable = max(self.dim, 2 * size) * self.dim
+            width = max(1, SCHUR_BLOCK // max(per_variable, self.rows.size))
+            at = self.starts[ks, None] + np.arange(size)
+            r, c = self.rows[at], self.cols[at]
+            a, b = np.hstack((r, c)), np.hstack((c, r))
+            for j in range(0, ks.size, width):
+                self.blocks.append((ks[j:j + width], a[j:j + width], b[j:j + width]))
 
     def combine(self, v: np.ndarray) -> np.ndarray:
         """sum_k v_k G_k."""
@@ -244,8 +246,11 @@ class _FamilyOps:
 
         The matrix parts of the constraints are A_0 and A_k = -G_k, so
         M_0k = -<G_k, X A_0 S^-1> and M_kl = Tr(G_k X G_l S^-1) =
-        <G_k, X G_l S^-1> for k, l >= 1.  The products X G_l S^-1 are formed
-        a block of variables at a time, which bounds the transient memory.
+        <G_k, X G_l S^-1> for k, l >= 1.  With the positions (r_p, c_p) of
+        variable l and X symmetric, X G_l S^-1 = X[a, :]' S^-1[b, :] for
+        a = (r..., c...) and b = (c..., r...), a product of rank 2|l|; the
+        products are formed a block of variables at a time, which bounds the
+        transient memory.
         """
         m = np.empty((self.nvars + 1, self.nvars + 1))
         m[0, 0] = np.sum((self.a0 @ x @ self.a0) * s_inv)
@@ -254,14 +259,9 @@ class _FamilyOps:
             m[0, 1:] = cross
             m[1:, 0] = cross
             r, c = self.rows, self.cols
-            for k0, k1, a, b in self.blocks:
-                g = np.zeros((k1 - k0, self.dim, self.dim))
-                g[self.vidx[a:b] - k0, r[a:b], c[a:b]] = 1.0
-                g[self.vidx[a:b] - k0, c[a:b], r[a:b]] = 1.0
-                y = x @ g @ s_inv
-                m[1 + k0:1 + k1, 1:] = np.add.reduceat(
-                    y[:, r, c] + y[:, c, r], self.starts, axis=1
-                )
+            for ks, a, b in self.blocks:
+                y = np.matmul(x[a].transpose(0, 2, 1), s_inv[b])
+                m[1 + ks, 1:] = np.add.reduceat(y[:, r, c] + y[:, c, r], self.starts, axis=1)
         return m
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
@@ -339,7 +339,8 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: 
             s_inv = ls_inv.T @ ls_inv
             m = ops.schur(x, s_inv)
             m[diagonal, diagonal] += np.bincount(idx, weights=u / w, minlength=ops.nvars)
-            lm_inv = _inverse_cholesky(m)
+            # Only the positive-definiteness test: its failure is the stall exit.
+            np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
             break
         mu = float(np.sum(x * s) + u @ w) / pairs
@@ -351,7 +352,7 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: 
             # Solves dX S + X dS = target S and du w + u dw = target_box w
             # together with the linear residuals; HKM then symmetrizes dX.
             rhs = base - constraints(target, target_box)
-            dy = lm_inv.T @ (lm_inv @ rhs)
+            dy = np.linalg.solve(m, rhs)
             ds = r_dual - ops.adjoint(dy)
             dw = r_box - sign * dy[1:][idx]
             dx = target - x @ ds @ s_inv

@@ -29,6 +29,7 @@ from momentcert import (
     table_document,
     verify_certificate,
 )
+from momentcert import hierarchy
 
 from helpers import bisect_visibility
 
@@ -298,3 +299,17 @@ def test_ingest_schema_version_must_be_the_integer_one(structure_322):
         document["schema_version"] = version
         with pytest.raises(SchemaError, match="schema_version"):
             ingest_table(document)
+
+
+def test_witness_names_are_shared_between_reports(monkeypatch):
+    first = analyze(_request("w", "w"))
+    second = analyze(_request("w", "w"))
+    assert first.witness and all(
+        a is b for (a, _), (b, _) in zip(first.witness, second.witness)
+    )
+    monkeypatch.setattr(hierarchy, "intern", lambda name: name)
+    fresh = analyze(_request("w", "w"))
+    assert not any(a is b for (a, _), (b, _) in zip(first.witness, fresh.witness))
+    assert json.dumps(first.body_document()).encode() == json.dumps(
+        fresh.body_document()
+    ).encode()

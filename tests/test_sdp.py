@@ -24,7 +24,7 @@ from momentcert import (
     standard_suite,
     verify_certificate,
 )
-from momentcert import sdp
+from momentcert import hierarchy, sdp
 from momentcert.hierarchy import AffineMatrixFamily
 
 from helpers import grid_max_lambda_min, random_family
@@ -252,6 +252,49 @@ def test_schur_blocks_match_dense_formula(monkeypatch):
     mats = [np.eye(9)] + [-g for g in family.basis]
     dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
     assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_schur_rows_of_the_visibility_form_match_dense_formula(monkeypatch):
+    # The p form has A_0 = -Delta, not I.  Support sizes 1 to 3 give blocks
+    # of several shapes, and the small SCHUR_BLOCK splits each shape.
+    monkeypatch.setattr(sdp, "SCHUR_BLOCK", 100)
+    rng = np.random.default_rng(8)
+    low = random_family(rng, 10, 14)
+    rows, cols, _ = low.support
+    delta = np.triu(rng.normal(size=(10, 10)), 1)
+    delta[rows, cols] = 0.0
+    delta += delta.T
+    ops = sdp._FamilyOps(low, a0=-delta, c=low.gamma0 + 1e-3 * np.eye(10))
+    shapes = [a.shape[1] for _, a, _ in ops.blocks]
+    assert set(shapes) == {2, 4, 6}
+    assert len(shapes) > len(set(shapes))
+    a = rng.normal(size=(10, 10))
+    b = rng.normal(size=(10, 10))
+    x, w = a @ a.T, b @ b.T
+    mats = [-delta] + [-g for g in low.basis]
+    dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
+    assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_support_is_scanned_once_per_family(monkeypatch, structure_322):
+    calls = []
+    original = hierarchy.support_arrays
+
+    def counted(basis):
+        calls.append(len(basis))
+        return original(basis)
+
+    monkeypatch.setattr(hierarchy, "support_arrays", counted)
+    family = _state_family(structure_322, "w", "w")
+    # The solve and the certificate extraction both build index arrays.
+    assert maximize_lambda_min(family).status == CERTIFIED_INFEASIBLE
+    assert calls == [family.num_variables]
+    rows, cols, vidx = family.support
+    reference = [np.nonzero(np.triu(pattern, 1)) for pattern in family.basis]
+    assert np.array_equal(rows, np.concatenate([i for i, _ in reference]))
+    assert np.array_equal(cols, np.concatenate([j for _, j in reference]))
+    owners = [np.full(i.size, k) for k, (i, _) in enumerate(reference)]
+    assert np.array_equal(vidx, np.concatenate(owners))
 
 
 def test_certificate_bounds_lambda_min_everywhere():
