@@ -42,6 +42,7 @@ from .errors import (
     RangeError,
     ScenarioMismatch,
     SchemaError,
+    UnsoundConfig,
 )
 from .hierarchy import (
     AffineMatrixFamily,

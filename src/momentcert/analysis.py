@@ -20,11 +20,10 @@ from .errors import (
     DuplicateMoment,
     NoBracket,
     PipelineError,
-    RangeError,
     SchemaError,
+    UnsoundConfig,
 )
 from .hierarchy import (
-    VALUE_TOL,
     AffineMatrixFamily,
     MomentMatrixStructure,
     PinPolicy,
@@ -34,6 +33,7 @@ from .hierarchy import (
 from .quantum import (
     CorrelatorTable,
     add_white_noise,
+    checked_moment,
     correlator_table,
     make_state,
     standard_suite,
@@ -83,6 +83,8 @@ class AnalysisRequest:
 
 @dataclass
 class VerdictReport:
+    """One analysis; ``pinned`` and ``witness`` pair the shared keys and names with values."""
+
     verdict: str
     status: str
     lambda_star: float
@@ -90,13 +92,23 @@ class VerdictReport:
     scenario: Scenario
     level: int
     policy: PinPolicy
-    pinned: tuple[tuple[MomentKey, float], ...]
-    witness: tuple[tuple[str, float], ...]
+    pinned_keys: tuple[MomentKey, ...]
+    pinned_values: np.ndarray
+    variable_names: tuple[str, ...]
+    v_star: np.ndarray
     certificate: DualCertificate | None
     certificate_verified: bool
     config: SolverConfig
     source_description: dict
     wall_time_s: float
+
+    @property
+    def pinned(self) -> tuple[tuple[MomentKey, float], ...]:
+        return tuple(zip(self.pinned_keys, self.pinned_values.tolist()))
+
+    @property
+    def witness(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.variable_names, self.v_star.tolist()))
 
     def body_document(self) -> dict:
         """The scientific content of the report, free of run metadata."""
@@ -202,16 +214,17 @@ def analyze(request: AnalysisRequest) -> VerdictReport:
     structure = _stage("structure", build_structure, request.scenario, request.level)
     table = _stage("assembly", request_table, request, structure)
     family = _stage("assembly", assemble, structure, table, request.policy)
+    # For a PSD Gamma(v), a verified Z has -n tol <= <Gamma(v), Z> <= value +
+    # (K + 1) tol, so value < -margin proves infeasibility only if this holds.
+    bound = (family.dim + family.num_variables + 1) * request.config.tol_cert
+    if request.config.margin <= bound:
+        raise UnsoundConfig(f"margin must exceed (n + K + 1) * tol_cert = {bound}")
     outcome: SolveOutcome = _stage("solve", maximize_lambda_min, family, request.config)
 
     verified = outcome.certificate is not None and verify_certificate(
         family, outcome.certificate, request.config.tol_cert
     )
     verdict = NONLOCAL if (outcome.status == CERTIFIED_INFEASIBLE and verified) else INCONCLUSIVE
-    witness = tuple(
-        (name, float(value))
-        for name, value in zip(family.variable_names(), outcome.v_star)
-    )
     return VerdictReport(
         verdict=verdict,
         status=outcome.status,
@@ -220,8 +233,10 @@ def analyze(request: AnalysisRequest) -> VerdictReport:
         scenario=request.scenario,
         level=request.level,
         policy=request.policy,
-        pinned=family.pinned,
-        witness=witness,
+        pinned_keys=family.pinned_keys,
+        pinned_values=family.pinned_values,
+        variable_names=family.variable_names(),
+        v_star=outcome.v_star,
         certificate=outcome.certificate,
         certificate_verified=verified,
         config=request.config,
@@ -395,8 +410,7 @@ def ingest_table(document) -> CorrelatorTable:
             raise SchemaError(f"{path}: {exc}") from exc
         value = item.get("value")
         _expect(_is_number(value), f"{path}.value", "expected a number")
-        if not _is_finite(value) or abs(value) > 1.0 + VALUE_TOL:
-            raise RangeError(f"{path}.value: {value} outside [-1, 1]")
+        value = checked_moment(value, f"{path}.value")
         sigma = item.get("sigma")
         if sigma is not None:
             _expect(
@@ -406,7 +420,7 @@ def ingest_table(document) -> CorrelatorTable:
             )
         if key in entries:
             raise DuplicateMoment(f"{path}: duplicate moment {key_name(key)}")
-        entries[key] = (float(value), None if sigma is None else float(sigma))
+        entries[key] = (value, None if sigma is None else float(sigma))
     return CorrelatorTable(scenario, entries)
 
 

@@ -32,6 +32,10 @@ class SchemaError(ValueError):
     """
 
 
+class UnsoundConfig(ValueError):
+    """The margin is too small for a verified certificate to be a proof."""
+
+
 class NoBracket(RuntimeError):
     """Robustness has no confirmed NONLOCAL/INCONCLUSIVE bracket."""
 

@@ -9,13 +9,20 @@ structurally, because identical canonical words share one reference.
 :func:`assemble` then substitutes measured values for the pinned observable
 moments and emits the affine family Gamma(v) = gamma0 + sum_k v_k G_k whose
 positive-semidefinite completion the solver searches for.
+
+Both steps compile once.  A structure is built once per scenario and level,
+and the index maps of a family (which entries each pinned key fills, and the
+support of each variable) once per structure and choice of pinned keys.
+Assembling a table is then a scatter of its values into gamma0; no dense
+0/1 pattern is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from sys import intern
+from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -29,27 +36,23 @@ from .algebra import (
     key_name,
     word_product,
 )
-from .errors import MissingMoment, RangeError
-
-# Tolerated overshoot when validating moment values against [-1, 1]; the
-# one such tolerance, shared with quantum and analysis.
-VALUE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentMatrixStructure:
     """Symbolic moment matrix for one scenario and hierarchy level.
 
     ``entries`` stores the upper triangle only (0-based ``(i, j)`` with
-    ``i <= j``); the matrix is symmetric by construction.  ``observables``
-    and ``freevars`` list the distinct keys and variable ids in order of
-    first appearance in a row-major scan of the upper triangle.
+    ``i <= j``), read-only because structures are shared; the matrix is
+    symmetric by construction.  ``observables`` and ``freevars`` list the
+    distinct keys and variable ids in order of first appearance in a
+    row-major scan of the upper triangle.  Structures hash by identity.
     """
 
     scenario: Scenario
     level: int
     words: tuple[OperatorWord, ...]
-    entries: dict[tuple[int, int], MomentRef]
+    entries: Mapping[tuple[int, int], MomentRef]
     observables: tuple[MomentKey, ...]
     freevars: tuple[tuple, ...]
 
@@ -82,31 +85,22 @@ class MomentMatrixStructure:
         return positions
 
 
+@lru_cache(maxsize=8)
 def build_structure(scenario: Scenario, level: int) -> MomentMatrixStructure:
-    """Compile the symbolic moment matrix for ``scenario`` at ``level``."""
+    """Compile the symbolic moment matrix for ``scenario`` at ``level``, once."""
     words = tuple(generate_basis(scenario, level))
-    entries: dict[tuple[int, int], MomentRef] = {}
-    observables: list[MomentKey] = []
-    freevars: list[tuple] = []
-    seen_obs: set[MomentKey] = set()
-    seen_var: set[tuple] = set()
-    for i in range(len(words)):
-        for j in range(i, len(words)):
-            ref = classify(word_product(words[i], words[j]))
-            entries[(i, j)] = ref
-            if ref.is_observable and ref.key not in seen_obs:
-                seen_obs.add(ref.key)
-                observables.append(ref.key)
-            elif ref.is_freevar and ref.var not in seen_var:
-                seen_var.add(ref.var)
-                freevars.append(ref.var)
+    entries = {
+        (i, j): classify(word_product(words[i], words[j]))
+        for i in range(len(words))
+        for j in range(i, len(words))
+    }
     return MomentMatrixStructure(
         scenario=scenario,
         level=level,
         words=words,
-        entries=entries,
-        observables=tuple(observables),
-        freevars=tuple(freevars),
+        entries=MappingProxyType(entries),
+        observables=tuple(dict.fromkeys(r.key for r in entries.values() if r.is_observable)),
+        freevars=tuple(dict.fromkeys(r.var for r in entries.values() if r.is_freevar)),
     )
 
 
@@ -172,20 +166,23 @@ VariableLabel = tuple[str, object]
 class AffineMatrixFamily:
     """Numeric affine family Gamma(v) = gamma0 + sum_k v_k G_k.
 
-    ``gamma0`` carries the unit diagonal and the pinned data; each ``basis``
-    matrix is a symmetric 0/1 pattern marking the entry positions of one
-    free variable.  Supports are pairwise disjoint and never touch the
-    diagonal, so together with the pinned positions they partition the
-    off-diagonal entry set.  ``bounds`` is a (K, 2) array of per-variable
-    intervals, [-1, 1] by default: every canonical word is a product of
-    commuting involutions, so its moment in any realization lies there.
+    ``gamma0`` carries the unit diagonal and the pinned data.  ``support``
+    is ``(rows, cols, vidx)``: G_k is 1 at (rows[p], cols[p]) and its mirror
+    for every p with vidx[p] = k, positions grouped by variable, each group
+    in row-major order (see :func:`support_arrays`).  Supports are pairwise
+    disjoint and never touch the diagonal, so together with the pinned
+    positions they partition the off-diagonal entry set.  ``bounds`` is a
+    (K, 2) array of per-variable intervals, [-1, 1] by default: every
+    canonical word is a product of commuting involutions, so its moment in
+    any realization lies there.
     """
 
     gamma0: np.ndarray
-    basis: tuple[np.ndarray, ...]
+    support: tuple[np.ndarray, np.ndarray, np.ndarray]
     bounds: np.ndarray
     variables: tuple[VariableLabel, ...]
-    pinned: tuple[tuple[MomentKey, float], ...]
+    pinned_keys: tuple[MomentKey, ...] = ()
+    pinned_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def dim(self) -> int:
@@ -193,7 +190,20 @@ class AffineMatrixFamily:
 
     @property
     def num_variables(self) -> int:
-        return len(self.basis)
+        return len(self.variables)
+
+    @property
+    def pinned(self) -> tuple[tuple[MomentKey, float], ...]:
+        return tuple(zip(self.pinned_keys, self.pinned_values.tolist()))
+
+    @property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        """The dense patterns G_k, formed from ``support`` on each access."""
+        rows, cols, vidx = self.support
+        patterns = np.zeros((self.num_variables, self.dim, self.dim))
+        patterns[vidx, rows, cols] = patterns[vidx, cols, rows] = 1.0
+        patterns.flags.writeable = False
+        return tuple(patterns)
 
     def gamma(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -201,44 +211,51 @@ class AffineMatrixFamily:
             raise ValueError(
                 f"expected {self.num_variables} variable values, got shape {v.shape}"
             )
+        rows, cols, vidx = self.support
         out = self.gamma0.copy()
-        for value, pattern in zip(v, self.basis):
-            out += value * pattern
+        out[rows, cols] += v[vidx]
+        out[cols, rows] += v[vidx]
         return out
 
-    @cached_property
-    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Upper-triangle positions of every variable, grouped by variable.
+    def variable_names(self) -> tuple[str, ...]:
+        # Shared by the families of one layout, which share their labels.
+        return _names(self.variables)
 
-        ``(rows, cols, vidx)``: position p is entry (rows[p], cols[p]) of
-        variable vidx[p].  Derived once per family by :func:`support_arrays`.
-        """
-        return support_arrays(self.basis)
 
-    def variable_names(self) -> list[str]:
-        # Interned, so every report of a scenario shares one copy of each name.
-        return [intern(key_name(payload)) for _, payload in self.variables]
+@lru_cache(maxsize=32)
+def _names(variables: tuple[VariableLabel, ...]) -> tuple[str, ...]:
+    return tuple(key_name(payload) for _, payload in variables)
+
+
+def _index_arrays(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(rows, cols, g)`` of groups of ``(i, j)`` positions, in order."""
+    pairs = np.array([ij for group in groups for ij in group], dtype=np.intp).reshape(-1, 2).T.copy()
+    owner = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    pairs.flags.writeable = owner.flags.writeable = False
+    return pairs[0], pairs[1], owner
 
 
 def support_arrays(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, vidx)`` of the 0/1 patterns' upper-triangle entries.
+    """The ``support`` of a hand-built family's 0/1 patterns."""
+    return _index_arrays([np.argwhere(np.triu(pattern, 1)) for pattern in basis])
 
-    Positions are listed variable by variable, each in row-major order.
+
+@lru_cache(maxsize=32)
+def _layout(structure: MomentMatrixStructure, pinned: tuple[bool, ...]):
+    """Index maps of ``structure`` when ``pinned`` flags its pinned observables.
+
+    Returns the pinned keys, the variable labels (unpinned observables, then
+    free variables), the pinned positions owned by key index, and the support.
     """
-    upper = np.triu_indices(basis[0].shape[0] if basis else 0, 1)
-    hits = [np.flatnonzero(pattern[upper]) for pattern in basis]
-    at = np.concatenate(hits) if hits else np.zeros(0, dtype=int)
-    sizes = np.array([h.size for h in hits], dtype=int)
-    arrays = (upper[0][at], upper[1][at], np.repeat(np.arange(len(hits)), sizes))
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
-def _checked_value(key: MomentKey, value: float) -> float:
-    if not np.isfinite(value) or abs(value) > 1.0 + VALUE_TOL:
-        raise RangeError(f"moment {key_name(key)} = {value!r} outside [-1, 1]")
-    return float(np.clip(value, -1.0, 1.0))
+    observables = structure.observable_positions()
+    freevars = structure.freevar_positions()
+    keys = list(zip(structure.observables, pinned))
+    pinned_keys = tuple(key for key, is_pinned in keys if is_pinned)
+    variables = tuple(("observable", key) for key, is_pinned in keys if not is_pinned)
+    groups = [observables[key] for _, key in variables] + list(freevars.values())
+    variables += tuple(("freevar", var) for var in freevars)
+    pins = _index_arrays([observables[key] for key in pinned_keys])
+    return pinned_keys, variables, pins, _index_arrays(groups)
 
 
 def assemble(
@@ -253,7 +270,8 @@ def assemble(
     ----------
     structure : MomentMatrixStructure
     table : CorrelatorTable
-        Must supply a value for every key the policy selects.
+        Must supply a value for every key the policy selects.  The table
+        validated its values; here they are only clipped to [-1, 1].
     policy : PinPolicy
         Defaults to pinning every observable moment.
     interval_sigmas : float, optional
@@ -270,55 +288,30 @@ def assemble(
             names = sorted(key_name(k) for k in stray)
             raise ValueError(f"explicit pin keys not in structure: {names}")
 
-    dim = structure.dim
-    gamma0 = np.eye(dim)
-    obs_positions = structure.observable_positions()
-    var_positions = structure.freevar_positions()
-
-    pinned: list[tuple[MomentKey, float]] = []
-    variables: list[VariableLabel] = []
-    patterns: list[np.ndarray] = []
-    bounds: list[tuple[float, float]] = []
-
-    def add_variable(label: VariableLabel, positions, lo: float, hi: float) -> None:
-        pattern = np.zeros((dim, dim))
-        for i, j in positions:
-            pattern[i, j] = 1.0
-            pattern[j, i] = 1.0
-        variables.append(label)
-        patterns.append(pattern)
-        bounds.append((lo, hi))
-
-    for key in structure.observables:
-        positions = obs_positions[key]
-        if not policy.selects(key):
-            add_variable(("observable", key), positions, -1.0, 1.0)
-            continue
-        if key not in table:
-            raise MissingMoment(key)
-        value = _checked_value(key, table.value(key))
-        sigma = table.sigma(key)
-        if interval_sigmas is not None and sigma is not None and sigma > 0.0:
-            half = interval_sigmas * sigma
-            lo = max(-1.0, value - half)
-            hi = min(1.0, value + half)
-            add_variable(("observable", key), positions, lo, hi)
-            continue
-        pinned.append((key, value))
-        for i, j in positions:
-            gamma0[i, j] = value
-            gamma0[j, i] = value
-
-    for var in structure.freevars:
-        add_variable(("freevar", var), var_positions[var], -1.0, 1.0)
-
-    bounds_arr = np.array(bounds, dtype=float).reshape(len(patterns), 2)
+    chosen = [policy.selects(key) for key in structure.observables]
+    selected = [key for key, is_chosen in zip(structure.observables, chosen) if is_chosen]
+    values = np.clip(np.array([table.value(key) for key in selected], dtype=float), -1.0, 1.0)
+    # Bounds of the widened keys, looked up by payload (no key is a free variable id).
+    widened = {}
+    if interval_sigmas is not None:
+        for key, value in zip(selected, values.tolist()):
+            sigma = table.sigma(key)
+            if sigma is not None and sigma > 0.0:
+                half = interval_sigmas * sigma
+                widened[key] = (max(-1.0, value - half), min(1.0, value + half))
+    pinned = [is_chosen and key not in widened for key, is_chosen in zip(structure.observables, chosen)]
+    pinned_keys, variables, (rows, cols, owner), support = _layout(structure, tuple(pinned))
+    pinned_values = values[np.array([key not in widened for key in selected], dtype=bool)]
+    gamma0 = np.eye(structure.dim)
+    gamma0[rows, cols] = gamma0[cols, rows] = pinned_values[owner]
+    bounds = [widened.get(payload, (-1.0, 1.0)) for _, payload in variables]
     return AffineMatrixFamily(
         gamma0=gamma0,
-        basis=tuple(patterns),
-        bounds=bounds_arr,
-        variables=tuple(variables),
-        pinned=tuple(pinned),
+        support=support,
+        bounds=np.array(bounds, dtype=float).reshape(-1, 2),
+        variables=variables,
+        pinned_keys=pinned_keys,
+        pinned_values=pinned_values,
     )
 
 

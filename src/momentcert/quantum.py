@@ -3,6 +3,10 @@
 Everything here works with explicit 2^n x 2^n complex density matrices; the
 systems of interest have n = 3, so there is no need for sparse or stabilizer
 machinery.  Party 1 is the leftmost tensor factor throughout.
+
+:func:`correlator_table` forms no Kronecker product: one ``einsum``
+contracts each party's stack (I, O_0, ..., O_{m-1}) into the density matrix
+viewed as a (2,) * 2n tensor, which yields every correlator at once.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ import numpy as np
 
 from .algebra import MomentKey, Scenario, key_name, validate_moment_key
 from .errors import MissingMoment, RangeError
-from .hierarchy import VALUE_TOL
 
+# Tolerated overshoot when validating moment values against [-1, 1]; the
+# one such tolerance, shared with analysis.
+VALUE_TOL = 1e-9
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -192,6 +198,22 @@ def expectation(state: QuantumState, assignment: Mapping[int, np.ndarray]) -> fl
     return float(value.real)
 
 
+def checked_moment(value, where) -> float:
+    """The one range check of moment values; returns ``value`` as a float.
+
+    Raises RangeError naming ``where`` (a JSON path or a moment key) unless
+    the value is finite and in [-1, 1] up to VALUE_TOL.
+    """
+    try:
+        number = float(value)
+    except OverflowError:
+        number = np.inf
+    if not abs(number) <= 1.0 + VALUE_TOL:
+        where = where if isinstance(where, str) else f"moment {key_name(where)}"
+        raise RangeError(f"{where} = {value!r} outside [-1, 1]")
+    return number
+
+
 @dataclass(frozen=True)
 class CorrelatorTable:
     """Measured or simulated values for observable moments.
@@ -206,8 +228,7 @@ class CorrelatorTable:
     def __post_init__(self):
         for key, (value, sigma) in self.entries.items():
             validate_moment_key(self.scenario, key)
-            if not np.isfinite(value) or abs(value) > 1.0 + VALUE_TOL:
-                raise RangeError(f"moment {key_name(key)} = {value!r} outside [-1, 1]")
+            checked_moment(value, key)
             if sigma is not None and (not np.isfinite(sigma) or sigma < 0.0):
                 raise ValueError(f"sigma for {key_name(key)} must be nonnegative")
 
@@ -236,18 +257,32 @@ class CorrelatorTable:
 
 
 def correlator_table(state: QuantumState, suite: MeasurementSuite, structure) -> CorrelatorTable:
-    """Evaluate every observable moment of ``structure`` on ``state``."""
+    """Evaluate every observable moment of ``structure`` on ``state``.
+
+    T[s_1, ..., s_N] = Tr((ops_1[s_1] x ... x ops_N[s_N]) rho) for the
+    stacks ops_p = (I, O_0, ..., O_{m-1}); a key's moment is T at
+    s_p = setting + 1 for its parties and 0 for the others.
+    """
     scenario = structure.scenario
-    if scenario.parties != state.n:
-        raise ValueError(f"state has {state.n} qubits, scenario wants {scenario.parties}")
+    n = state.n
+    if scenario.parties != n:
+        raise ValueError(f"state has {n} qubits, scenario wants {scenario.parties}")
     if suite.settings < scenario.settings:
         raise ValueError(
             f"suite {suite.name!r} has {suite.settings} settings, scenario wants {scenario.settings}"
         )
-    entries = {}
-    for key in structure.observables:
-        assignment = {party: suite.operator(party, setting) for party, setting in key}
-        entries[key] = (expectation(state, assignment), None)
+    # rho[j_1..j_N, i_1..i_N] ops_1[s_1, i_1, j_1] ... ops_N[s_N, i_N, j_N]
+    operands = [state.rho.reshape((2,) * (2 * n)), [*range(n, 2 * n), *range(n)]]
+    for p in range(n):
+        stack = [IDENTITY_2] + [suite.operator(p + 1, s) for s in range(scenario.settings)]
+        operands += [np.stack(stack), [2 * n + p, p, n + p]]
+    table = np.einsum(*operands, list(range(2 * n, 3 * n)))
+    if np.abs(table.imag).max() > IMAG_TOL:
+        raise ValueError(f"nonreal expectation, |imaginary part| {np.abs(table.imag).max()!r}")
+    entries = {
+        key: (float(table.real[tuple(dict(key).get(p, -1) + 1 for p in range(1, n + 1))]), None)
+        for key in structure.observables
+    }
     return CorrelatorTable(scenario, entries)
 
 

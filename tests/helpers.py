@@ -22,7 +22,7 @@ from momentcert import (
     expectation,
     min_eigen,
 )
-from momentcert.hierarchy import AffineMatrixFamily
+from momentcert.hierarchy import AffineMatrixFamily, support_arrays
 from momentcert.quantum import IDENTITY_2
 
 
@@ -116,10 +116,9 @@ def random_family(rng, dim, nvars):
         gamma0[i, j] = gamma0[j, i] = value
     return AffineMatrixFamily(
         gamma0=gamma0,
-        basis=tuple(patterns),
+        support=support_arrays(patterns),
         bounds=np.array(bounds).reshape(nvars, 2),
         variables=tuple(variables),
-        pinned=tuple(),
     )
 
 

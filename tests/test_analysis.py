@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from momentcert import (
     SchemaError,
     SimulatedSource,
     SolverConfig,
+    UnsoundConfig,
     analyze,
     certificate_from_document,
     correlator_table,
@@ -35,6 +38,7 @@ from helpers import bisect_visibility
 
 FAST = SolverConfig(max_iters=800, restarts=2)
 S322 = Scenario(3, 2)
+DATA = Path(__file__).parent / "data"
 
 
 def _request(state, suite, policy=None, visibility=1.0, config=FAST, scenario=S322):
@@ -301,15 +305,58 @@ def test_ingest_schema_version_must_be_the_integer_one(structure_322):
             ingest_table(document)
 
 
-def test_witness_names_are_shared_between_reports(monkeypatch):
+def test_witness_names_are_shared_between_reports():
+    # Reports keep the compiled layout's key and name tuples, not copies.
     first = analyze(_request("w", "w"))
     second = analyze(_request("w", "w"))
     assert first.witness and all(
         a is b for (a, _), (b, _) in zip(first.witness, second.witness)
     )
-    monkeypatch.setattr(hierarchy, "intern", lambda name: name)
-    fresh = analyze(_request("w", "w"))
-    assert not any(a is b for (a, _), (b, _) in zip(first.witness, fresh.witness))
-    assert json.dumps(first.body_document()).encode() == json.dumps(
-        fresh.body_document()
-    ).encode()
+    assert first.variable_names is second.variable_names
+    assert first.pinned_keys is second.pinned_keys
+    assert [name for name, _ in first.witness] == list(first.variable_names)
+    assert first.pinned == tuple(zip(first.pinned_keys, first.pinned_values.tolist()))
+
+
+def test_ingested_report_body_matches_golden():
+    # A separable (3,2,2) table and the body it gave while reports still
+    # stored (key, value) and (name, value) tuples; the body must not change.
+    # Its solver values (lambda_star, witness) were taken with numpy 2.4 and
+    # OpenBLAS on x86-64.
+    table = ingest_table(json.loads((DATA / "separable_table_322.json").read_text()))
+    report = analyze(AnalysisRequest(source=MeasuredSource(table), scenario=S322))
+    body = json.dumps(report.body_document(), indent=2, sort_keys=True) + "\n"
+    assert body == (DATA / "separable_body_322.json").read_text()
+
+
+def test_second_analysis_compiles_nothing(monkeypatch):
+    analyze(_request("ghz", "ghz"))
+    calls = []
+    original = hierarchy.word_product
+
+    def counted(left, right):
+        calls.append(1)
+        return original(left, right)
+
+    monkeypatch.setattr(hierarchy, "word_product", counted)
+    assert analyze(_request("ghz", "ghz")).verdict == NONLOCAL
+    assert robustness("w", "w", S322, tolerance=0.25, config=FAST).evaluations
+    assert calls == []
+
+
+def test_margin_must_make_acceptance_a_proof():
+    # W on (3,2,2): n = 22 and K = 30, so the margin must exceed 53 tol_cert.
+    bound = 53 * 1e-5
+    with pytest.raises(UnsoundConfig, match="tol_cert"):
+        analyze(_request("w", "w", config=SolverConfig(tol_cert=1e-5, margin=bound)))
+    above = SolverConfig(tol_cert=1e-5, margin=math.nextafter(bound, 1.0))
+    assert analyze(_request("w", "w", config=above)).verdict == NONLOCAL
+    # The default config holds at level-3 graph-linear: (130 + 402 + 1) * 1e-7
+    # = 5.3e-5 < 1e-3.  One Newton step is enough to get past the check.
+    request = AnalysisRequest(
+        source=SimulatedSource("graph-linear", "graph"),
+        scenario=Scenario(3, 3),
+        level=3,
+        config=SolverConfig(max_iters=1),
+    )
+    assert analyze(request).iterations == 1

@@ -244,3 +244,81 @@ def test_structure_report_other_scenarios(structure_322):
     tiny = structure_report(build_structure(Scenario(1, 1), 1))
     assert tiny["words"] == ["I", "A0"]
     assert tiny["counts"] == {"observables": 1, "freevars": 0}
+
+
+def _dense_reference(structure, table, policy, interval_sigmas=None):
+    """The family assembled entry by entry from the structure's positions."""
+    observables = structure.observable_positions()
+    gamma0 = np.eye(structure.dim)
+    variables, groups, bounds = [], [], []
+    for key in structure.observables:
+        bound = (-1.0, 1.0)
+        if policy.selects(key):
+            value = float(np.clip(table.value(key), -1.0, 1.0))
+            sigma = table.sigma(key)
+            if interval_sigmas is None or sigma is None or sigma <= 0.0:
+                for i, j in observables[key]:
+                    gamma0[i, j] = gamma0[j, i] = value
+                continue
+            half = interval_sigmas * sigma
+            bound = (max(-1.0, value - half), min(1.0, value + half))
+        variables.append(("observable", key))
+        groups.append(observables[key])
+        bounds.append(bound)
+    for var, positions in structure.freevar_positions().items():
+        variables.append(("freevar", var))
+        groups.append(positions)
+        bounds.append((-1.0, 1.0))
+    patterns = np.zeros((len(groups), structure.dim, structure.dim))
+    for k, group in enumerate(groups):
+        for i, j in group:
+            patterns[k, i, j] = patterns[k, j, i] = 1.0
+    return gamma0, tuple(variables), groups, np.array(bounds).reshape(-1, 2), patterns
+
+
+@pytest.mark.parametrize(
+    "policy, interval_sigmas",
+    [
+        (PinPolicy.all(), None),
+        (PinPolicy.max_bodies(2), None),
+        (PinPolicy.explicit([((1, 0),), ((1, 1), (2, 0)), ((1, 0), (2, 1), (3, 1))]), None),
+        (PinPolicy.all(), 2.0),
+        (PinPolicy.max_bodies(2), 0.5),
+    ],
+)
+def test_assemble_matches_dense_reference(structure_322, policy, interval_sigmas):
+    rng = np.random.default_rng(19)
+    # Sigmas of every kind: absent, zero (a point pin) and positive; values
+    # at and beyond the ends of [-1, 1] exercise the clipping.
+    sigmas = [None, 0.0, 0.01, 0.3]
+    entries = {
+        key: (float(rng.choice([rng.uniform(-1, 1), 1.0, -1.0, 1.0 + 5e-10])), sigmas[n % 4])
+        for n, key in enumerate(structure_322.observables)
+    }
+    table = CorrelatorTable(structure_322.scenario, entries)
+    family = assemble(structure_322, table, policy, interval_sigmas=interval_sigmas)
+    gamma0, variables, groups, bounds, patterns = _dense_reference(
+        structure_322, table, policy, interval_sigmas
+    )
+    assert family.gamma0.tobytes() == gamma0.tobytes()
+    assert family.variables == variables
+    rows, cols, vidx = family.support
+    assert np.array_equal(rows, [i for group in groups for i, _ in group])
+    assert np.array_equal(cols, [j for group in groups for _, j in group])
+    assert np.array_equal(vidx, [k for k, group in enumerate(groups) for _ in group])
+    assert family.bounds.tobytes() == bounds.tobytes()
+    assert np.array_equal(np.array(family.basis).reshape(patterns.shape), patterns)
+    pinned = [key for key in structure_322.observables if policy.selects(key)]
+    pinned = [key for key in pinned if ("observable", key) not in variables]
+    assert family.pinned_keys == tuple(pinned)
+    assert family.pinned == tuple((key, float(np.clip(entries[key][0], -1, 1))) for key in pinned)
+    v = rng.uniform(-1, 1, family.num_variables)
+    assert np.array_equal(family.gamma(v), gamma0 + np.einsum("k,kij->ij", v, patterns))
+
+
+def test_structure_is_compiled_once_and_read_only():
+    scenario = Scenario(2, 2)
+    first = build_structure(scenario, 2)
+    assert build_structure(Scenario(2, 2), 2) is first
+    with pytest.raises(TypeError):
+        first.entries[(0, 0)] = None

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from momentcert import (
+    MeasurementSuite,
     MissingMoment,
+    Scenario,
     add_white_noise,
+    build_structure,
     correlator_from_probabilities,
     correlator_table,
     expectation,
@@ -174,6 +177,44 @@ def test_correlator_table_ghz_xxx(structure_322):
 def test_correlator_table_requires_enough_settings(structure_332):
     with pytest.raises(ValueError):
         correlator_table(make_state("w", 3), standard_suite("w"), structure_332)
+
+
+def _random_state(rng, n):
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = g @ g.conj().T
+    return QuantumState(n, rho / np.trace(rho).real)
+
+
+def _random_suite(rng, settings):
+    # n . (X, Y, Z) for random unit vectors n: Hermitian involutions with
+    # complex entries.
+    directions = rng.normal(size=(settings, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return MeasurementSuite("random", tuple(x * X + y * Y + z * Z for x, y, z in directions))
+
+
+@pytest.mark.parametrize("parties, settings", [(2, 1), (3, 2), (3, 3), (4, 2)])
+def test_correlator_table_matches_expectation(parties, settings):
+    rng = np.random.default_rng(parties * 10 + settings)
+    structure = build_structure(Scenario(parties, settings), 2)
+    state = _random_state(rng, parties)
+    suite = _random_suite(rng, settings)
+    table = correlator_table(state, suite, structure)
+    assert set(table.keys()) == set(structure.observables)
+    for key in structure.observables:
+        oracle = expectation(state, {p: suite.operator(p, s) for p, s in key})
+        assert abs(table.value(key) - oracle) <= 1e-14
+
+
+def test_correlator_table_rejects_nonreal_values(structure_322):
+    # A non-Hermitian "observable" slips past a hand-made suite object.
+    state = make_state("w", 3)
+    suite = standard_suite("w")
+    bad = object.__new__(MeasurementSuite)
+    object.__setattr__(bad, "name", "bad")
+    object.__setattr__(bad, "operators", (suite.operators[0], 1j * suite.operators[1]))
+    with pytest.raises(ValueError, match="nonreal"):
+        correlator_table(state, bad, structure_322)
 
 
 def test_table_lookup_errors(structure_322):

@@ -25,7 +25,7 @@ from momentcert import (
     verify_certificate,
 )
 from momentcert import hierarchy, sdp
-from momentcert.hierarchy import AffineMatrixFamily
+from momentcert.hierarchy import AffineMatrixFamily, support_arrays
 
 from helpers import grid_max_lambda_min, random_family
 
@@ -40,10 +40,9 @@ def _family(gamma0, patterns, bounds=None):
     variables = tuple(("freevar", ((1, i),)) for i in range(k))
     return AffineMatrixFamily(
         gamma0=np.asarray(gamma0, dtype=float),
-        basis=patterns,
+        support=support_arrays(patterns),
         bounds=np.asarray(bounds, dtype=float).reshape(k, 2),
         variables=variables,
-        pinned=tuple(),
     )
 
 
@@ -133,6 +132,24 @@ def test_extract_certificate_trivial():
     assert cert is not None
     assert cert.value == pytest.approx(-1.0, abs=1e-9)
     assert verify_certificate(family, cert)
+
+
+def test_repair_shifts_a_non_psd_dual_onto_the_cone():
+    # Z_a has unit trace and eigenvalues -0.1 and 1.1; the shift by
+    # delta = 0.1 gives the rank-one (Z_a + 0.1 I) / 1.2, and with a unit
+    # diagonal in gamma0 its value is (value(Z_a) + n delta) / (1 + n delta).
+    family = _family(np.array([[1.0, 2.0], [2.0, 1.0]]), [])
+    z = np.array([[0.5, -0.6], [-0.6, 0.5]])
+    cert = extract_certificate(family, z, 1e-9)
+    assert cert is not None
+    assert np.allclose(cert.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
+    assert cert.value == pytest.approx((-1.4 + 2 * 0.1) / 1.2, abs=1e-15)
+    # A dual that is PSD already is only projected, not shifted.
+    pattern = _pattern(3, 0, 1)
+    family = _family(np.diag([1.0, -1.0, -1.0]), [pattern])
+    z = np.diag([0.2, 0.3, 0.5]) + 0.05 * pattern
+    cert = extract_certificate(family, z, 1e-9)
+    assert np.array_equal(cert.matrix, np.diag([0.2, 0.3, 0.5]))
 
 
 def test_verify_rejects_bad_certificates():
@@ -276,7 +293,10 @@ def test_schur_rows_of_the_visibility_form_match_dense_formula(monkeypatch):
     assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def test_support_is_scanned_once_per_family(monkeypatch, structure_322):
+def test_support_is_never_scanned_from_patterns(monkeypatch, structure_322):
+    # assemble emits the support from compiled index maps, so neither the
+    # solve, the certificate extraction nor the verifier forms or scans a
+    # dense pattern.
     calls = []
     original = hierarchy.support_arrays
 
@@ -285,16 +305,18 @@ def test_support_is_scanned_once_per_family(monkeypatch, structure_322):
         return original(basis)
 
     monkeypatch.setattr(hierarchy, "support_arrays", counted)
+    monkeypatch.setattr(AffineMatrixFamily, "basis", property(lambda _: calls.append("basis")))
     family = _state_family(structure_322, "w", "w")
-    # The solve and the certificate extraction both build index arrays.
-    assert maximize_lambda_min(family).status == CERTIFIED_INFEASIBLE
-    assert calls == [family.num_variables]
+    out = maximize_lambda_min(family)
+    assert out.status == CERTIFIED_INFEASIBLE
+    assert verify_certificate(family, out.certificate)
+    assert calls == []
     rows, cols, vidx = family.support
-    reference = [np.nonzero(np.triu(pattern, 1)) for pattern in family.basis]
-    assert np.array_equal(rows, np.concatenate([i for i, _ in reference]))
-    assert np.array_equal(cols, np.concatenate([j for _, j in reference]))
-    owners = [np.full(i.size, k) for k, (i, _) in enumerate(reference)]
-    assert np.array_equal(vidx, np.concatenate(owners))
+    positions = structure_322.freevar_positions()
+    reference = [positions[var] for _, var in family.variables]
+    assert np.array_equal(rows, [i for group in reference for i, _ in group])
+    assert np.array_equal(cols, [j for group in reference for _, j in group])
+    assert np.array_equal(vidx, [k for k, group in enumerate(reference) for _ in group])
 
 
 def test_certificate_bounds_lambda_min_everywhere():
