@@ -88,6 +88,23 @@ class Scenario:
         return 1 <= party <= self.parties and 0 <= setting < self.settings
 
 
+def scenario_document(scenario: Scenario) -> dict:
+    """The JSON form of a scenario, shared by every document that records one."""
+    return {
+        "parties": scenario.parties,
+        "settings": scenario.settings,
+        "outcomes": scenario.outcomes,
+    }
+
+
+def key_document(key: MomentKey) -> dict:
+    """The JSON form of a moment key: its ``parties`` and ``settings`` lists."""
+    return {
+        "parties": [party for party, _ in key],
+        "settings": [setting for _, setting in key],
+    }
+
+
 def validate_moment_key(scenario: Scenario, key: MomentKey) -> None:
     """Reject keys that are empty, unsorted, out of range, or reuse a party."""
     if len(key) == 0:

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MomentKey, Scenario, key_name, validate_moment_key
+from .algebra import (
+    MomentKey,
+    Scenario,
+    key_document,
+    key_name,
+    scenario_document,
+    validate_moment_key,
+)
 from .errors import (
     DuplicateMoment,
     NoBracket,
@@ -124,16 +131,11 @@ class VerdictReport:
             "status": self.status,
             "lambda_star": self.lambda_star,
             "iterations": self.iterations,
-            "scenario": _scenario_document(self.scenario),
+            "scenario": scenario_document(self.scenario),
             "level": self.level,
             "policy": self.policy.describe(),
             "pinned": [
-                {
-                    "parties": [party for party, _ in key],
-                    "settings": [setting for _, setting in key],
-                    "name": key_name(key),
-                    "value": value,
-                }
+                {**key_document(key), "name": key_name(key), "value": value}
                 for key, value in self.pinned
             ],
             "witness": [{"variable": name, "value": value} for name, value in self.witness],
@@ -147,29 +149,14 @@ class VerdictReport:
             "body": self.body_document(),
             "meta": {
                 "source": self.source_description,
-                "config": _config_document(self.config),
+                "config": {
+                    "max_iters": self.config.max_iters,
+                    "tol_cert": self.config.tol_cert,
+                    "margin": self.config.margin,
+                },
                 "wall_time_s": self.wall_time_s,
             },
         }
-
-
-def _scenario_document(scenario: Scenario) -> dict:
-    return {
-        "parties": scenario.parties,
-        "settings": scenario.settings,
-        "outcomes": scenario.outcomes,
-    }
-
-
-def _config_document(config: SolverConfig) -> dict:
-    return {
-        "max_iters": config.max_iters,
-        "step_scale": config.step_scale,
-        "tol_cert": config.tol_cert,
-        "margin": config.margin,
-        "restarts": config.restarts,
-        "seed": config.seed,
-    }
 
 
 def _source_description(source) -> dict:
@@ -328,18 +315,14 @@ def table_document(table: CorrelatorTable) -> dict:
     """Serialize a correlator table to the frozen JSON schema."""
     moments = []
     for key in sorted(table.keys()):
-        entry = {
-            "parties": [party for party, _ in key],
-            "settings": [setting for _, setting in key],
-            "value": table.value(key),
-        }
+        entry = {**key_document(key), "value": table.value(key)}
         sigma = table.sigma(key)
         if sigma is not None:
             entry["sigma"] = sigma
         moments.append(entry)
     return {
         "schema_version": 1,
-        "scenario": _scenario_document(table.scenario),
+        "scenario": scenario_document(table.scenario),
         "moments": moments,
     }
 
@@ -366,6 +349,41 @@ def _is_finite(number) -> bool:
         return False
 
 
+def _read_moment_key(item, scenario: Scenario, path: str) -> MomentKey:
+    """The moment key of a document entry's ``parties``/``settings`` lists.
+
+    The inverse of :func:`~momentcert.algebra.key_document`, checked against
+    ``scenario``; raises SchemaError naming the entry's ``path``.
+    """
+    _expect(isinstance(item, dict), path, "expected an object")
+    parties = item.get("parties")
+    settings = item.get("settings")
+    _expect(isinstance(parties, list) and parties, f"{path}.parties", "expected a nonempty list")
+    _expect(isinstance(settings, list), f"{path}.settings", "expected a list")
+    _expect(
+        len(parties) == len(settings),
+        f"{path}.settings",
+        "parties and settings must have equal length",
+    )
+    key = tuple(
+        (_expect_int(party, f"{path}.parties"), _expect_int(setting, f"{path}.settings"))
+        for party, setting in zip(parties, settings)
+    )
+    try:
+        validate_moment_key(scenario, key)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    return key
+
+
+def explicit_pins(document, scenario: Scenario) -> PinPolicy:
+    """The policy of an explicit pin document: a JSON list of moment keys."""
+    _expect(isinstance(document, list), "$", "expected a JSON list")
+    return PinPolicy.explicit(
+        _read_moment_key(item, scenario, f"$[{index}]") for index, item in enumerate(document)
+    )
+
+
 def ingest_table(document) -> CorrelatorTable:
     """Validate a table document and build the CorrelatorTable.
 
@@ -390,24 +408,7 @@ def ingest_table(document) -> CorrelatorTable:
     entries: dict[MomentKey, tuple[float, float | None]] = {}
     for index, item in enumerate(moments):
         path = f"moments[{index}]"
-        _expect(isinstance(item, dict), path, "expected an object")
-        parties_list = item.get("parties")
-        settings_list = item.get("settings")
-        _expect(isinstance(parties_list, list) and parties_list, f"{path}.parties", "expected a nonempty list")
-        _expect(isinstance(settings_list, list), f"{path}.settings", "expected a list")
-        _expect(
-            len(parties_list) == len(settings_list),
-            f"{path}.settings",
-            "parties and settings must have equal length",
-        )
-        key = []
-        for party, setting in zip(parties_list, settings_list):
-            key.append((_expect_int(party, f"{path}.parties"), _expect_int(setting, f"{path}.settings")))
-        key = tuple(key)
-        try:
-            validate_moment_key(scenario, key)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
+        key = _read_moment_key(item, scenario, path)
         value = item.get("value")
         _expect(_is_number(value), f"{path}.value", "expected a number")
         value = checked_moment(value, f"{path}.value")

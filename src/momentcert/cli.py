@@ -14,7 +14,8 @@ All file formats are JSON with a top-level "schema_version": 1.  Parties are
                   "value": 0.25, "sigma": 0.01}, ...]}
 
 sigma is optional.  An explicit pin file is a JSON list of the same
-parties/settings objects (without value).
+parties/settings objects (without value), read with the table's key checks
+against the --parties/--settings scenario.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 import numpy as np
 
 from . import analysis, hierarchy, quantum
-from .algebra import Scenario
+from .algebra import Scenario, scenario_document
 from .errors import NoBracket, PipelineError
 from .sdp import SolverConfig
 
@@ -57,18 +58,18 @@ def _add_scenario_flags(parser, default_settings=2):
 
 def _add_solver_flags(parser):
     parser.add_argument(
-        "--seed", type=int,
-        help="accepted for compatibility but ignored by the interior-point solver (warns)",
+        "--max-iters", type=int, default=SolverConfig.max_iters,
+        help=f"cap on interior-point steps (default {SolverConfig.max_iters};"
+        " a solve takes about 10-20)",
     )
     parser.add_argument(
-        "--max-iters", type=int, default=5000,
-        help="cap on interior-point steps (default 5000; a solve takes about 10-20)",
+        "--margin", type=float, default=SolverConfig.margin,
+        help=f"NONLOCAL needs a certificate value below -margin (default {SolverConfig.margin:g})",
     )
-    parser.add_argument("--margin", type=float, default=1e-3)
-    parser.add_argument(
-        "--restarts", type=int,
-        help="must be positive; accepted for compatibility but ignored by the interior-point solver (warns)",
-    )
+
+
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(max_iters=args.max_iters, margin=args.margin)
 
 
 def _add_source_flags(parser):
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_pin(text: str) -> hierarchy.PinPolicy:
+def _parse_pin(text: str, scenario: Scenario) -> hierarchy.PinPolicy:
     if text == "all":
         return hierarchy.PinPolicy.all()
     if text.startswith("max-bodies:"):
@@ -132,24 +133,8 @@ def _parse_pin(text: str) -> hierarchy.PinPolicy:
             raise CliError(f"bad --pin value {text!r}")
         return hierarchy.PinPolicy.max_bodies(bodies)
     if text.startswith("explicit:"):
-        path = text.split(":", 1)[1]
-        with open(path, encoding="utf-8") as handle:
-            items = json.load(handle)
-        if not isinstance(items, list):
-            raise CliError(f"explicit pin file {path} must hold a JSON list")
-        keys = []
-        for item in items:
-            keys.append(tuple(zip(item["parties"], item["settings"])))
-        return hierarchy.PinPolicy.explicit(keys)
+        return analysis.explicit_pins(_load_json(text.split(":", 1)[1]), scenario)
     raise CliError(f"bad --pin value {text!r}")
-
-
-def _solver_config(args) -> SolverConfig:
-    ignored = {name: getattr(args, name) for name in ("seed", "restarts")}
-    ignored = {name: value for name, value in ignored.items() if value is not None}
-    for name in ignored:
-        print(f"warning: --{name} is ignored by the interior-point solver", file=sys.stderr)
-    return SolverConfig(max_iters=args.max_iters, margin=args.margin, **ignored)
 
 
 def _write_json(path: str | None, document: dict) -> None:
@@ -184,7 +169,7 @@ def _cmd_structure(args) -> int:
 
 def _analysis_request(args) -> analysis.AnalysisRequest:
     scenario = Scenario(args.parties, args.settings)
-    policy = _parse_pin(args.pin)
+    policy = _parse_pin(args.pin, scenario)
     config = _solver_config(args)
     if args.from_table:
         if args.state:
@@ -239,7 +224,7 @@ def _cmd_robustness(args) -> int:
     if not args.state or not args.suite:
         raise CliError("--state and --suite are required")
     scenario = Scenario(args.parties, args.settings)
-    policy = _parse_pin(args.pin)
+    policy = _parse_pin(args.pin, scenario)
     result = analysis.robustness(
         args.state,
         args.suite,
@@ -259,7 +244,7 @@ def _cmd_robustness(args) -> int:
                 "kind": "robustness",
                 "state": args.state,
                 "suite": args.suite,
-                "scenario": {"parties": scenario.parties, "settings": scenario.settings, "outcomes": 2},
+                "scenario": scenario_document(scenario),
                 "level": args.level,
                 "policy": policy.describe(),
                 "p_star": result.p_star,

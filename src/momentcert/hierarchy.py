@@ -33,7 +33,9 @@ from .algebra import (
     Scenario,
     classify,
     generate_basis,
+    key_document,
     key_name,
+    scenario_document,
     word_product,
 )
 
@@ -205,17 +207,27 @@ class AffineMatrixFamily:
         patterns.flags.writeable = False
         return tuple(patterns)
 
+    def combine(self, v: np.ndarray) -> np.ndarray:
+        """sum_k v_k G_k."""
+        rows, cols, vidx = self.support
+        out = np.zeros((self.dim, self.dim))
+        out[rows, cols] = out[cols, rows] = v[vidx]
+        return out
+
     def gamma(self, v: np.ndarray) -> np.ndarray:
+        """Gamma(v) = gamma0 + sum_k v_k G_k."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.num_variables,):
             raise ValueError(
                 f"expected {self.num_variables} variable values, got shape {v.shape}"
             )
+        return self.gamma0 + self.combine(v)
+
+    def inner(self, z: np.ndarray) -> np.ndarray:
+        """<G_k, Z> for every k."""
         rows, cols, vidx = self.support
-        out = self.gamma0.copy()
-        out[rows, cols] += v[vidx]
-        out[cols, rows] += v[vidx]
-        return out
+        weights = z[rows, cols] + z[cols, rows]
+        return np.bincount(vidx, weights=weights, minlength=self.num_variables)
 
     def variable_names(self) -> tuple[str, ...]:
         # Shared by the families of one layout, which share their labels.
@@ -335,22 +347,13 @@ def structure_report(structure: MomentMatrixStructure) -> dict:
     return {
         "schema_version": 1,
         "kind": "structure",
-        "scenario": {
-            "parties": structure.scenario.parties,
-            "settings": structure.scenario.settings,
-            "outcomes": structure.scenario.outcomes,
-        },
+        "scenario": scenario_document(structure.scenario),
         "level": structure.level,
         "dim": structure.dim,
         "words": [w.name for w in structure.words],
         "entries": entries,
         "observables": [
-            {
-                "name": key_name(key),
-                "parties": [party for party, _ in key],
-                "settings": [setting for _, setting in key],
-            }
-            for key in structure.observables
+            {"name": key_name(key), **key_document(key)} for key in structure.observables
         ],
         "freevars": [key_name(var) for var in structure.freevars],
         "counts": {

@@ -23,7 +23,9 @@ product of rank 2s, and variables of one support size are taken in blocks
 whose transient memory stays bounded.  The complement itself holds
 (K + 1)^2 floats for K variables; its Cholesky factorization is only the
 positive-definiteness test, and the predictor and corrector directions come
-from direct solves with it.
+from direct solves with it.  The maps sum_k v_k G_k and <G_k, Z> are the
+family's own (:meth:`AffineMatrixFamily.combine` and ``.inner``); the solver
+adds only the program around them.
 
 The first solve ignores the variable box.  Its maximizer is clipped to the
 box and lambda_star = lambda_min(Gamma(v_star)) recomputed, so lambda_star is
@@ -89,32 +91,27 @@ SCHUR_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for :func:`maximize_lambda_min` and :func:`maximize_visibility`.
+    """Settings of :func:`maximize_lambda_min` and :func:`maximize_visibility`.
 
     ``max_iters`` caps the number of Newton steps; the solve normally stops
     well before on its gap or stall exit.  ``margin`` is the decision
     threshold separating a certified negative value from numerical noise;
     it must stay well above ``tol_cert``, the tolerance at which
-    certificates are verified.  ``seed``, ``restarts`` and ``step_scale``
-    belonged to an earlier first-order solver; they are still accepted and
-    validated but ignored.
+    certificates are verified.  ``restarts`` belonged to an earlier
+    first-order solver; it is still accepted and validated but ignored.
     """
 
     max_iters: int = 5000
-    step_scale: float = 1.0
     tol_cert: float = 1e-7
     margin: float = 1e-3
     restarts: int = 4
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iters", "step_scale", "tol_cert", "margin", "restarts"):
+        for name in ("max_iters", "tol_cert", "margin", "restarts"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.step_scale <= 0.0:
-            raise ValueError("step_scale must be positive")
         if self.tol_cert <= 0.0:
             raise ValueError("tol_cert must be positive")
         if self.margin <= self.tol_cert:
@@ -152,14 +149,14 @@ def min_eigen(matrix) -> tuple[float, np.ndarray]:
 
 
 class _FamilyOps:
-    """Index-array machinery for fast evaluation of one affine family.
-
-    It also carries the semidefinite program solved over the family,
+    """The semidefinite program solved over one affine family,
 
         max y_0   subject to   S = C - y_0 A_0 + sum_k v_k G_k >= 0,
 
-    through its objective matrix A_0 and constant matrix C.  The defaults
-    A_0 = I and C = gamma0 give the lambda_min program, with y_0 = t.
+    with its objective matrix A_0, constant matrix C, variable box and the
+    blocks of its Schur assembly.  The defaults A_0 = I and C = gamma0 give
+    the lambda_min program, with y_0 = t.  The maps sum_k v_k G_k and
+    <G_k, Z> are the family's own.
     """
 
     def __init__(
@@ -168,22 +165,18 @@ class _FamilyOps:
         a0: np.ndarray | None = None,
         c: np.ndarray | None = None,
     ):
-        self.gamma0 = np.asarray(family.gamma0, dtype=float)
+        self.family = family
         self.dim = family.dim
         self.a0 = np.eye(self.dim) if a0 is None else np.asarray(a0, dtype=float)
-        self.c = self.gamma0 if c is None else np.asarray(c, dtype=float)
+        self.c = np.asarray(family.gamma0 if c is None else c, dtype=float)
         self.nvars = family.num_variables
-        self.rows, self.cols, self.vidx = family.support
-        counts = np.bincount(self.vidx, minlength=self.nvars)
+        rows, cols, vidx = family.support
+        counts = np.bincount(vidx, minlength=self.nvars)
         # Positions are grouped by variable; starts[k] is where k's group begins.
         self.starts = np.cumsum(counts) - counts
-        # <G_k, G_k>: each variable position appears in both triangles.
-        self.norms = 2.0 * counts
         if self.nvars and (counts == 0).any():
             raise ValueError("family has a variable with empty support")
-        if self.rows.size and any(
-            np.abs(m[self.rows, self.cols]).max() > 0.0 for m in (self.c, self.a0)
-        ):
+        if rows.size and any(np.abs(m[rows, cols]).max() > 0.0 for m in (self.c, self.a0)):
             raise ValueError("gamma0 or the objective overlaps a variable support")
         bounds = np.asarray(family.bounds, dtype=float).reshape(self.nvars, 2)
         self.lo = bounds[:, 0]
@@ -203,43 +196,12 @@ class _FamilyOps:
         for size in sorted(set(counts.tolist())):
             ks = np.flatnonzero(counts == size)
             per_variable = max(self.dim, 2 * size) * self.dim
-            width = max(1, SCHUR_BLOCK // max(per_variable, self.rows.size))
+            width = max(1, SCHUR_BLOCK // max(per_variable, rows.size))
             at = self.starts[ks, None] + np.arange(size)
-            r, c = self.rows[at], self.cols[at]
+            r, c = rows[at], cols[at]
             a, b = np.hstack((r, c)), np.hstack((c, r))
             for j in range(0, ks.size, width):
                 self.blocks.append((ks[j:j + width], a[j:j + width], b[j:j + width]))
-
-    def combine(self, v: np.ndarray) -> np.ndarray:
-        """sum_k v_k G_k."""
-        out = np.zeros((self.dim, self.dim))
-        vals = v[self.vidx]
-        out[self.rows, self.cols] = vals
-        out[self.cols, self.rows] = vals
-        return out
-
-    def gamma(self, v: np.ndarray) -> np.ndarray:
-        return self.gamma0 + self.combine(v)
-
-    def inner_with_basis(self, z: np.ndarray) -> np.ndarray:
-        """<G_k, Z> for every k."""
-        weights = z[self.rows, self.cols] + z[self.cols, self.rows]
-        return np.bincount(self.vidx, weights=weights, minlength=self.nvars)
-
-    def affine_project(self, z: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto {Tr Z = 1, <G_k, Z> = 0 for all k}.
-
-        The G_k have disjoint off-diagonal supports and zero diagonal, so
-        together with the identity they form an orthogonal set and a single
-        pass is exact.
-        """
-        z = 0.5 * (z + z.T)
-        if self.nvars:
-            coeff = self.inner_with_basis(z) / self.norms
-            z = z.copy()
-            z[self.rows, self.cols] -= coeff[self.vidx]
-            z[self.cols, self.rows] -= coeff[self.vidx]
-        return z + (1.0 - np.trace(z)) / self.dim * np.eye(self.dim)
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """Matrix-block part of the HKM Schur complement M_ij = Tr(A_i X A_j S^-1).
@@ -255,10 +217,10 @@ class _FamilyOps:
         m = np.empty((self.nvars + 1, self.nvars + 1))
         m[0, 0] = np.sum((self.a0 @ x @ self.a0) * s_inv)
         if self.nvars:
-            cross = -self.inner_with_basis(x @ self.a0 @ s_inv)
+            cross = -self.family.inner(x @ self.a0 @ s_inv)
             m[0, 1:] = cross
             m[1:, 0] = cross
-            r, c = self.rows, self.cols
+            r, c, _ = self.family.support
             for ks, a, b in self.blocks:
                 y = np.matmul(x[a].transpose(0, 2, 1), s_inv[b])
                 m[1 + ks, 1:] = np.add.reduceat(y[:, r, c] + y[:, c, r], self.starts, axis=1)
@@ -266,11 +228,11 @@ class _FamilyOps:
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
         """(<A_0, Z>, ..., <A_K, Z>) = (Tr A_0 Z, -<G_k, Z>)."""
-        return np.concatenate(([np.trace(self.a0 @ z)], -self.inner_with_basis(z)))
+        return np.concatenate(([np.trace(self.a0 @ z)], -self.family.inner(z)))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """sum_i y_i A_i = y_0 A_0 - sum_k y_k G_k."""
-        return y[0] * self.a0 - self.combine(y[1:])
+        return y[0] * self.a0 - self.family.combine(y[1:])
 
 
 def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -395,12 +357,12 @@ def maximize_lambda_min(
     ops = _FamilyOps(family)
     # Start at the centre of the box, with t one below lambda_min there.
     y = np.concatenate(([0.0], 0.5 * (ops.lo + ops.hi)))
-    y[0] = float(np.linalg.eigvalsh(ops.gamma(y[1:]))[0]) - 1.0
+    y[0] = float(np.linalg.eigvalsh(family.gamma(y[1:]))[0]) - 1.0
     z, y_end, iterations = _interior_point(ops, y, np.zeros(0, dtype=int), cfg.max_iters)
     v = y_end[1:]
-    unboxed = float(np.linalg.eigvalsh(ops.gamma(v))[0])
+    unboxed = float(np.linalg.eigvalsh(family.gamma(v))[0])
     v_star = np.clip(v, ops.lo, ops.hi)
-    lambda_star = float(np.linalg.eigvalsh(ops.gamma(v_star))[0])
+    lambda_star = float(np.linalg.eigvalsh(family.gamma(v_star))[0])
     if lambda_star < unboxed - GAP_TOL * (1.0 + abs(unboxed)):
         # The maximizer left the box, so solve again inside it.  The
         # certificate still comes from the first solve, whose Z is the best
@@ -409,7 +371,7 @@ def maximize_lambda_min(
         v = y_end[1:]
         iterations += more
         v_star = np.clip(v, ops.lo, ops.hi)
-        lambda_star = float(np.linalg.eigvalsh(ops.gamma(v_star))[0])
+        lambda_star = float(np.linalg.eigvalsh(family.gamma(v_star))[0])
 
     certificate = None
     if lambda_star >= -WITNESS_TOL:
@@ -466,15 +428,26 @@ def maximize_visibility(
     return VisibilityOutcome(p_star=float(y[0]), iterations=iterations)
 
 
-def _repair(ops: _FamilyOps, z: np.ndarray) -> np.ndarray:
+def _repair(family: AffineMatrixFamily, z: np.ndarray) -> np.ndarray:
     """Shift the affine projection Z_a of Z onto the PSD cone.
 
+    Z_a is the orthogonal projection of Z onto {Tr Z = 1, <G_k, Z> = 0}.
+    The G_k have disjoint off-diagonal supports and zero diagonal, so
+    together with I they form an orthogonal set and one pass is exact.
     Returns (Z_a + delta I) / (1 + n delta) with delta = max(0, -lambda_min(Z_a));
     I is orthogonal to every G_k, so the result stays affine.
     """
-    z = ops.affine_project(z)
+    n = family.dim
+    z = 0.5 * (z + z.T)
+    rows, cols, vidx = family.support
+    # <G_k, G_k> is twice the size of k's support.
+    sizes = np.bincount(vidx, minlength=family.num_variables)[vidx]
+    coeff = family.inner(z)[vidx] / (2.0 * sizes)
+    z[rows, cols] -= coeff
+    z[cols, rows] -= coeff
+    z = z + (1.0 - np.trace(z)) / n * np.eye(n)
     delta = max(0.0, -float(np.linalg.eigvalsh(z)[0]))
-    return (z + delta * np.eye(ops.dim)) / (1.0 + ops.dim * delta)
+    return (z + delta * np.eye(n)) / (1.0 + n * delta)
 
 
 def extract_certificate(
@@ -486,9 +459,8 @@ def extract_certificate(
     checked by :func:`verify_certificate`.  Failure to verify yields None,
     never an unchecked certificate.
     """
-    ops = _FamilyOps(family)
-    repaired = _repair(ops, np.asarray(z, dtype=float))
-    candidate = DualCertificate(matrix=repaired, value=float(np.sum(ops.gamma0 * repaired)))
+    repaired = _repair(family, np.asarray(z, dtype=float))
+    candidate = DualCertificate(matrix=repaired, value=float(np.sum(family.gamma0 * repaired)))
     return candidate if verify_certificate(family, candidate, tol) else None
 
 

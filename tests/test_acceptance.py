@@ -194,7 +194,7 @@ def test_criterion_08_solver_validation():
             dim = int(rng.integers(3, 13))
             nvars = int(rng.integers(0, 4))
             family = random_family(rng, dim, nvars)
-            outcome = maximize_lambda_min(family, SolverConfig(seed=case))
+            outcome = maximize_lambda_min(family, SolverConfig())
             oracle = grid_max_lambda_min(family)
             assert abs(outcome.lambda_star - oracle) <= 1e-3
             if outcome.certificate is not None:

@@ -9,7 +9,7 @@ import pytest
 import momentcert
 from momentcert.cli import main
 
-FAST_FLAGS = ["--max-iters", "800", "--restarts", "2"]
+FAST_FLAGS = ["--max-iters", "800"]
 
 
 def run(args):
@@ -158,13 +158,29 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_ignored_solver_flags_warn(tmp_path, capsys):
+def test_removed_solver_flags_are_usage_errors(tmp_path, capsys):
+    for flag in (["--seed", "3"], ["--restarts", "2"]):
+        assert run(["analyze", "--state", "basis:000", "--suite", "w"] + flag) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
     out = tmp_path / "report.json"
-    assert run(["analyze", "--state", "basis:000", "--suite", "w", "--seed", "3", "--out", str(out)]) == 0
+    assert run(["analyze", "--state", "basis:000", "--suite", "w", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["meta"]["config"]
+    assert sorted(config) == ["margin", "max_iters", "tol_cert"]
+
+
+@pytest.mark.parametrize("entries,message", [
+    # zip() would pair only A0 and pin a key nobody asked for.
+    ([{"parties": [1, 2], "settings": [0]}], "$[0].settings: parties and settings must have equal length"),
+    (["A0"], "$[0]: expected an object"),
+    ([{"parties": 1, "settings": 0}], "$[0].parties: expected a nonempty list"),
+], ids=["unequal-lengths", "not-an-object", "scalars"])
+def test_bad_explicit_pin_file_is_an_error(tmp_path, capsys, entries, message):
+    pin_path = tmp_path / "pins.json"
+    pin_path.write_text(json.dumps(entries))
+    code = run(
+        ["analyze", "--state", "w", "--suite", "w", "--pin", f"explicit:{pin_path}"] + FAST_FLAGS
+    )
     err = capsys.readouterr().err
-    assert "--seed is ignored" in err
-    assert "--restarts" not in err
-    # The value is still validated and recorded with the run's configuration.
-    assert json.loads(out.read_text())["meta"]["config"]["seed"] == 3
-    assert run(["analyze", "--state", "basis:000", "--suite", "w"]) == 0
-    assert "ignored" not in capsys.readouterr().err
+    assert code == 1
+    assert f"error: {message}" in err
+    assert "Traceback" not in err

@@ -87,8 +87,6 @@ def test_config_validation():
         SolverConfig(margin=1e-8, tol_cert=1e-7)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SolverConfig(step_scale=0.0)
 
 
 def test_two_by_two_feasible():
@@ -230,7 +228,7 @@ def test_solver_against_grid_oracle():
     rng = np.random.default_rng(29)
     for case in range(6):
         family = random_family(rng, int(rng.integers(3, 10)), int(rng.integers(0, 4)))
-        out = maximize_lambda_min(family, SolverConfig(seed=case))
+        out = maximize_lambda_min(family, SolverConfig())
         oracle = grid_max_lambda_min(family)
         assert abs(out.lambda_star - oracle) <= 1e-3
         if out.certificate is not None:
@@ -319,12 +317,32 @@ def test_support_is_never_scanned_from_patterns(monkeypatch, structure_322):
     assert np.array_equal(vidx, [k for k, group in enumerate(reference) for _ in group])
 
 
+def test_one_family_ops_per_solve(monkeypatch, structure_322):
+    # The solve builds its program once; certificate extraction works on
+    # the family's own maps and builds none.
+    built = []
+
+    class Counted(sdp._FamilyOps):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "_FamilyOps", Counted)
+    family = _state_family(structure_322, "w", "w")
+    out = maximize_lambda_min(family)
+    assert out.status == CERTIFIED_INFEASIBLE
+    assert len(built) == 1
+    built.clear()
+    assert extract_certificate(family, out.certificate.matrix) is not None
+    assert built == []
+
+
 def test_certificate_bounds_lambda_min_everywhere():
     # The point of the certificate: <gamma0, Z> upper-bounds lambda_min over
     # the whole box, so sampling can never beat a verified value.
     rng = np.random.default_rng(43)
     family = random_family(rng, 10, 3)
-    out = maximize_lambda_min(family, SolverConfig(seed=1))
+    out = maximize_lambda_min(family, SolverConfig())
     if out.status != CERTIFIED_INFEASIBLE:
         pytest.skip("sampled family happened to be feasible")
     bound = out.certificate.value
@@ -348,7 +366,7 @@ def test_witness_validity_on_feasible_outcomes():
 def test_determinism():
     rng = np.random.default_rng(37)
     family = random_family(rng, 9, 3)
-    config = SolverConfig(max_iters=600, restarts=3, seed=123)
+    config = SolverConfig(max_iters=600, restarts=3)
     first = maximize_lambda_min(family, config)
     second = maximize_lambda_min(family, config)
     assert first.lambda_star == second.lambda_star
@@ -408,7 +426,7 @@ def test_basis_states_are_feasible(request, structure_name, suite):
 
 
 def test_config_rejects_non_finite_values():
-    for name in ("tol_cert", "margin", "step_scale", "max_iters", "restarts"):
+    for name in ("tol_cert", "margin", "max_iters", "restarts"):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: bad})
