@@ -195,10 +195,8 @@ def request_table(request: AnalysisRequest, structure: MomentMatrixStructure) ->
     return correlator_table(state, suite, structure)
 
 
-def analyze(request: AnalysisRequest) -> VerdictReport:
-    """Build, assemble, solve, and map the outcome to a verdict."""
-    started = time.perf_counter()
-    structure = _stage("structure", build_structure, request.scenario, request.level)
+def _sound_family(request: AnalysisRequest, structure: MomentMatrixStructure) -> AffineMatrixFamily:
+    """The request's family, once its margin is known to make a verdict a proof."""
     table = _stage("assembly", request_table, request, structure)
     family = _stage("assembly", assemble, structure, table, request.policy)
     # For a PSD Gamma(v), a verified Z has -n tol <= <Gamma(v), Z> <= value +
@@ -206,6 +204,14 @@ def analyze(request: AnalysisRequest) -> VerdictReport:
     bound = (family.dim + family.num_variables + 1) * request.config.tol_cert
     if request.config.margin <= bound:
         raise UnsoundConfig(f"margin must exceed (n + K + 1) * tol_cert = {bound}")
+    return family
+
+
+def analyze(request: AnalysisRequest) -> VerdictReport:
+    """Build, assemble, solve, and map the outcome to a verdict."""
+    started = time.perf_counter()
+    structure = _stage("structure", build_structure, request.scenario, request.level)
+    family = _sound_family(request, structure)
     outcome: SolveOutcome = _stage("solve", maximize_lambda_min, family, request.config)
 
     verified = outcome.certificate is not None and verify_certificate(
@@ -234,6 +240,14 @@ def analyze(request: AnalysisRequest) -> VerdictReport:
 
 @dataclass
 class RobustnessResult:
+    """The critical visibility, its confirmed bracket, and the verdicts behind it.
+
+    ``evaluations`` lists (visibility, verdict) pairs in the order 1, 0, hi,
+    lo, each visibility once.  The verdict at 0 is proved from Gamma(0)
+    being PSD and the verdict at 1 from the certificate found at hi; only
+    the verdicts at hi and lo (when lo > 0) come from full analyses.
+    """
+
     p_star: float
     bracket: tuple[float, float]
     tolerance: float
@@ -251,25 +265,35 @@ def robustness(
 ) -> RobustnessResult:
     """Critical white-noise visibility from one parametric SDP.
 
-    Requires NONLOCAL at visibility 1 and INCONCLUSIVE at 0.  The pinned
-    correlators of p rho + (1 - p) I / 2^n are affine in p, so the families
-    at p = 0 and p = 1 span every visibility, and
+    The pinned correlators of p rho + (1 - p) I / 2^n are affine in p, so
+    the families at p = 0 and p = 1 span every visibility, and
     :func:`~momentcert.sdp.maximize_visibility` gives p_star, the largest p
     at which some completion keeps lambda_min above -margin.  At or below
     p_star every certificate value is at least -margin, so the verdict is
     INCONCLUSIVE; above it the unboxed optimum, and with it the certificate
     value, lies below -margin.  Two full analyses confirm this: NONLOCAL at
     hi = min(1, p_star + tolerance / 2) and INCONCLUSIVE at
-    lo = max(0, p_star - tolerance / 2), which form the bracket.  If either
-    disagrees, NoBracket is raised instead of returning an unconfirmed
-    threshold.
+    lo = max(0, p_star - tolerance / 2), which form the bracket.
+
+    The endpoint verdicts are proved rather than solved for:
+
+    - INCONCLUSIVE at 0.  The state is I / 2^n, every pinned correlator is
+      0 and gamma0 is PSD, so every verified certificate has value at least
+      -(n + K + 1) tol_cert > -margin.  This also stands in for the
+      analysis at lo when lo = 0.
+    - NONLOCAL at 1.  A certificate's value <gamma0(p), Z> is affine in p,
+      1 at p = 0 and below -margin at hi, so lower still at 1.  The hi
+      certificate is verified on the p = 1 family and its value there must
+      lie below -margin, the standard :func:`analyze` applies.
+
+    NoBracket is raised instead of returning an unconfirmed threshold: when
+    a proof or a confirming analysis fails, and before any solve when the
+    correlators do not depend on p.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     policy = policy if policy is not None else PinPolicy.all()
     config = config if config is not None else SolverConfig()
-    verdict_cache: dict[float, str] = {}
-    evaluations: list[tuple[float, str]] = []
 
     def request_at(p: float) -> AnalysisRequest:
         return AnalysisRequest(
@@ -280,34 +304,40 @@ def robustness(
             config=config,
         )
 
-    def verdict_at(p: float) -> str:
-        if p not in verdict_cache:
-            verdict_cache[p] = analyze(request_at(p)).verdict
-            evaluations.append((p, verdict_cache[p]))
-        return verdict_cache[p]
-
-    if verdict_at(1.0) != NONLOCAL:
-        raise NoBracket(f"verdict at visibility 1 is {verdict_at(1.0)}, not {NONLOCAL}")
-    if verdict_at(0.0) != INCONCLUSIVE:
-        raise NoBracket(f"verdict at visibility 0 is {verdict_at(0.0)}, not {INCONCLUSIVE}")
-    structure = build_structure(scenario, level)
-    low, high = (
-        assemble(structure, request_table(request_at(p), structure), policy) for p in (0.0, 1.0)
-    )
+    structure = _stage("structure", build_structure, scenario, level)
+    low, high = (_sound_family(request_at(p), structure) for p in (0.0, 1.0))
+    lambda_low = float(np.linalg.eigvalsh(low.gamma0)[0])
+    if lambda_low < 0.0:
+        raise NoBracket(f"gamma0 at visibility 0 has lambda_min {lambda_low} < 0")
+    not_nonlocal_at_one = NoBracket(f"verdict at visibility 1 is {INCONCLUSIVE}, not {NONLOCAL}")
+    if np.array_equal(low.gamma0, high.gamma0):
+        raise not_nonlocal_at_one
     p_star = maximize_visibility(low, high, config).p_star
-    if not 0.0 <= p_star <= 1.0:
+    if p_star >= 1.0:
+        raise not_nonlocal_at_one
+    if not 0.0 <= p_star:
         raise NoBracket(f"critical visibility {p_star} lies outside [0, 1]")
     lo = max(0.0, p_star - 0.5 * tolerance)
     hi = min(1.0, p_star + 0.5 * tolerance)
     while hi - lo > tolerance:  # rounding can widen the bracket by an ulp
         hi = math.nextafter(hi, lo)
-    if verdict_at(hi) != NONLOCAL or verdict_at(lo) != INCONCLUSIVE:
-        raise NoBracket(f"verdicts at [{lo}, {hi}] do not confirm p* = {p_star}")
+    unconfirmed = NoBracket(f"verdicts at [{lo}, {hi}] do not confirm p* = {p_star}")
+    report = analyze(request_at(hi))
+    if report.verdict != NONLOCAL:
+        raise unconfirmed
+    z = report.certificate.matrix
+    at_one = DualCertificate(matrix=z, value=float(np.sum(high.gamma0 * z)))
+    if not (verify_certificate(high, at_one, config.tol_cert) and at_one.value < -config.margin):
+        raise NoBracket(f"the certificate at visibility {hi} does not certify visibility 1")
+    if lo > 0.0 and analyze(request_at(lo)).verdict != INCONCLUSIVE:
+        raise unconfirmed
+    # A dict drops the repeated visibility when hi = 1 or lo = 0.
+    evaluations = {1.0: NONLOCAL, 0.0: INCONCLUSIVE, hi: NONLOCAL, lo: INCONCLUSIVE}
     return RobustnessResult(
         p_star=p_star,
         bracket=(lo, hi),
         tolerance=tolerance,
-        evaluations=tuple(evaluations),
+        evaluations=tuple(evaluations.items()),
     )
 
 

@@ -12,6 +12,7 @@ viewed as a (2,) * 2n tensor, which yields every correlator at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -105,9 +106,19 @@ LINEAR_EDGES = ((1, 2), (2, 3))
 LOOP_EDGES = ((1, 2), (2, 3), (1, 3))
 
 
+@lru_cache(maxsize=16)
 def make_state(kind: str, n: int = 3) -> QuantumState:
-    """Build a named state: w, ghz, graph-linear, graph-loop, or basis:<bits>."""
-    kind = kind.lower()
+    """Build a named state: w, ghz, graph-linear, graph-loop, or basis:<bits>.
+
+    Built and validated once per (kind, n); the cached state's ``rho`` is
+    read-only, since every caller shares it.
+    """
+    state = _named_state(kind.lower(), n)
+    state.rho.flags.writeable = False
+    return state
+
+
+def _named_state(kind: str, n: int) -> QuantumState:
     if kind == "w":
         return _state_from_ket(w_ket(n))
     if kind == "ghz":
@@ -214,6 +225,12 @@ def checked_moment(value, where) -> float:
     return number
 
 
+@lru_cache(maxsize=4096)
+def _checked_key(scenario: Scenario, key: MomentKey) -> None:
+    """:func:`validate_moment_key`, run once per (scenario, key); failures are not cached."""
+    validate_moment_key(scenario, key)
+
+
 @dataclass(frozen=True)
 class CorrelatorTable:
     """Measured or simulated values for observable moments.
@@ -227,7 +244,7 @@ class CorrelatorTable:
 
     def __post_init__(self):
         for key, (value, sigma) in self.entries.items():
-            validate_moment_key(self.scenario, key)
+            _checked_key(self.scenario, key)
             checked_moment(value, key)
             if sigma is not None and (not np.isfinite(sigma) or sigma < 0.0):
                 raise ValueError(f"sigma for {key_name(key)} must be nonnegative")

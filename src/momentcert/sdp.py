@@ -362,7 +362,10 @@ def maximize_lambda_min(
     v = y_end[1:]
     unboxed = float(np.linalg.eigvalsh(family.gamma(v))[0])
     v_star = np.clip(v, ops.lo, ops.hi)
-    lambda_star = float(np.linalg.eigvalsh(family.gamma(v_star))[0])
+    if np.array_equal(v_star, v):
+        lambda_star = unboxed
+    else:
+        lambda_star = float(np.linalg.eigvalsh(family.gamma(v_star))[0])
     if lambda_star < unboxed - GAP_TOL * (1.0 + abs(unboxed)):
         # The maximizer left the box, so solve again inside it.  The
         # certificate still comes from the first solve, whose Z is the best

@@ -9,6 +9,7 @@ from momentcert import (
     INCONCLUSIVE,
     NONLOCAL,
     AnalysisRequest,
+    DualCertificate,
     DuplicateMoment,
     MeasuredSource,
     NoBracket,
@@ -32,7 +33,7 @@ from momentcert import (
     table_document,
     verify_certificate,
 )
-from momentcert import hierarchy
+from momentcert import analysis, hierarchy
 
 from helpers import bisect_visibility
 
@@ -216,6 +217,74 @@ def test_robustness_matches_bisection(state):
         family_for_request(_request(state, state, visibility=result.p_star))
     )
     assert abs(at_threshold.lambda_star + SolverConfig().margin) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "tolerance, expected",
+    # Analysed visibilities as a function of the bracket (lo, hi): only the
+    # two confirmations, with none at lo = 0, where the verdict is proved.
+    [
+        (1e-2, lambda lo, hi: [hi, lo]),
+        (0.9, lambda lo, hi: [1.0, lo]),  # hi = 1
+        (1.8, lambda lo, hi: [1.0]),  # bracket [0, 1]
+    ],
+)
+def test_robustness_runs_one_parametric_solve_and_two_analyses(monkeypatch, tolerance, expected):
+    analysed, parametric = [], []
+    run_analysis, run_parametric = analysis.analyze, analysis.maximize_visibility
+
+    def counted_analysis(request):
+        analysed.append(request.source.visibility)
+        return run_analysis(request)
+
+    def counted_parametric(*args):
+        parametric.append(1)
+        return run_parametric(*args)
+
+    monkeypatch.setattr(analysis, "analyze", counted_analysis)
+    monkeypatch.setattr(analysis, "maximize_visibility", counted_parametric)
+    result = robustness("w", "w", S322, tolerance=tolerance)
+    assert analysed == expected(*result.bracket)
+    assert parametric == [1]
+    assert result.evaluations[:2] == ((1.0, NONLOCAL), (0.0, INCONCLUSIVE))
+    if tolerance == 1.8:
+        assert result.bracket == (0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "state, suite, scenario",
+    [
+        ("w", "w", S322),
+        ("ghz", "ghz", S322),
+        ("graph-linear", "graph", Scenario(3, 3)),
+        ("graph-loop", "graph", Scenario(3, 3)),
+    ],
+)
+def test_robustness_endpoint_proofs_match_analyses(state, suite, scenario):
+    result = robustness(state, suite, scenario, tolerance=1e-2)
+    fresh = {
+        p: analyze(_request(state, suite, visibility=p, config=SolverConfig(), scenario=scenario))
+        for p in (1.0, 0.0, result.bracket[1])
+    }
+    assert result.evaluations[:2] == ((1.0, fresh[1.0].verdict), (0.0, fresh[0.0].verdict))
+    # The certificate found at hi carries to p = 1, with a lower value there.
+    at_hi = fresh[result.bracket[1]].certificate
+    high = family_for_request(_request(state, suite, config=SolverConfig(), scenario=scenario))
+    z = at_hi.matrix
+    at_one = DualCertificate(matrix=z, value=float(np.sum(high.gamma0 * z)))
+    assert verify_certificate(high, at_one, SolverConfig().tol_cert)
+    assert at_one.value < at_hi.value < -SolverConfig().margin
+
+
+def test_robustness_without_p_dependence_raises_before_any_solve(monkeypatch):
+    # Under the w suite every one-body correlator of GHZ is 0 at every visibility.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no solve expected")
+
+    monkeypatch.setattr(analysis, "maximize_lambda_min", no_solve)
+    monkeypatch.setattr(analysis, "maximize_visibility", no_solve)
+    with pytest.raises(NoBracket, match="verdict at visibility 1 is INCONCLUSIVE, not NONLOCAL"):
+        robustness("ghz", "w", S322, policy=PinPolicy.max_bodies(1))
 
 
 def _w_document(structure):

@@ -86,6 +86,13 @@ def test_basis_state_and_bad_kinds():
         make_state("w", 1)
 
 
+def test_named_states_are_shared_and_read_only():
+    state = make_state("w", 3)
+    assert make_state("w", 3) is state
+    with pytest.raises(ValueError, match="read-only"):
+        state.rho[0, 0] = 1.0
+
+
 def test_graph_state_constructor_validates_edges():
     with pytest.raises(ValueError):
         graph_state(3, [(1, 4)])
