@@ -201,14 +201,6 @@ class MomentRef:
     def is_freevar(self) -> bool:
         return self.kind == "freevar"
 
-    @property
-    def label(self) -> str:
-        if self.is_unit:
-            return "1"
-        if self.is_observable:
-            return f"<{key_name(self.key)}>"
-        return key_name(self.var)
-
 
 UNIT_REF = MomentRef("unit")
 

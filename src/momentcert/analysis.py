@@ -1,5 +1,8 @@
 """End-to-end pipelines: state or data in, certified verdict out.
 
+Analyses, robustness runs and certificate re-checks all build their family
+through :func:`family_for_request`, so they share one path and its errors.
+
 The verdict vocabulary is deliberately asymmetric.  A verified infeasibility
 certificate proves the observed correlations cannot come from local
 measurements on a separable state, hence NONLOCAL.  A feasible completion
@@ -189,14 +192,17 @@ def request_table(request: AnalysisRequest, structure: MomentMatrixStructure) ->
             )
         return table
     source = request.source
-    state = make_state(source.state, request.scenario.parties)
-    state = add_white_noise(state, source.visibility)
-    suite = standard_suite(source.suite)
-    return correlator_table(state, suite, structure)
+    state = add_white_noise(make_state(source.state, request.scenario.parties), source.visibility)
+    return correlator_table(state, standard_suite(source.suite), structure)
 
 
-def _sound_family(request: AnalysisRequest, structure: MomentMatrixStructure) -> AffineMatrixFamily:
-    """The request's family, once its margin is known to make a verdict a proof."""
+def family_for_request(request: AnalysisRequest) -> AffineMatrixFamily:
+    """The request's family, once its margin is known to make a verdict a proof.
+
+    Raises PipelineError naming the failed stage (``structure`` or
+    ``assembly``), and UnsoundConfig unless margin > (n + K + 1) tol_cert.
+    """
+    structure = _stage("structure", build_structure, request.scenario, request.level)
     table = _stage("assembly", request_table, request, structure)
     family = _stage("assembly", assemble, structure, table, request.policy)
     # For a PSD Gamma(v), a verified Z has -n tol <= <Gamma(v), Z> <= value +
@@ -210,8 +216,7 @@ def _sound_family(request: AnalysisRequest, structure: MomentMatrixStructure) ->
 def analyze(request: AnalysisRequest) -> VerdictReport:
     """Build, assemble, solve, and map the outcome to a verdict."""
     started = time.perf_counter()
-    structure = _stage("structure", build_structure, request.scenario, request.level)
-    family = _sound_family(request, structure)
+    family = family_for_request(request)
     outcome: SolveOutcome = _stage("solve", maximize_lambda_min, family, request.config)
 
     verified = outcome.certificate is not None and verify_certificate(
@@ -296,16 +301,9 @@ def robustness(
     config = config if config is not None else SolverConfig()
 
     def request_at(p: float) -> AnalysisRequest:
-        return AnalysisRequest(
-            source=SimulatedSource(state, suite, p),
-            scenario=scenario,
-            level=level,
-            policy=policy,
-            config=config,
-        )
+        return AnalysisRequest(SimulatedSource(state, suite, p), scenario, level, policy, config)
 
-    structure = _stage("structure", build_structure, scenario, level)
-    low, high = (_sound_family(request_at(p), structure) for p in (0.0, 1.0))
+    low, high = (family_for_request(request_at(p)) for p in (0.0, 1.0))
     lambda_low = float(np.linalg.eigvalsh(low.gamma0)[0])
     if lambda_low < 0.0:
         raise NoBracket(f"gamma0 at visibility 0 has lambda_min {lambda_low} < 0")
@@ -463,9 +461,3 @@ def certificate_from_document(document: dict) -> DualCertificate | None:
     matrix = np.asarray(cert_doc["matrix"], dtype=float)
     return DualCertificate(matrix=matrix, value=float(cert_doc["value"]))
 
-
-def family_for_request(request: AnalysisRequest) -> AffineMatrixFamily:
-    """The affine family a request leads to; used to re-check certificates."""
-    structure = build_structure(request.scenario, request.level)
-    table = request_table(request, structure)
-    return assemble(structure, table, request.policy)

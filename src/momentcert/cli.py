@@ -72,13 +72,16 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(max_iters=args.max_iters, margin=args.margin)
 
 
-def _add_source_flags(parser):
+def _add_source_flags(parser, noise=True):
     parser.add_argument(
         "--state",
         help="w | ghz | graph-linear | graph-loop | basis:<bits>",
     )
     parser.add_argument("--suite", help="w | ghz | graph")
-    parser.add_argument("--noise", type=float, default=1.0, help="visibility p in [0, 1] (default 1)")
+    if noise:  # robustness spans every visibility itself
+        parser.add_argument(
+            "--noise", type=float, default=1.0, help="visibility p in [0, 1] (default 1)"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "robustness", help="compute and confirm the critical white-noise visibility"
     )
     _add_scenario_flags(p_rob)
-    _add_source_flags(p_rob)
+    _add_source_flags(p_rob, noise=False)
     p_rob.add_argument("--pin", default="all")
     p_rob.add_argument(
         "--tol", type=float, default=1e-2,
@@ -260,19 +263,18 @@ def _cmd_robustness(args) -> int:
 def _cmd_states(args) -> int:
     if not args.state:
         raise CliError("--state is required")
-    state = quantum.make_state(args.state, args.parties)
-    state = quantum.add_white_noise(state, args.noise)
     if args.dump:
         if not args.suite:
             raise CliError("--dump needs --suite")
         scenario = Scenario(args.parties, args.settings)
+        source = analysis.SimulatedSource(args.state, args.suite, args.noise)
+        request = analysis.AnalysisRequest(source, scenario, args.level)
         structure = hierarchy.build_structure(scenario, args.level)
-        suite = quantum.standard_suite(args.suite)
-        table = quantum.correlator_table(state, suite, structure)
-        _write_json(args.out, analysis.table_document(table))
+        _write_json(args.out, analysis.table_document(analysis.request_table(request, structure)))
         if args.out:
             print(f"correlator table written to {args.out}")
         return EXIT_OK
+    state = quantum.add_white_noise(quantum.make_state(args.state, args.parties), args.noise)
     purity = float(np.trace(state.rho @ state.rho).real)
     print(f"state {args.state}: {state.n} qubits, visibility {args.noise}, purity {purity:.6g}")
     return EXIT_OK

@@ -176,11 +176,11 @@ def standard_suite(kind: str) -> MeasurementSuite:
     graph: X, Z, (Z + X)/sqrt(2)
     """
     kind = kind.lower()
-    if kind in ("w", "wsuite"):
+    if kind == "w":
         return MeasurementSuite("w", (PAULI_X, PAULI_Z))
-    if kind in ("ghz", "ghzsuite"):
+    if kind == "ghz":
         return MeasurementSuite("ghz", (PAULI_X, PAULI_DIAG))
-    if kind in ("graph", "graphsuite"):
+    if kind == "graph":
         return MeasurementSuite("graph", (PAULI_X, PAULI_Z, PAULI_DIAG))
     raise ValueError(f"unknown suite kind {kind!r}")
 

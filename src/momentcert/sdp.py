@@ -454,7 +454,7 @@ def _repair(family: AffineMatrixFamily, z: np.ndarray) -> np.ndarray:
 
 
 def extract_certificate(
-    family: AffineMatrixFamily, z: np.ndarray, tol: float = 1e-7
+    family: AffineMatrixFamily, z: np.ndarray, tol: float = SolverConfig.tol_cert
 ) -> DualCertificate | None:
     """Turn an approximate dual solution Z into a verified certificate.
 
@@ -468,7 +468,7 @@ def extract_certificate(
 
 
 def verify_certificate(
-    family: AffineMatrixFamily, certificate: DualCertificate, tol: float = 1e-7
+    family: AffineMatrixFamily, certificate: DualCertificate, tol: float = SolverConfig.tol_cert
 ) -> bool:
     """Check every certificate invariant against the family.
 

@@ -168,6 +168,12 @@ def test_removed_solver_flags_are_usage_errors(tmp_path, capsys):
     assert sorted(config) == ["margin", "max_iters", "tol_cert"]
 
 
+def test_robustness_rejects_noise(capsys):
+    # robustness spans every visibility itself, so a --noise would be ignored.
+    assert run(["robustness", "--state", "w", "--suite", "w", "--noise", "0.3"]) == 1
+    assert "unrecognized arguments: --noise 0.3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entries,message", [
     # zip() would pair only A0 and pin a key nobody asked for.
     ([{"parties": [1, 2], "settings": [0]}], "$[0].settings: parties and settings must have equal length"),

@@ -125,8 +125,9 @@ def test_suite_contents():
     assert np.allclose(w.operator(2, 1), Z)
     ghz = standard_suite("ghz")
     assert np.allclose(ghz.operator(1, 1), PAULI_DIAG)
-    with pytest.raises(ValueError):
-        standard_suite("chsh")
+    for bad in ("chsh", "wsuite"):
+        with pytest.raises(ValueError):
+            standard_suite(bad)
 
 
 def test_expectation_anchors():
