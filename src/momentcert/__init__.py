@@ -9,12 +9,11 @@ on a separable state.
 
 from .algebra import (
     MomentKey,
-    MomentRef,
     OperatorWord,
     Scenario,
-    classify,
     generate_basis,
     key_name,
+    moment_kind,
     unit_word,
     word,
     word_product,

@@ -20,9 +20,11 @@ from itertools import combinations
 
 from .errors import ScenarioMismatch
 
-# A letter is one local measurement choice; a moment key is the sorted letter
-# list of a word in which each party appears at most once.
+# A letter is one local measurement choice; a moment is the sorted letter
+# tuple of a canonical word, and a moment key is a moment in which each party
+# appears at most once.
 Letter = tuple[int, int]
+Moment = tuple[Letter, ...]
 MomentKey = tuple[Letter, ...]
 
 _PARTY_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -172,47 +174,21 @@ def word_product(left: OperatorWord, right: OperatorWord) -> OperatorWord:
     return OperatorWord(left.scenario, tuple(sorted(merged)))
 
 
-@dataclass(frozen=True)
-class MomentRef:
-    """What a moment-matrix entry refers to.
+def moment_kind(letters: Moment) -> str:
+    """What the moment of a canonical word's letters is.
 
-    ``unit`` entries are the constant 1 (the word was empty), ``observable``
-    entries carry a :data:`MomentKey` and are measurable as a tensor-product
-    correlator, and ``freevar`` entries correspond to words in which some
-    party contributes two or more settings.  Such a product is not Hermitian
-    in an actual realization, so its moment is not observable and enters the
-    feasibility problem as an optimization variable.  The variable id is the
-    canonical letter tuple itself, so identical words share one variable.
+    ``unit`` for the empty word, whose moment is the constant 1;
+    ``observable`` when every party appears at most once, so the letters
+    are a :data:`MomentKey` measurable as a tensor-product correlator; and
+    ``freevar`` when some party contributes two or more settings.  Such a
+    product is not Hermitian in an actual realization, so its moment is not
+    observable and enters the feasibility problem as an optimization
+    variable, named by the letters themselves.
     """
-
-    kind: str
-    key: MomentKey | None = None
-    var: tuple[Letter, ...] | None = None
-
-    @property
-    def is_unit(self) -> bool:
-        return self.kind == "unit"
-
-    @property
-    def is_observable(self) -> bool:
-        return self.kind == "observable"
-
-    @property
-    def is_freevar(self) -> bool:
-        return self.kind == "freevar"
-
-
-UNIT_REF = MomentRef("unit")
-
-
-def classify(w: OperatorWord) -> MomentRef:
-    """Classify a canonical word as Unit, Observable or FreeVar."""
-    if w.is_unit:
-        return UNIT_REF
-    parties = [party for party, _ in w.letters]
-    if len(set(parties)) == len(parties):
-        return MomentRef("observable", key=w.letters)
-    return MomentRef("freevar", var=w.letters)
+    if not letters:
+        return "unit"
+    parties = [party for party, _ in letters]
+    return "observable" if len(set(parties)) == len(parties) else "freevar"
 
 
 def generate_basis(scenario: Scenario, level: int) -> list[OperatorWord]:

@@ -47,13 +47,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _add_scenario_flags(parser, default_settings=2):
+# Defaults applied after parsing, so that a flag a command does not read is
+# told apart from one left at its default.
+_LATE_DEFAULTS = {"settings": 2, "level": 2, "noise": 1.0}
+
+
+def _add_scenario_flags(parser):
     parser.add_argument("--parties", type=int, default=3, help="number of parties (default 3)")
-    parser.add_argument(
-        "--settings", type=int, default=default_settings,
-        help=f"measurement settings per party (default {default_settings})",
-    )
-    parser.add_argument("--level", type=int, default=2, help="hierarchy level (default 2)")
+    parser.add_argument("--settings", type=int, help="measurement settings per party (default 2)")
+    parser.add_argument("--level", type=int, help="hierarchy level (default 2)")
 
 
 def _add_solver_flags(parser):
@@ -79,9 +81,7 @@ def _add_source_flags(parser, noise=True):
     )
     parser.add_argument("--suite", help="w | ghz | graph")
     if noise:  # robustness spans every visibility itself
-        parser.add_argument(
-            "--noise", type=float, default=1.0, help="visibility p in [0, 1] (default 1)"
-        )
+        parser.add_argument("--noise", type=float, help="visibility p in [0, 1] (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,8 +175,6 @@ def _analysis_request(args) -> analysis.AnalysisRequest:
     policy = _parse_pin(args.pin, scenario)
     config = _solver_config(args)
     if args.from_table:
-        if args.state:
-            raise CliError("give either --state or --from-table, not both")
         table = analysis.ingest_table(_load_json(args.from_table))
         source = analysis.MeasuredSource(table)
     else:
@@ -289,10 +287,27 @@ _COMMANDS = {
 }
 
 
+def _reject_unread_flags(args) -> None:
+    """A usage error for a flag that the chosen mode of a command never reads."""
+    if args.command == "analyze" and args.from_table:
+        unread, mode = ("state", "suite", "noise"), "with --from-table"
+    elif args.command == "states" and not args.dump:
+        unread, mode = ("suite", "settings", "level", "out"), "without --dump"
+    else:
+        return
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise CliError(f"momentcert {args.command}: --{name} is not read {mode}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _reject_unread_flags(args)
+        for name, default in _LATE_DEFAULTS.items():
+            if getattr(args, name, default) is None:
+                setattr(args, name, default)
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,10 +1,11 @@
 """Symbolic moment-matrix structures and numeric affine PSD families.
 
 :func:`build_structure` compiles a scenario and hierarchy level into the
-symbolic matrix: entry (i, j) records what the canonical product of basis
-words i and j refers to (unit, observable moment, or free variable).  All
+symbolic matrix: entry (i, j) is the letter tuple of the canonical product
+of basis words i and j, and :func:`~momentcert.algebra.moment_kind` tells
+whether it is the unit, an observable moment or a free variable.  All
 variable identifications implied by commutation and idempotence happen
-structurally, because identical canonical words share one reference.
+structurally, because identical canonical words have identical letters.
 
 :func:`assemble` then substitutes measured values for the pinned observable
 moments and emits the affine family Gamma(v) = gamma0 + sum_k v_k G_k whose
@@ -27,14 +28,14 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import (
+    Moment,
     MomentKey,
-    MomentRef,
     OperatorWord,
     Scenario,
-    classify,
     generate_basis,
     key_document,
     key_name,
+    moment_kind,
     scenario_document,
     word_product,
 )
@@ -44,26 +45,27 @@ from .algebra import (
 class MomentMatrixStructure:
     """Symbolic moment matrix for one scenario and hierarchy level.
 
-    ``entries`` stores the upper triangle only (0-based ``(i, j)`` with
-    ``i <= j``), read-only because structures are shared; the matrix is
-    symmetric by construction.  ``observables`` and ``freevars`` list the
-    distinct keys and variable ids in order of first appearance in a
-    row-major scan of the upper triangle.  Structures hash by identity.
+    ``entries`` maps each upper-triangle position (0-based ``(i, j)`` with
+    ``i <= j``) to the letter tuple of its canonical word, read-only because
+    structures are shared; the matrix is symmetric by construction.
+    ``observables`` and ``freevars`` list the distinct letter tuples of each
+    :func:`~momentcert.algebra.moment_kind` in order of first appearance in
+    a row-major scan of the upper triangle.  Structures hash by identity.
     """
 
     scenario: Scenario
     level: int
     words: tuple[OperatorWord, ...]
-    entries: Mapping[tuple[int, int], MomentRef]
+    entries: Mapping[tuple[int, int], Moment]
     observables: tuple[MomentKey, ...]
-    freevars: tuple[tuple, ...]
+    freevars: tuple[Moment, ...]
 
     @property
     def dim(self) -> int:
         return len(self.words)
 
-    def ref_at(self, i: int, j: int) -> MomentRef:
-        """Entry reference with symmetric access (0-based indices)."""
+    def ref_at(self, i: int, j: int) -> Moment:
+        """The letters of entry (i, j), with symmetric access (0-based indices)."""
         if i > j:
             i, j = j, i
         return self.entries[(i, j)]
@@ -72,19 +74,19 @@ class MomentMatrixStructure:
         """The canonical word generating entry (i, j)."""
         return word_product(self.words[i], self.words[j])
 
-    def observable_positions(self) -> dict[MomentKey, list[tuple[int, int]]]:
-        positions: dict[MomentKey, list[tuple[int, int]]] = {k: [] for k in self.observables}
-        for (i, j), ref in self.entries.items():
-            if ref.is_observable:
-                positions[ref.key].append((i, j))
+    def _positions(self, moments) -> dict[Moment, list[tuple[int, int]]]:
+        """The upper-triangle positions of each of ``moments``, in row-major order."""
+        positions: dict[Moment, list[tuple[int, int]]] = {m: [] for m in moments}
+        for ij, letters in self.entries.items():
+            if letters in positions:
+                positions[letters].append(ij)
         return positions
 
-    def freevar_positions(self) -> dict[str, list[tuple[int, int]]]:
-        positions: dict[tuple, list[tuple[int, int]]] = {v: [] for v in self.freevars}
-        for (i, j), ref in self.entries.items():
-            if ref.is_freevar:
-                positions[ref.var].append((i, j))
-        return positions
+    def observable_positions(self) -> dict[MomentKey, list[tuple[int, int]]]:
+        return self._positions(self.observables)
+
+    def freevar_positions(self) -> dict[Moment, list[tuple[int, int]]]:
+        return self._positions(self.freevars)
 
 
 @lru_cache(maxsize=8)
@@ -92,17 +94,18 @@ def build_structure(scenario: Scenario, level: int) -> MomentMatrixStructure:
     """Compile the symbolic moment matrix for ``scenario`` at ``level``, once."""
     words = tuple(generate_basis(scenario, level))
     entries = {
-        (i, j): classify(word_product(words[i], words[j]))
+        (i, j): word_product(words[i], words[j]).letters
         for i in range(len(words))
         for j in range(i, len(words))
     }
+    moments = dict.fromkeys(entries.values())
     return MomentMatrixStructure(
         scenario=scenario,
         level=level,
         words=words,
         entries=MappingProxyType(entries),
-        observables=tuple(dict.fromkeys(r.key for r in entries.values() if r.is_observable)),
-        freevars=tuple(dict.fromkeys(r.var for r in entries.values() if r.is_freevar)),
+        observables=tuple(m for m in moments if moment_kind(m) == "observable"),
+        freevars=tuple(m for m in moments if moment_kind(m) == "freevar"),
     )
 
 
@@ -159,11 +162,6 @@ class PinPolicy:
         return {"kind": "all"}
 
 
-# Variable labels in an assembled family: ("observable", key) for unpinned
-# observables, ("freevar", var_id) for inherently unobservable moments.
-VariableLabel = tuple[str, object]
-
-
 @dataclass(frozen=True)
 class AffineMatrixFamily:
     """Numeric affine family Gamma(v) = gamma0 + sum_k v_k G_k.
@@ -176,13 +174,14 @@ class AffineMatrixFamily:
     positions they partition the off-diagonal entry set.  ``bounds`` is a
     (K, 2) array of per-variable intervals, [-1, 1] by default: every
     canonical word is a product of commuting involutions, so its moment in
-    any realization lies there.
+    any realization lies there.  ``variables`` names each variable by its
+    letter tuple: the unpinned observables, then the free variables.
     """
 
     gamma0: np.ndarray
     support: tuple[np.ndarray, np.ndarray, np.ndarray]
     bounds: np.ndarray
-    variables: tuple[VariableLabel, ...]
+    variables: tuple[Moment, ...]
     pinned_keys: tuple[MomentKey, ...] = ()
     pinned_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -230,13 +229,13 @@ class AffineMatrixFamily:
         return np.bincount(vidx, weights=weights, minlength=self.num_variables)
 
     def variable_names(self) -> tuple[str, ...]:
-        # Shared by the families of one layout, which share their labels.
+        # Shared by the families of one layout, which share their variables.
         return _names(self.variables)
 
 
 @lru_cache(maxsize=32)
-def _names(variables: tuple[VariableLabel, ...]) -> tuple[str, ...]:
-    return tuple(key_name(payload) for _, payload in variables)
+def _names(variables: tuple[Moment, ...]) -> tuple[str, ...]:
+    return tuple(key_name(letters) for letters in variables)
 
 
 def _index_arrays(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,18 +255,15 @@ def support_arrays(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _layout(structure: MomentMatrixStructure, pinned: tuple[bool, ...]):
     """Index maps of ``structure`` when ``pinned`` flags its pinned observables.
 
-    Returns the pinned keys, the variable labels (unpinned observables, then
-    free variables), the pinned positions owned by key index, and the support.
+    Returns the pinned keys, the variables (unpinned observables, then free
+    variables), the pinned positions owned by key index, and the support.
     """
-    observables = structure.observable_positions()
-    freevars = structure.freevar_positions()
     keys = list(zip(structure.observables, pinned))
     pinned_keys = tuple(key for key, is_pinned in keys if is_pinned)
-    variables = tuple(("observable", key) for key, is_pinned in keys if not is_pinned)
-    groups = [observables[key] for _, key in variables] + list(freevars.values())
-    variables += tuple(("freevar", var) for var in freevars)
-    pins = _index_arrays([observables[key] for key in pinned_keys])
-    return pinned_keys, variables, pins, _index_arrays(groups)
+    variables = tuple(key for key, is_pinned in keys if not is_pinned) + structure.freevars
+    positions = structure._positions(pinned_keys + variables)
+    pins = _index_arrays([positions[key] for key in pinned_keys])
+    return pinned_keys, variables, pins, _index_arrays([positions[v] for v in variables])
 
 
 def assemble(
@@ -303,7 +299,7 @@ def assemble(
     chosen = [policy.selects(key) for key in structure.observables]
     selected = [key for key, is_chosen in zip(structure.observables, chosen) if is_chosen]
     values = np.clip(np.array([table.value(key) for key in selected], dtype=float), -1.0, 1.0)
-    # Bounds of the widened keys, looked up by payload (no key is a free variable id).
+    # Bounds of the widened keys, looked up by variable.
     widened = {}
     if interval_sigmas is not None:
         for key, value in zip(selected, values.tolist()):
@@ -316,7 +312,7 @@ def assemble(
     pinned_values = values[np.array([key not in widened for key in selected], dtype=bool)]
     gamma0 = np.eye(structure.dim)
     gamma0[rows, cols] = gamma0[cols, rows] = pinned_values[owner]
-    bounds = [widened.get(payload, (-1.0, 1.0)) for _, payload in variables]
+    bounds = [widened.get(letters, (-1.0, 1.0)) for letters in variables]
     return AffineMatrixFamily(
         gamma0=gamma0,
         support=support,
@@ -327,12 +323,11 @@ def assemble(
     )
 
 
-def _ref_document(ref: MomentRef) -> dict:
-    if ref.is_unit:
-        return {"kind": "unit"}
-    if ref.is_observable:
-        return {"kind": "observable", "key": key_name(ref.key)}
-    return {"kind": "freevar", "var": key_name(ref.var)}
+def _entry_document(letters: Moment) -> dict:
+    kind = moment_kind(letters)
+    if kind == "unit":
+        return {"kind": kind}
+    return {"kind": kind, ("key" if kind == "observable" else "var"): key_name(letters)}
 
 
 def structure_report(structure: MomentMatrixStructure) -> dict:
@@ -342,8 +337,8 @@ def structure_report(structure: MomentMatrixStructure) -> dict:
     printed-matrix numbering.
     """
     entries = []
-    for (i, j), ref in sorted(structure.entries.items()):
-        entries.append({"row": i + 1, "col": j + 1, **_ref_document(ref)})
+    for (i, j), letters in sorted(structure.entries.items()):
+        entries.append({"row": i + 1, "col": j + 1, **_entry_document(letters)})
     return {
         "schema_version": 1,
         "kind": "structure",

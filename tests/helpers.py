@@ -107,7 +107,7 @@ def random_family(rng, dim, nvars):
         for i, j in chunk:
             pattern[i, j] = pattern[j, i] = 1.0
         patterns.append(pattern)
-        variables.append(("freevar", ((1, k),)))
+        variables.append(((1, k),))
         bounds.append((-1.0, 1.0))
     gamma0 = np.eye(dim)
     leftover = positions[used:]
@@ -139,7 +139,7 @@ def classical_completion(family, state, suite, scenario):
     }
     moments = {letter: 0.0 for letter in letters}
     word_moments = {}
-    for _, word_letters in family.variables:
+    for word_letters in family.variables:
         word_moments[word_letters] = 0.0
     for signs in itertools.product((1.0, -1.0), repeat=len(letters)):
         weight = 1.0
@@ -153,7 +153,7 @@ def classical_completion(family, state, suite, scenario):
             for letter in word_letters:
                 product *= assignment[letter]
             word_moments[word_letters] += weight * product
-    return np.array([word_moments[w] for _, w in family.variables])
+    return np.array([word_moments[w] for w in family.variables])
 
 
 def bisect_visibility(state, suite, scenario, tolerance, config=None, level=2):

@@ -30,6 +30,7 @@ from momentcert import (
     make_state,
     maximize_lambda_min,
     min_eigen,
+    moment_kind,
     robustness,
     standard_suite,
     table_document,
@@ -83,15 +84,16 @@ def test_criterion_01_golden_structure_222(structure_222):
         a0b1 = ((1, 0), (2, 1))
         a1b0 = ((1, 1), (2, 0))
         # The six variable-to-observable promotions forced by commutation.
-        assert st.ref_at(2, 5).key == a0       # A1 . A0A1      -> <A0>
-        assert st.ref_at(4, 10).key == b0      # B1 . B0B1      -> <B0>
-        assert st.ref_at(5, 8).key == a0b0     # A0A1 . A1B0    -> <A0B0>
-        assert st.ref_at(7, 10).key == a0b0    # A0B1 . B0B1    -> <A0B0>
-        assert st.ref_at(5, 9).key == a0b1     # A0A1 . A1B1    -> <A0B1>
-        assert st.ref_at(9, 10).key == a1b0    # A1B1 . B0B1    -> <A1B0>
+        assert st.ref_at(2, 5) == a0       # A1 . A0A1      -> <A0>
+        assert st.ref_at(4, 10) == b0      # B1 . B0B1      -> <B0>
+        assert st.ref_at(5, 8) == a0b0     # A0A1 . A1B0    -> <A0B0>
+        assert st.ref_at(7, 10) == a0b0    # A0B1 . B0B1    -> <A0B0>
+        assert st.ref_at(5, 9) == a0b1     # A0A1 . A1B1    -> <A0B1>
+        assert st.ref_at(9, 10) == a1b0    # A1B1 . B0B1    -> <A1B0>
         # The three four-letter entries merge into a single variable.
-        merged = {st.ref_at(5, 10).var, st.ref_at(6, 9).var, st.ref_at(7, 8).var}
+        merged = {st.ref_at(5, 10), st.ref_at(6, 9), st.ref_at(7, 8)}
         assert len(merged) == 1
+        assert moment_kind(merged.pop()) == "freevar"
 
 
 def test_criterion_02_structure_322(structure_322):
@@ -99,12 +101,11 @@ def test_criterion_02_structure_322(structure_322):
         st = structure_322
         assert st.dim == 22
         for i in range(22):
-            assert st.ref_at(i, i).is_unit
+            assert st.ref_at(i, i) == ()
         assert len(st.observables) == 26
         # 1-based entry (4, 12): word A0B0C1, i.e. sigma_x sigma_x sigma_z
         # under the w suite.
-        ref = st.ref_at(3, 11)
-        assert ref.key == ((1, 0), (2, 0), (3, 1))
+        assert st.ref_at(3, 11) == ((1, 0), (2, 0), (3, 1))
         assert st.word_at(3, 11).name == "A0B0C1"
         suite = standard_suite("w")
         assert np.allclose(suite.operator(1, 0), PAULI_X)
@@ -143,7 +144,7 @@ def test_criterion_05_graph_states(kind, structure_332):
 
 def test_criterion_06_separable_soundness(structure_322, structure_332):
     with criterion(6, "separable states stay INCONCLUSIVE/FEASIBLE", 10.0):
-        config = SolverConfig(max_iters=1500, restarts=2)
+        config = SolverConfig(max_iters=1500)
         cases = [
             ("w", structure_322), ("ghz", structure_322), ("graph", structure_332),
         ]

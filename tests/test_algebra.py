@@ -6,9 +6,9 @@ import pytest
 from momentcert import (
     Scenario,
     ScenarioMismatch,
-    classify,
     generate_basis,
     key_name,
+    moment_kind,
     unit_word,
     word,
     word_product,
@@ -138,23 +138,23 @@ def test_associativity_on_random_words():
 
 def test_classify_examples():
     s = Scenario(3, 2)
-    ref = classify(word(s, (1, 0), (2, 0), (3, 1)))
-    assert ref.is_observable
-    assert ref.key == ((1, 0), (2, 0), (3, 1))
+    letters = word(s, (1, 0), (2, 0), (3, 1)).letters
+    assert moment_kind(letters) == "observable"
+    assert letters == ((1, 0), (2, 0), (3, 1))
 
-    ref = classify(word(s, (2, 0), (2, 1)))
-    assert ref.is_freevar
+    assert moment_kind(word(s, (2, 0), (2, 1)).letters) == "freevar"
 
-    assert classify(unit_word(s)).is_unit
+    assert moment_kind(unit_word(s).letters) == "unit"
 
 
 def test_classify_depends_only_on_canonical_word():
-    # Two different factor sequences reducing to the same word share a ref.
+    # Two different factor sequences reducing to the same word share a moment.
     s = Scenario(2, 2)
     w1 = word_product(word(s, (1, 0), (1, 1)), word(s, (1, 1)))
     w2 = word_product(word(s, (1, 0), (2, 0)), word(s, (2, 0)))
     assert w1 == w2
-    assert classify(w1) == classify(w2)
+    assert w1.letters == w2.letters
+    assert moment_kind(w1.letters) == moment_kind(w2.letters) == "observable"
 
 
 def test_key_name_roundtrip_display():

@@ -9,6 +9,7 @@ from momentcert import (
     INCONCLUSIVE,
     NONLOCAL,
     AnalysisRequest,
+    CorrelatorTable,
     DualCertificate,
     DuplicateMoment,
     MeasuredSource,
@@ -37,7 +38,7 @@ from momentcert import analysis, hierarchy
 
 from helpers import bisect_visibility
 
-FAST = SolverConfig(max_iters=800, restarts=2)
+FAST = SolverConfig(max_iters=800)
 S322 = Scenario(3, 2)
 DATA = Path(__file__).parent / "data"
 
@@ -73,6 +74,8 @@ def test_product_state_is_inconclusive_with_witness():
     report = analyze(_request("basis:000", "w"))
     assert report.verdict == INCONCLUSIVE
     assert report.status == "FEASIBLE"
+    body = json.loads(json.dumps(report.document()))["body"]
+    assert certificate_from_document(body) is None
 
 
 def test_determinism_excluding_wall_time():
@@ -163,15 +166,23 @@ def test_measured_source_must_cover_policy(structure_322):
         assert info.value.stage == "assembly"
 
 
-def test_pipeline_error_stages():
+def test_pipeline_error_stages(structure_322):
     level_zero = AnalysisRequest(
         source=SimulatedSource("w", "w"), scenario=S322, level=0, config=FAST
     )
     three_settings = AnalysisRequest(
         source=SimulatedSource("w", "w"), scenario=Scenario(3, 3), config=FAST
     )
+    # A (3,2) table analyzed as (3,3) is rejected before any solve.
+    table = correlator_table(make_state("w", 3), standard_suite("w"), structure_322)
+    mismatched_table = AnalysisRequest(
+        source=MeasuredSource(table), scenario=Scenario(3, 3), config=FAST
+    )
+    cases = (
+        (level_zero, "structure"), (three_settings, "assembly"), (mismatched_table, "assembly")
+    )
     for build in (analyze, family_for_request):
-        for request, stage in ((level_zero, "structure"), (three_settings, "assembly")):
+        for request, stage in cases:
             with pytest.raises(PipelineError) as info:
                 build(request)
             assert info.value.stage == stage
@@ -348,6 +359,15 @@ def test_table_document_roundtrip(structure_322):
     assert set(back.keys()) == set(table.keys())
     for key in table.keys():
         assert back.value(key) == table.value(key)
+    # Uncertainties survive the round trip; a key without one stays without.
+    sigmas = {key: 0.01 * n for n, key in enumerate(sorted(table.keys())) if n % 2}
+    entries = {key: (table.value(key), sigmas.get(key)) for key in table.keys()}
+    with_sigmas = CorrelatorTable(table.scenario, entries)
+    back = ingest_table(json.loads(json.dumps(table_document(with_sigmas))))
+    assert {key: back.sigma(key) for key in back.keys()} == {
+        key: sigmas.get(key) for key in table.keys()
+    }
+    assert table_document(back) == table_document(with_sigmas)
 
 
 def test_ingest_rejects_non_finite_numbers(structure_322):

@@ -49,7 +49,9 @@ def test_dump_ingest_analyze_roundtrip(tmp_path):
     assert run(
         ["states", "--state", "w", "--suite", "w", "--dump", "--out", str(table_path)]
     ) == 0
-    assert run(["ingest", str(table_path)]) == 0
+    normalized = tmp_path / "normalized.json"
+    assert run(["ingest", str(table_path), "--out", str(normalized)]) == 0
+    assert normalized.read_bytes() == table_path.read_bytes()
 
     direct = tmp_path / "direct.json"
     tabled = tmp_path / "tabled.json"
@@ -104,27 +106,55 @@ def test_explicit_pin_file(tmp_path):
         {"parties": [1], "settings": [0]},
         {"parties": [1, 2], "settings": [0, 0]},
     ]))
+    out = tmp_path / "report.json"
     code = run(
-        ["analyze", "--state", "basis:000", "--suite", "w", "--pin", f"explicit:{pin_path}"]
+        ["analyze", "--state", "basis:000", "--suite", "w", "--pin", f"explicit:{pin_path}",
+         "--out", str(out)]
         + FAST_FLAGS
     )
     assert code == 0
+    policy = json.loads(out.read_text())["body"]["policy"]
+    assert policy == {"kind": "explicit", "keys": ["A0", "A0B0"]}
 
 
-@pytest.mark.parametrize("state,suite,settings,expected", [
-    ("w", "w", "2", 2),
-    ("ghz", "ghz", "2", 2),
-    ("graph-linear", "graph", "3", 2),
-    ("graph-loop", "graph", "3", 2),
-    ("basis:000", "w", "2", 0),
-    ("basis:000", "ghz", "2", 0),
-    ("basis:000", "graph", "3", 0),
+TABLE = "<dumped W table>"
+
+
+def _analysis(state, suite, settings, expected):
+    argv = ["analyze", "--state", state, "--suite", suite, "--settings", settings] + FAST_FLAGS
+    return pytest.param(argv, expected, None, id=f"{state}-{suite}-{settings}-{expected}")
+
+
+def _unread(flag, *argv):
+    # A flag the command's mode never reads is a usage error naming it.
+    return pytest.param(list(argv), 1, flag, id=f"unread-{argv[0]}{flag}")
+
+
+@pytest.mark.parametrize("argv,expected,unread_flag", [
+    _analysis("w", "w", "2", 2),
+    _analysis("ghz", "ghz", "2", 2),
+    _analysis("graph-linear", "graph", "3", 2),
+    _analysis("graph-loop", "graph", "3", 2),
+    _analysis("basis:000", "w", "2", 0),
+    _analysis("basis:000", "ghz", "2", 0),
+    _analysis("basis:000", "graph", "3", 0),
+    _unread("--suite", "states", "--state", "w", "--suite", "nonsense"),
+    _unread("--settings", "states", "--state", "w", "--settings", "9"),
+    _unread("--level", "states", "--state", "w", "--level", "7"),
+    _unread("--out", "states", "--state", "w", "--out", "summary.json"),
+    _unread("--suite", "analyze", "--from-table", TABLE, "--suite", "nonsense"),
+    _unread("--noise", "analyze", "--from-table", TABLE, "--noise", "0.1"),
+    _unread("--state", "analyze", "--from-table", TABLE, "--state", "w"),
 ])
-def test_exit_code_matrix(state, suite, settings, expected):
-    code = run(
-        ["analyze", "--state", state, "--suite", suite, "--settings", settings] + FAST_FLAGS
-    )
-    assert code == expected
+def test_exit_code_matrix(tmp_path, capsys, argv, expected, unread_flag):
+    if TABLE in argv:
+        table_path = str(tmp_path / "table.json")
+        assert run(["states", "--state", "w", "--suite", "w", "--dump", "--out", table_path]) == 0
+        argv = [table_path if arg == TABLE else arg for arg in argv]
+    capsys.readouterr()
+    assert run(argv) == expected
+    if unread_flag is not None:
+        assert f"{unread_flag} is not read" in capsys.readouterr().err
 
 
 def test_robustness_command(tmp_path, capsys):

@@ -11,6 +11,7 @@ from momentcert import (
     Scenario,
     assemble,
     build_structure,
+    moment_kind,
     structure_report,
     word_product,
 )
@@ -36,46 +37,47 @@ def test_golden_222_structure(structure_222):
 def test_golden_222_identifications(structure_222):
     st = structure_222
     # A1 * A0A1 reduces to A0: a variable slot becomes the observable <A0>.
-    assert st.ref_at(2, 5).key == A0
+    assert st.ref_at(2, 5) == A0
     # B1 * B0B1 -> <B0>
-    assert st.ref_at(4, 10).key == B0
+    assert st.ref_at(4, 10) == B0
     # A0A1 * A1B0 and A0B1 * B0B1 both reduce to <A0B0>.
-    assert st.ref_at(5, 8).key == A0 + B0
-    assert st.ref_at(7, 10).key == A0 + B0
+    assert st.ref_at(5, 8) == A0 + B0
+    assert st.ref_at(7, 10) == A0 + B0
     # A0A1 * A1B1 -> <A0B1>;  A1B1 * B0B1 -> <A1B0>
-    assert st.ref_at(5, 9).key == A0 + B1
-    assert st.ref_at(9, 10).key == A1 + B0
+    assert st.ref_at(5, 9) == A0 + B1
+    assert st.ref_at(9, 10) == A1 + B0
     # The three four-letter products collapse onto one variable.
-    merged = {st.ref_at(5, 10).var, st.ref_at(6, 9).var, st.ref_at(7, 8).var}
+    merged = {st.ref_at(5, 10), st.ref_at(6, 9), st.ref_at(7, 8)}
     assert len(merged) == 1
+    assert moment_kind(merged.pop()) == "freevar"
 
 
 def test_structure_322(structure_322):
     st = structure_322
     assert st.dim == 22
     for i in range(22):
-        assert st.ref_at(i, i).is_unit
+        assert st.ref_at(i, i) == ()
     assert len(st.observables) == 26
     by_bodies = {}
     for key in st.observables:
         by_bodies[len(key)] = by_bodies.get(len(key), 0) + 1
     assert by_bodies == {1: 6, 2: 12, 3: 8}
     # 1-based entry (4, 12): the product B0 * A0C1 is the observable A0B0C1.
-    assert st.ref_at(3, 11).key == ((1, 0), (2, 0), (3, 1))
+    assert st.ref_at(3, 11) == ((1, 0), (2, 0), (3, 1))
     assert st.word_at(3, 11).name == "A0B0C1"
     # The word B0B1 (the -i sigma_y moment when the settings are x and z)
     # is not observable; 1-based it sits at (1, 17), and (1, 18) is B0C0.
-    assert st.ref_at(0, 16).is_freevar
+    assert moment_kind(st.ref_at(0, 16)) == "freevar"
     assert st.word_at(0, 16).name == "B0B1"
-    assert st.ref_at(0, 17).key == ((2, 0), (3, 0))
+    assert st.ref_at(0, 17) == ((2, 0), (3, 0))
 
 
 def test_structure_trivial():
     st = build_structure(Scenario(1, 1), 1)
     assert st.dim == 2
-    assert st.ref_at(0, 0).is_unit
-    assert st.ref_at(1, 1).is_unit
-    assert st.ref_at(0, 1).key == ((1, 0),)
+    assert st.ref_at(0, 0) == ()
+    assert st.ref_at(1, 1) == ()
+    assert st.ref_at(0, 1) == ((1, 0),)
     assert st.freevars == ()
 
 
@@ -84,7 +86,7 @@ def test_structure_level_three_smoke():
     st = build_structure(Scenario(2, 2), 3)
     assert st.dim == 15
     for i in range(st.dim):
-        assert st.ref_at(i, i).is_unit
+        assert st.ref_at(i, i) == ()
 
 
 def test_structure_332(structure_332):
@@ -105,7 +107,7 @@ def test_entry_symmetry(structure_322):
 
 
 def test_identification_soundness(structure_322):
-    # Entries sharing a reference must come from the same canonical word.
+    # Entries sharing a moment must come from the same canonical word.
     st = structure_322
     by_ref = {}
     for (i, j), ref in st.entries.items():
@@ -128,7 +130,8 @@ def test_assemble_pin_all(structure_322):
     family = assemble(structure_322, table, PinPolicy.all())
     assert family.dim == 22
     assert len(family.pinned) == 26
-    assert all(kind == "freevar" for kind, _ in family.variables)
+    assert family.variables == structure_322.freevars
+    assert all(moment_kind(var) == "freevar" for var in family.variables)
     assert np.allclose(np.diag(family.gamma0), 1.0)
     # Every pinned value lands at every position carrying its key.
     for key, positions in structure_322.observable_positions().items():
@@ -141,7 +144,7 @@ def test_assemble_max_bodies(structure_322):
     family = assemble(structure_322, table, PinPolicy.max_bodies(2))
     three_body = [key for key in structure_322.observables if len(key) == 3]
     assert len(three_body) == 8
-    unpinned = [payload for kind, payload in family.variables if kind == "observable"]
+    unpinned = [var for var in family.variables if moment_kind(var) == "observable"]
     assert sorted(unpinned) == sorted(three_body)
     assert family.num_variables == len(structure_322.freevars) + 8
 
@@ -216,8 +219,8 @@ def test_interval_pinning(structure_322):
     family = assemble(structure_322, table, PinPolicy.all(), interval_sigmas=2.0)
     assert len(family.pinned) == 0
     observable_bounds = [
-        bounds for (kind, _), bounds in zip(family.variables, family.bounds)
-        if kind == "observable"
+        bounds for var, bounds in zip(family.variables, family.bounds)
+        if moment_kind(var) == "observable"
     ]
     assert len(observable_bounds) == 26
     for lo, hi in observable_bounds:
@@ -262,11 +265,11 @@ def _dense_reference(structure, table, policy, interval_sigmas=None):
                 continue
             half = interval_sigmas * sigma
             bound = (max(-1.0, value - half), min(1.0, value + half))
-        variables.append(("observable", key))
+        variables.append(key)
         groups.append(observables[key])
         bounds.append(bound)
     for var, positions in structure.freevar_positions().items():
-        variables.append(("freevar", var))
+        variables.append(var)
         groups.append(positions)
         bounds.append((-1.0, 1.0))
     patterns = np.zeros((len(groups), structure.dim, structure.dim))
@@ -309,7 +312,7 @@ def test_assemble_matches_dense_reference(structure_322, policy, interval_sigmas
     assert family.bounds.tobytes() == bounds.tobytes()
     assert np.array_equal(np.array(family.basis).reshape(patterns.shape), patterns)
     pinned = [key for key in structure_322.observables if policy.selects(key)]
-    pinned = [key for key in pinned if ("observable", key) not in variables]
+    pinned = [key for key in pinned if key not in variables]
     assert family.pinned_keys == tuple(pinned)
     assert family.pinned == tuple((key, float(np.clip(entries[key][0], -1, 1))) for key in pinned)
     v = rng.uniform(-1, 1, family.num_variables)

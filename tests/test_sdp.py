@@ -29,7 +29,7 @@ from momentcert.hierarchy import AffineMatrixFamily, support_arrays
 
 from helpers import grid_max_lambda_min, random_family
 
-FAST = SolverConfig(max_iters=800, restarts=2)
+FAST = SolverConfig(max_iters=800)
 
 
 def _family(gamma0, patterns, bounds=None):
@@ -37,7 +37,7 @@ def _family(gamma0, patterns, bounds=None):
     k = len(patterns)
     if bounds is None:
         bounds = np.tile([-1.0, 1.0], (k, 1))
-    variables = tuple(("freevar", ((1, i),)) for i in range(k))
+    variables = tuple(((1, i),) for i in range(k))
     return AffineMatrixFamily(
         gamma0=np.asarray(gamma0, dtype=float),
         support=support_arrays(patterns),
@@ -114,6 +114,15 @@ def test_degenerate_family_rejected():
     family = _family(np.zeros((0, 0)), [])
     with pytest.raises(ValueError):
         maximize_lambda_min(family, FAST)
+    off_diagonal = np.array([[0.0, 1.0], [1.0, 0.0]])
+    malformed = [
+        (_family(np.eye(2), [off_diagonal, np.zeros((2, 2))]), "empty support"),
+        (_family(np.eye(2) + 0.5 * off_diagonal, [off_diagonal]), "overlaps a variable support"),
+        (_family(np.eye(2), [off_diagonal], bounds=[0.5, -0.5]), "finite intervals"),
+    ]
+    for family, message in malformed:
+        with pytest.raises(ValueError, match=message):
+            maximize_lambda_min(family, FAST)
 
 
 def test_extraction_skipped_when_feasible():
@@ -311,7 +320,7 @@ def test_support_is_never_scanned_from_patterns(monkeypatch, structure_322):
     assert calls == []
     rows, cols, vidx = family.support
     positions = structure_322.freevar_positions()
-    reference = [positions[var] for _, var in family.variables]
+    reference = [positions[var] for var in family.variables]
     assert np.array_equal(rows, [i for group in reference for i, _ in group])
     assert np.array_equal(cols, [j for group in reference for _, j in group])
     assert np.array_equal(vidx, [k for k, group in enumerate(reference) for _ in group])
@@ -366,7 +375,7 @@ def test_witness_validity_on_feasible_outcomes():
 def test_determinism():
     rng = np.random.default_rng(37)
     family = random_family(rng, 9, 3)
-    config = SolverConfig(max_iters=600, restarts=3)
+    config = SolverConfig(max_iters=600)
     first = maximize_lambda_min(family, config)
     second = maximize_lambda_min(family, config)
     assert first.lambda_star == second.lambda_star
