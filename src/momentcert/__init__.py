@@ -74,7 +74,6 @@ from .sdp import (
     extract_certificate,
     maximize_lambda_min,
     maximize_visibility,
-    min_eigen,
     verify_certificate,
 )
 

@@ -53,6 +53,7 @@ from .sdp import (
     DualCertificate,
     SolverConfig,
     SolveOutcome,
+    certificate_floor,
     maximize_lambda_min,
     maximize_visibility,
     verify_certificate,
@@ -205,8 +206,9 @@ def family_for_request(request: AnalysisRequest) -> AffineMatrixFamily:
     structure = _stage("structure", build_structure, request.scenario, request.level)
     table = _stage("assembly", request_table, request, structure)
     family = _stage("assembly", assemble, structure, table, request.policy)
-    # For a PSD Gamma(v), a verified Z has -n tol <= <Gamma(v), Z> <= value +
-    # (K + 1) tol, so value < -margin proves infeasibility only if this holds.
+    # At a PSD Gamma(v) every verified certificate has value at least
+    # certificate_floor >= -(n + K + 1) tol, so value < -margin proves
+    # infeasibility only if this holds.
     bound = (family.dim + family.num_variables + 1) * request.config.tol_cert
     if request.config.margin <= bound:
         raise UnsoundConfig(f"margin must exceed (n + K + 1) * tol_cert = {bound}")
@@ -248,9 +250,10 @@ class RobustnessResult:
     """The critical visibility, its confirmed bracket, and the verdicts behind it.
 
     ``evaluations`` lists (visibility, verdict) pairs in the order 1, 0, hi,
-    lo, each visibility once.  The verdict at 0 is proved from Gamma(0)
-    being PSD and the verdict at 1 from the certificate found at hi; only
-    the verdicts at hi and lo (when lo > 0) come from full analyses.
+    lo, each visibility once.  The verdicts at 0 and lo are proved by
+    :func:`~momentcert.sdp.certificate_floor` and the verdict at 1 by the
+    certificate found at hi; only the verdict at hi comes from a full
+    analysis, and lo gets one only when its proof does not hold.
     """
 
     p_star: float
@@ -273,19 +276,24 @@ def robustness(
     The pinned correlators of p rho + (1 - p) I / 2^n are affine in p, so
     the families at p = 0 and p = 1 span every visibility, and
     :func:`~momentcert.sdp.maximize_visibility` gives p_star, the largest p
-    at which some completion keeps lambda_min above -margin.  At or below
-    p_star every certificate value is at least -margin, so the verdict is
-    INCONCLUSIVE; above it the unboxed optimum, and with it the certificate
-    value, lies below -margin.  Two full analyses confirm this: NONLOCAL at
-    hi = min(1, p_star + tolerance / 2) and INCONCLUSIVE at
-    lo = max(0, p_star - tolerance / 2), which form the bracket.
+    at which some completion v_star keeps lambda_min above -margin.  At or
+    below p_star every certificate value is at least -margin, so the verdict
+    is INCONCLUSIVE; above it the unboxed optimum, and with it the
+    certificate value, lies below -margin.  The bracket is
+    lo = max(0, p_star - tolerance / 2) and hi = min(1, p_star + tolerance / 2).
+    One full analysis confirms NONLOCAL at hi; the other verdicts are proved
+    rather than solved for:
 
-    The endpoint verdicts are proved rather than solved for:
-
-    - INCONCLUSIVE at 0.  The state is I / 2^n, every pinned correlator is
-      0 and gamma0 is PSD, so every verified certificate has value at least
-      -(n + K + 1) tol_cert > -margin.  This also stands in for the
-      analysis at lo when lo = 0.
+    - INCONCLUSIVE at 0 and at lo.  Every certificate verified on a family
+      has value at least :func:`~momentcert.sdp.certificate_floor` at any
+      completion v, so a floor at or above -margin rules NONLOCAL out.  At
+      0 the state is I / 2^n, every pinned correlator is 0 and v = 0 has
+      Gamma(0) = gamma0, the identity.  At lo, v = (lo / p_star) v_star
+      gives Gamma(v) = (1 - t) I + t (S - margin I) with t = lo / p_star
+      and S >= 0 the matrix of the parametric solve at p_star, so
+      lambda_min(Gamma(v)) >= 1 - t (1 + margin).  When the floor at lo
+      still falls below -margin, as it can at tolerances so fine that t is
+      almost 1, lo is analysed instead.
     - NONLOCAL at 1.  A certificate's value <gamma0(p), Z> is affine in p,
       1 at p = 0 and below -margin at hi, so lower still at 1.  The hi
       certificate is verified on the p = 1 family and its value there must
@@ -303,14 +311,17 @@ def robustness(
     def request_at(p: float) -> AnalysisRequest:
         return AnalysisRequest(SimulatedSource(state, suite, p), scenario, level, policy, config)
 
+    def inconclusive_proved(family: AffineMatrixFamily, v: np.ndarray) -> bool:
+        return certificate_floor(family, v, config.tol_cert) >= -config.margin
+
     low, high = (family_for_request(request_at(p)) for p in (0.0, 1.0))
-    lambda_low = float(np.linalg.eigvalsh(low.gamma0)[0])
-    if lambda_low < 0.0:
-        raise NoBracket(f"gamma0 at visibility 0 has lambda_min {lambda_low} < 0")
+    if not inconclusive_proved(low, np.zeros(low.num_variables)):
+        raise NoBracket(f"the verdict at visibility 0 is not provably {INCONCLUSIVE}")
     not_nonlocal_at_one = NoBracket(f"verdict at visibility 1 is {INCONCLUSIVE}, not {NONLOCAL}")
     if np.array_equal(low.gamma0, high.gamma0):
         raise not_nonlocal_at_one
-    p_star = maximize_visibility(low, high, config).p_star
+    critical = maximize_visibility(low, high, config)
+    p_star = critical.p_star
     if p_star >= 1.0:
         raise not_nonlocal_at_one
     if not 0.0 <= p_star:
@@ -327,8 +338,13 @@ def robustness(
     at_one = DualCertificate(matrix=z, value=float(np.sum(high.gamma0 * z)))
     if not (verify_certificate(high, at_one, config.tol_cert) and at_one.value < -config.margin):
         raise NoBracket(f"the certificate at visibility {hi} does not certify visibility 1")
-    if lo > 0.0 and analyze(request_at(lo)).verdict != INCONCLUSIVE:
-        raise unconfirmed
+    if lo > 0.0:
+        at_lo = family_for_request(request_at(lo))
+        proved = at_lo.variables == low.variables and inconclusive_proved(
+            at_lo, (lo / p_star) * critical.v_star
+        )
+        if not proved and analyze(request_at(lo)).verdict != INCONCLUSIVE:
+            raise unconfirmed
     # A dict drops the repeated visibility when hi = 1 or lo = 0.
     evaluations = {1.0: NONLOCAL, 0.0: INCONCLUSIVE, hi: NONLOCAL, lo: INCONCLUSIVE}
     return RobustnessResult(

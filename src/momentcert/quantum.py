@@ -296,11 +296,23 @@ def correlator_table(state: QuantumState, suite: MeasurementSuite, structure) ->
     table = np.einsum(*operands, list(range(2 * n, 3 * n)))
     if np.abs(table.imag).max() > IMAG_TOL:
         raise ValueError(f"nonreal expectation, |imaginary part| {np.abs(table.imag).max()!r}")
-    entries = {
-        key: (float(table.real[tuple(dict(key).get(p, -1) + 1 for p in range(1, n + 1))]), None)
-        for key in structure.observables
-    }
+    values = table.real[_table_index(structure)].tolist()
+    entries = {key: (value, None) for key, value in zip(structure.observables, values)}
     return CorrelatorTable(scenario, entries)
+
+
+@lru_cache(maxsize=8)
+def _table_index(structure) -> tuple[np.ndarray, ...]:
+    """Per-party index arrays of the structure's observables into the table T.
+
+    Cached per structure, as many as :func:`~momentcert.hierarchy.build_structure` keeps.
+    """
+    index = np.zeros((structure.scenario.parties, len(structure.observables)), dtype=np.intp)
+    for column, key in enumerate(structure.observables):
+        for party, setting in key:
+            index[party - 1, column] = setting + 1
+    index.flags.writeable = False
+    return tuple(index)
 
 
 def correlator_from_probabilities(probabilities: Mapping[str, float]) -> float:

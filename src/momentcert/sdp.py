@@ -56,7 +56,10 @@ gamma0(p) = gamma0(low) + p Delta, with Delta = gamma0(high) - gamma0(low);
 
 for some unbounded v, in one solve.  Its objective matrix is -Delta in
 place of I, and its start p = 0, v = 0.  Past that p the optimum of the
-unboxed lambda program lies below -margin.
+unboxed lambda program lies below -margin; at it, the solve's last v is a
+completion that clears -margin.  :func:`certificate_floor` turns any
+completion into a lower bound on the value of every verified certificate,
+so such a completion proves that no certificate reaches below -margin.
 """
 
 from __future__ import annotations
@@ -135,17 +138,6 @@ class SolveOutcome:
     v_star: np.ndarray
     certificate: DualCertificate | None
     iterations: int
-
-
-def min_eigen(matrix) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a unit eigenvector of a symmetric matrix."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.size and np.abs(m - m.T).max() > 1e-10:
-        raise ValueError("matrix is not symmetric")
-    w, v = np.linalg.eigh(m)
-    return float(w[0]), v[:, 0]
 
 
 class _FamilyOps:
@@ -396,9 +388,14 @@ def maximize_lambda_min(
 
 @dataclass(frozen=True)
 class VisibilityOutcome:
-    """The largest visibility p_star found feasible, and the steps taken."""
+    """The largest visibility p_star found feasible, its witness, and the steps taken.
+
+    ``v_star`` is the completion at p_star: gamma0(low) + p_star Delta +
+    sum_k v_star_k G_k + margin I is positive definite.
+    """
 
     p_star: float
+    v_star: np.ndarray
     iterations: int
 
 
@@ -416,7 +413,8 @@ def maximize_visibility(
     with v unbounded, so p_star is where the optimum of the unboxed lambda
     program crosses -margin.  The solve starts at p = 0, v = 0, where
     gamma0(low) + margin I must be positive definite.  Every iterate is
-    feasible, so p_star never exceeds the exact threshold.
+    feasible, so p_star never exceeds the exact threshold, and the
+    completion v_star of the last iterate is returned as its witness.
     """
     cfg = config if config is not None else SolverConfig()
     if low.dim != high.dim or low.variables != high.variables:
@@ -428,7 +426,7 @@ def maximize_visibility(
     _, y, iterations = _interior_point(
         ops, np.zeros(ops.nvars + 1), np.zeros(0, dtype=int), cfg.max_iters
     )
-    return VisibilityOutcome(p_star=float(y[0]), iterations=iterations)
+    return VisibilityOutcome(p_star=float(y[0]), v_star=y[1:], iterations=iterations)
 
 
 def _repair(family: AffineMatrixFamily, z: np.ndarray) -> np.ndarray:
@@ -496,3 +494,28 @@ def verify_certificate(
     if abs(float(np.sum(family.gamma0 * z_sym)) - certificate.value) > tol:
         return False
     return True
+
+
+def certificate_floor(
+    family: AffineMatrixFamily, v: np.ndarray, tol: float = SolverConfig.tol_cert
+) -> float:
+    """A lower bound on the value of every certificate verified on the family at ``tol``.
+
+    With lambda = lambda_min(Gamma(v)), the checks of
+    :func:`verify_certificate` on a certificate Z (lambda_min(Z) >= -tol,
+    |Tr Z - 1| <= tol, |<G_k, Z>| <= tol, |<gamma0, Z> - value| <= tol)
+    and <Gamma(v) - lambda I, Z> >= -tol Tr(Gamma(v) - lambda I) give
+
+        value >= lambda - tol (|lambda| + Tr Gamma(v) - n lambda + |v|_1 + 1).
+
+    So a floor at or above -margin proves that no verified certificate
+    reaches below -margin, whatever the solver would find.  For a PSD
+    Gamma(v), whose unit diagonal keeps every |v_k| <= 1, the floor is at
+    least -(n + K + 1) tol.
+    """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
+    gamma = family.gamma(v)
+    lam = float(np.linalg.eigvalsh(gamma)[0])
+    slack = abs(lam) + float(np.trace(gamma)) - family.dim * lam + float(np.abs(v).sum()) + 1.0
+    return lam - tol * slack

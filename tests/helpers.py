@@ -20,7 +20,6 @@ from momentcert import (
     SolverConfig,
     analyze,
     expectation,
-    min_eigen,
 )
 from momentcert.hierarchy import AffineMatrixFamily, support_arrays
 from momentcert.quantum import IDENTITY_2
@@ -74,7 +73,7 @@ def grid_max_lambda_min(family, rounds=12, points=9):
     """Brute-force grid refinement of max-over-box lambda_min."""
     nvars = family.num_variables
     if nvars == 0:
-        return min_eigen(family.gamma0)[0]
+        return float(np.linalg.eigvalsh(family.gamma0)[0])
     lo = family.bounds[:, 0].copy()
     hi = family.bounds[:, 1].copy()
     best_f, best_v = -np.inf, None

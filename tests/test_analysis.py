@@ -29,12 +29,14 @@ from momentcert import (
     ingest_table,
     make_state,
     maximize_lambda_min,
+    maximize_visibility,
     robustness,
     standard_suite,
     table_document,
     verify_certificate,
 )
 from momentcert import analysis, hierarchy
+from momentcert.sdp import certificate_floor
 
 from helpers import bisect_visibility
 
@@ -217,7 +219,7 @@ def test_robustness_rejects_non_finite_tolerance():
 @pytest.mark.parametrize("state", ["w", "ghz"])
 def test_robustness_matches_bisection(state):
     result = robustness(state, state, S322, tolerance=1e-2)
-    # Two endpoint verdicts, then two confirmations around p*.
+    # The two endpoint verdicts, then the ones at hi and lo around p*.
     assert [v for _, v in result.evaluations] == [NONLOCAL, INCONCLUSIVE, NONLOCAL, INCONCLUSIVE]
     lo, hi = bisect_visibility(state, state, S322, tolerance=1e-3)
     assert lo <= result.p_star <= hi
@@ -233,14 +235,16 @@ def test_robustness_matches_bisection(state):
 @pytest.mark.parametrize(
     "tolerance, expected",
     # Analysed visibilities as a function of the bracket (lo, hi): only the
-    # two confirmations, with none at lo = 0, where the verdict is proved.
+    # confirmation at hi, since the verdicts at lo and at lo = 0 are proved.
+    # At 1e-6 the floor at lo is below -margin, so lo is analysed too.
     [
-        (1e-2, lambda lo, hi: [hi, lo]),
-        (0.9, lambda lo, hi: [1.0, lo]),  # hi = 1
+        (1e-2, lambda lo, hi: [hi]),
+        (0.9, lambda lo, hi: [1.0]),  # hi = 1
         (1.8, lambda lo, hi: [1.0]),  # bracket [0, 1]
+        (1e-6, lambda lo, hi: [hi, lo]),
     ],
 )
-def test_robustness_runs_one_parametric_solve_and_two_analyses(monkeypatch, tolerance, expected):
+def test_robustness_runs_one_parametric_solve_and_one_analysis(monkeypatch, tolerance, expected):
     analysed, parametric = [], []
     run_analysis, run_parametric = analysis.analyze, analysis.maximize_visibility
 
@@ -260,6 +264,8 @@ def test_robustness_runs_one_parametric_solve_and_two_analyses(monkeypatch, tole
     assert result.evaluations[:2] == ((1.0, NONLOCAL), (0.0, INCONCLUSIVE))
     if tolerance == 1.8:
         assert result.bracket == (0.0, 1.0)
+    if tolerance == 1e-6:
+        assert result.bracket == pytest.approx((0.8496769108, 0.8496779108), abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -272,19 +278,31 @@ def test_robustness_runs_one_parametric_solve_and_two_analyses(monkeypatch, tole
     ],
 )
 def test_robustness_endpoint_proofs_match_analyses(state, suite, scenario):
+    config = SolverConfig()
     result = robustness(state, suite, scenario, tolerance=1e-2)
-    fresh = {
-        p: analyze(_request(state, suite, visibility=p, config=SolverConfig(), scenario=scenario))
-        for p in (1.0, 0.0, result.bracket[1])
-    }
-    assert result.evaluations[:2] == ((1.0, fresh[1.0].verdict), (0.0, fresh[0.0].verdict))
+    lo, hi = result.bracket
+
+    def request_at(p):
+        return _request(state, suite, visibility=p, config=config, scenario=scenario)
+
+    def family_at(p):
+        return family_for_request(request_at(p))
+
+    fresh = {p: analyze(request_at(p)) for p in (1.0, 0.0, hi, lo)}
+    assert result.evaluations == tuple((p, fresh[p].verdict) for p in (1.0, 0.0, hi, lo))
     # The certificate found at hi carries to p = 1, with a lower value there.
-    at_hi = fresh[result.bracket[1]].certificate
-    high = family_for_request(_request(state, suite, config=SolverConfig(), scenario=scenario))
+    at_hi = fresh[hi].certificate
+    high = family_at(1.0)
     z = at_hi.matrix
     at_one = DualCertificate(matrix=z, value=float(np.sum(high.gamma0 * z)))
-    assert verify_certificate(high, at_one, SolverConfig().tol_cert)
-    assert at_one.value < at_hi.value < -SolverConfig().margin
+    assert verify_certificate(high, at_one, config.tol_cert)
+    assert at_one.value < at_hi.value < -config.margin
+    # The floor that proved the verdict at lo, below any certificate found there.
+    v_star = maximize_visibility(family_at(0.0), high, config).v_star
+    floor = certificate_floor(family_at(lo), (lo / result.p_star) * v_star, config.tol_cert)
+    assert floor >= -config.margin
+    if fresh[lo].certificate is not None:
+        assert fresh[lo].certificate.value >= floor
 
 
 def test_robustness_without_p_dependence_raises_before_any_solve(monkeypatch):

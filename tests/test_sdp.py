@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcert import (
     CERTIFIED_INFEASIBLE,
@@ -20,12 +22,12 @@ from momentcert import (
     make_state,
     maximize_lambda_min,
     maximize_visibility,
-    min_eigen,
     standard_suite,
     verify_certificate,
 )
 from momentcert import hierarchy, sdp
 from momentcert.hierarchy import AffineMatrixFamily, support_arrays
+from momentcert.sdp import certificate_floor
 
 from helpers import grid_max_lambda_min, random_family
 
@@ -44,40 +46,6 @@ def _family(gamma0, patterns, bounds=None):
         bounds=np.asarray(bounds, dtype=float).reshape(k, 2),
         variables=variables,
     )
-
-
-def test_min_eigen_examples():
-    value, vector = min_eigen(np.eye(3))
-    assert value == pytest.approx(1.0)
-    assert np.linalg.norm(vector) == pytest.approx(1.0)
-
-    value, vector = min_eigen(np.diag([1.0, -1.0]))
-    assert value == pytest.approx(-1.0)
-    assert abs(vector[1]) == pytest.approx(1.0)
-
-    m = np.array([[1.0, 0.5], [0.5, 1.0]])
-    value, vector = min_eigen(m)
-    assert value == pytest.approx(0.5)
-    assert np.abs(vector) == pytest.approx(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert np.linalg.norm(m @ vector - value * vector) <= 1e-8
-
-
-def test_min_eigen_residual_on_random_matrices():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        dim = int(rng.integers(2, 20))
-        m = rng.normal(size=(dim, dim))
-        m = 0.5 * (m + m.T)
-        value, vector = min_eigen(m)
-        assert np.linalg.norm(m @ vector - value * vector) <= 1e-8
-        assert np.linalg.norm(vector) == pytest.approx(1.0)
-
-
-def test_min_eigen_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        min_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        min_eigen(np.zeros(3))
 
 
 def test_config_validation():
@@ -134,7 +102,7 @@ def test_extraction_skipped_when_feasible():
 
 def test_extract_certificate_trivial():
     family = _family(np.diag([1.0, -1.0]), [])
-    _, u = min_eigen(family.gamma0)
+    u = np.linalg.eigh(family.gamma0)[1][:, 0]
     cert = extract_certificate(family, np.outer(u, u), 1e-7)
     assert cert is not None
     assert cert.value == pytest.approx(-1.0, abs=1e-9)
@@ -253,11 +221,11 @@ def test_lambda_star_is_the_boxed_optimum_when_the_clip_binds():
     wide = _family(family.gamma0, family.basis, np.tile([-10.0, 10.0], (2, 1)))
     unboxed = maximize_lambda_min(wide).v_star
     assert np.abs(unboxed).max() > 1.1
-    clipped = min_eigen(family.gamma(np.clip(unboxed, -1.0, 1.0)))[0]
+    clipped = np.linalg.eigvalsh(family.gamma(np.clip(unboxed, -1.0, 1.0)))[0]
     out = maximize_lambda_min(family)
     assert out.lambda_star >= clipped + 1e-2
     assert abs(out.lambda_star - grid_max_lambda_min(family)) <= 1e-6
-    assert min_eigen(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
+    assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
     assert out.status == CERTIFIED_INFEASIBLE
     assert out.lambda_star <= out.certificate.value
 
@@ -368,7 +336,7 @@ def test_witness_validity_on_feasible_outcomes():
         out = maximize_lambda_min(family, FAST)
         if out.status == FEASIBLE:
             seen_feasible = True
-            assert min_eigen(family.gamma(out.v_star))[0] >= -1e-8
+            assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] >= -1e-8
     assert seen_feasible
 
 
@@ -402,7 +370,7 @@ def test_lambda_star_is_the_optimum(request, structure_name, state, suite, optim
     assert out.status == CERTIFIED_INFEASIBLE
     assert abs(out.lambda_star - optimum) <= 1e-5
     # lambda_star is attained and the certificate bounds it from above.
-    assert min_eigen(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
+    assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
     assert out.lambda_star <= out.certificate.value
     assert out.certificate.value - out.lambda_star <= 1e-6
 
@@ -415,7 +383,7 @@ def test_interval_pins_give_the_boxed_optimum(structure_322):
     family = assemble(structure_322, widened, PinPolicy.all(), interval_sigmas=1.0)
     out = maximize_lambda_min(family)
     assert -0.1780942 - 1e-9 <= out.lambda_star <= -0.17809 + 1e-5
-    assert min_eigen(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
+    assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
     assert np.all((family.bounds[:, 0] <= out.v_star) & (out.v_star <= family.bounds[:, 1]))
 
 
@@ -431,7 +399,7 @@ def test_basis_states_are_feasible(request, structure_name, suite):
         family = _state_family(structure, "basis:" + "".join(bits), suite)
         out = maximize_lambda_min(family)
         assert out.status == FEASIBLE
-        assert min_eigen(family.gamma(out.v_star))[0] >= -1e-8
+        assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] >= -1e-8
 
 
 def test_config_rejects_non_finite_values():
@@ -465,3 +433,67 @@ def test_maximize_visibility_rejects_mismatched_families():
     # Starting at p = 0 needs gamma0(low) + margin I > 0.
     with pytest.raises(ValueError, match="positive definite"):
         maximize_visibility(_family_at("w", 1.0), _family_at("w", 0.0))
+
+
+def test_maximize_visibility_returns_its_witness():
+    low, high = _family_at("w", 0.0), _family_at("w", 1.0)
+    outcome = maximize_visibility(low, high)
+    mixed = low.gamma0 + outcome.p_star * (high.gamma0 - low.gamma0)
+    shifted = mixed + low.combine(outcome.v_star) + SolverConfig().margin * np.eye(low.dim)
+    assert np.linalg.eigvalsh(shifted)[0] > 0.0
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 8),
+    nvars=st.integers(0, 6),
+    scale=st.sampled_from([0.1, 1.0, 10.0, 1e3]),
+    tol=st.sampled_from([1e-9, 1e-7, 1e-4, 1e-2, 0.3]),
+)
+def test_certificate_floor_bounds_every_verified_certificate(seed, dim, nvars, scale, tol):
+    rng = np.random.default_rng(seed)
+    family = random_family(rng, dim, nvars)
+    k = family.num_variables
+    # v is drawn far outside the [-1, 1] box as well as inside it.
+    v = scale * rng.uniform(-1.0, 1.0, k)
+    floor = certificate_floor(family, v, tol)
+    lam = float(np.linalg.eigvalsh(family.gamma(v))[0])
+    rows, cols, vidx = family.support
+    # <G_k, G_k> is twice the size of k's support.
+    step = 0.99 * tol * np.sign(v)[vidx] / (2.0 * np.bincount(vidx, minlength=k)[vidx])
+    a = rng.normal(size=(dim, dim))
+    for z in (a @ a.T, 0.5 * (a + a.T)):
+        certificate = extract_certificate(family, z, tol)
+        if certificate is None:
+            continue
+        assert certificate.value >= floor
+        # Spend the slack verification allows against the floor: each
+        # <G_k, Z> moves by 0.99 tol along v_k, Tr Z by 0.99 tol against
+        # lambda, and the stored value 0.99 tol below <gamma0, Z>.
+        z = certificate.matrix.copy()
+        z[rows, cols] += step
+        z[cols, rows] += step
+        z *= 1.0 - 0.99 * tol * np.sign(lam)
+        stretched = DualCertificate(z, float(np.sum(family.gamma0 * z)) - 0.99 * tol)
+        if verify_certificate(family, stretched, tol):
+            assert stretched.value >= floor
+    # Rescaled to the unit diagonal, a shifted Gamma(v) is a positive
+    # definite point of a family of the same shape, where the floor is the
+    # margin rule's.
+    shift = max(0.0, -float(np.linalg.eigvalsh(family.gamma(v))[0])) + tol
+    scaled = AffineMatrixFamily(
+        gamma0=(family.gamma0 + shift * np.eye(dim)) / (1.0 + shift),
+        support=family.support,
+        bounds=family.bounds,
+        variables=family.variables,
+    )
+    bound = -(dim + k + 1) * tol
+    assert certificate_floor(scaled, v / (1.0 + shift), tol) >= bound
+
+
+def test_certificate_floor_rejects_non_finite_tolerance():
+    family = _family(np.eye(2), [])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            certificate_floor(family, np.zeros(0), bad)
