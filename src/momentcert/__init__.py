@@ -9,13 +9,10 @@ on a separable state.
 
 from .algebra import (
     MomentKey,
-    OperatorWord,
     Scenario,
     generate_basis,
     key_name,
     moment_kind,
-    unit_word,
-    word,
     word_product,
 )
 from .analysis import (
@@ -39,7 +36,6 @@ from .errors import (
     NoBracket,
     PipelineError,
     RangeError,
-    ScenarioMismatch,
     SchemaError,
     UnsoundConfig,
 )
@@ -56,10 +52,8 @@ from .quantum import (
     MeasurementSuite,
     QuantumState,
     add_white_noise,
-    correlator_from_probabilities,
     correlator_table,
     expectation,
-    fidelity,
     graph_state,
     make_state,
     standard_suite,

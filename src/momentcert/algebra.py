@@ -5,9 +5,10 @@ setting)``.  Every letter is a Hermitian involution, and in the commuting
 relaxation all letters commute, including letters of the same party.  A
 product therefore reduces to the per-party symmetric difference of its
 setting multisets: repeated letters cancel (``M^2 = I``), order is
-irrelevant, and each word has a unique sorted normal form.  Adjoints act
-trivially on canonical words, so the moment matrix built on top of this
-algebra is real symmetric.
+irrelevant, and each word has a unique sorted normal form.  A word is
+that normal form: the sorted tuple of its distinct letters, the empty tuple
+being the unit, just as a moment is.  Adjoints act trivially on canonical
+words, so the moment matrix built on top of this algebra is real symmetric.
 
 Conventions, frozen project-wide: parties are 1-based (party 1 is the
 leftmost tensor factor), settings are 0-based.
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-from .errors import ScenarioMismatch
 
 # A letter is one local measurement choice; a moment is the sorted letter
 # tuple of a canonical word, and a moment key is a moment in which each party
@@ -119,59 +118,15 @@ def validate_moment_key(scenario: Scenario, key: MomentKey) -> None:
             raise ValueError(f"letter {letter!r} outside scenario {scenario!r}")
 
 
-@dataclass(frozen=True)
-class OperatorWord:
-    """A canonical word: sorted, duplicate-free letters of one scenario.
-
-    The empty word is the unit.  Construction validates canonicity rather
-    than repairing it; use :func:`word_product` to reduce products.
-    """
-
-    scenario: Scenario
-    letters: tuple[Letter, ...] = ()
-
-    def __post_init__(self):
-        for letter in self.letters:
-            if not self.scenario.valid_letter(letter):
-                raise ValueError(f"letter {letter!r} outside scenario {self.scenario!r}")
-        if list(self.letters) != sorted(set(self.letters)):
-            raise ValueError(f"letters must be sorted and distinct: {self.letters!r}")
-
-    @property
-    def is_unit(self) -> bool:
-        return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    @property
-    def name(self) -> str:
-        return "I" if self.is_unit else key_name(self.letters)
-
-
-def unit_word(scenario: Scenario) -> OperatorWord:
-    return OperatorWord(scenario, ())
-
-
-def word(scenario: Scenario, *letters: Letter) -> OperatorWord:
-    """Convenience constructor; letters may be given in any order."""
-    return OperatorWord(scenario, tuple(sorted(letters)))
-
-
-def word_product(left: OperatorWord, right: OperatorWord) -> OperatorWord:
-    """Canonical form of the product of two words.
+def word_product(left: Moment, right: Moment) -> Moment:
+    """Canonical form of the product of two words, each a sorted letter tuple.
 
     Per party the setting lists combine by symmetric difference: a letter
     present in both operands squares to the identity and disappears.  The
     adjoint of a canonical word is itself, so this also computes the
     canonical form of ``left^dagger * right``.
     """
-    if left.scenario != right.scenario:
-        raise ScenarioMismatch(
-            f"cannot multiply words of {left.scenario!r} and {right.scenario!r}"
-        )
-    merged = set(left.letters) ^ set(right.letters)
-    return OperatorWord(left.scenario, tuple(sorted(merged)))
+    return tuple(sorted(set(left) ^ set(right)))
 
 
 def moment_kind(letters: Moment) -> str:
@@ -191,20 +146,16 @@ def moment_kind(letters: Moment) -> str:
     return "observable" if len(set(parties)) == len(parties) else "freevar"
 
 
-def generate_basis(scenario: Scenario, level: int) -> list[OperatorWord]:
+def generate_basis(scenario: Scenario, level: int) -> list[Moment]:
     """All canonical words of at most ``level`` letters, in frozen order.
 
-    The order is the one used throughout: the unit first, then words of
-    length 1, 2, ... with each length block sorted lexicographically by its
-    letter tuple.  Every product of at most ``level`` measurement operators
-    reduces to exactly one element of this list, so no deduplication is
-    needed.
+    Each word is its sorted letter tuple.  The order is the one used
+    throughout: the unit ``()`` first, then words of length 1, 2, ... with
+    each length block sorted lexicographically.  Every product of at most
+    ``level`` measurement operators reduces to exactly one element of this
+    list, so no deduplication is needed.
     """
     if level < 1:
         raise ValueError(f"hierarchy level must be >= 1, got {level}")
     letters = scenario.letters()
-    basis = []
-    for length in range(level + 1):
-        for combo in combinations(letters, length):
-            basis.append(OperatorWord(scenario, combo))
-    return basis
+    return [combo for length in range(level + 1) for combo in combinations(letters, length)]

@@ -1,10 +1,6 @@
 """Exception types shared across the toolkit."""
 
 
-class ScenarioMismatch(ValueError):
-    """Operands belong to different measurement scenarios."""
-
-
 class MissingMoment(KeyError):
     """A moment required by the pin policy is absent from the table."""
 

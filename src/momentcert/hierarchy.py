@@ -1,11 +1,12 @@
 """Symbolic moment-matrix structures and numeric affine PSD families.
 
 :func:`build_structure` compiles a scenario and hierarchy level into the
-symbolic matrix: entry (i, j) is the letter tuple of the canonical product
-of basis words i and j, and :func:`~momentcert.algebra.moment_kind` tells
-whether it is the unit, an observable moment or a free variable.  All
-variable identifications implied by commutation and idempotence happen
-structurally, because identical canonical words have identical letters.
+symbolic matrix.  Its basis words are sorted letter tuples, entry (i, j) is
+the letter tuple of the canonical product of words i and j, and
+:func:`~momentcert.algebra.moment_kind` tells whether an entry is the unit,
+an observable moment or a free variable.  All variable identifications
+implied by commutation and idempotence happen structurally, because
+identical canonical words have identical letters.
 
 :func:`assemble` then substitutes measured values for the pinned observable
 moments and emits the affine family Gamma(v) = gamma0 + sum_k v_k G_k whose
@@ -30,7 +31,6 @@ import numpy as np
 from .algebra import (
     Moment,
     MomentKey,
-    OperatorWord,
     Scenario,
     generate_basis,
     key_document,
@@ -45,9 +45,11 @@ from .algebra import (
 class MomentMatrixStructure:
     """Symbolic moment matrix for one scenario and hierarchy level.
 
-    ``entries`` maps each upper-triangle position (0-based ``(i, j)`` with
-    ``i <= j``) to the letter tuple of its canonical word, read-only because
-    structures are shared; the matrix is symmetric by construction.
+    ``words`` is the basis of :func:`~momentcert.algebra.generate_basis`,
+    each word its sorted letter tuple.  ``entries`` maps each upper-triangle
+    position (0-based ``(i, j)`` with ``i <= j``) to the letter tuple of its
+    canonical word, read-only because structures are shared; the matrix is
+    symmetric by construction.
     ``observables`` and ``freevars`` list the distinct letter tuples of each
     :func:`~momentcert.algebra.moment_kind` in order of first appearance in
     a row-major scan of the upper triangle.  Structures hash by identity.
@@ -55,7 +57,7 @@ class MomentMatrixStructure:
 
     scenario: Scenario
     level: int
-    words: tuple[OperatorWord, ...]
+    words: tuple[Moment, ...]
     entries: Mapping[tuple[int, int], Moment]
     observables: tuple[MomentKey, ...]
     freevars: tuple[Moment, ...]
@@ -69,10 +71,6 @@ class MomentMatrixStructure:
         if i > j:
             i, j = j, i
         return self.entries[(i, j)]
-
-    def word_at(self, i: int, j: int) -> OperatorWord:
-        """The canonical word generating entry (i, j)."""
-        return word_product(self.words[i], self.words[j])
 
     def _positions(self, moments) -> dict[Moment, list[tuple[int, int]]]:
         """The upper-triangle positions of each of ``moments``, in row-major order."""
@@ -94,7 +92,7 @@ def build_structure(scenario: Scenario, level: int) -> MomentMatrixStructure:
     """Compile the symbolic moment matrix for ``scenario`` at ``level``, once."""
     words = tuple(generate_basis(scenario, level))
     entries = {
-        (i, j): word_product(words[i], words[j]).letters
+        (i, j): word_product(words[i], words[j])
         for i in range(len(words))
         for j in range(i, len(words))
     }
@@ -169,13 +167,13 @@ class AffineMatrixFamily:
     ``gamma0`` carries the unit diagonal and the pinned data.  ``support``
     is ``(rows, cols, vidx)``: G_k is 1 at (rows[p], cols[p]) and its mirror
     for every p with vidx[p] = k, positions grouped by variable, each group
-    in row-major order (see :func:`support_arrays`).  Supports are pairwise
-    disjoint and never touch the diagonal, so together with the pinned
-    positions they partition the off-diagonal entry set.  ``bounds`` is a
-    (K, 2) array of per-variable intervals, [-1, 1] by default: every
-    canonical word is a product of commuting involutions, so its moment in
-    any realization lies there.  ``variables`` names each variable by its
-    letter tuple: the unpinned observables, then the free variables.
+    in row-major order.  Supports are pairwise disjoint and never touch the
+    diagonal, so together with the pinned positions they partition the
+    off-diagonal entry set.  ``bounds`` is a (K, 2) array of per-variable
+    intervals, [-1, 1] by default: every canonical word is a product of
+    commuting involutions, so its moment in any realization lies there.
+    ``variables`` names each variable by its letter tuple: the unpinned
+    observables, then the free variables.
     """
 
     gamma0: np.ndarray
@@ -192,19 +190,6 @@ class AffineMatrixFamily:
     @property
     def num_variables(self) -> int:
         return len(self.variables)
-
-    @property
-    def pinned(self) -> tuple[tuple[MomentKey, float], ...]:
-        return tuple(zip(self.pinned_keys, self.pinned_values.tolist()))
-
-    @property
-    def basis(self) -> tuple[np.ndarray, ...]:
-        """The dense patterns G_k, formed from ``support`` on each access."""
-        rows, cols, vidx = self.support
-        patterns = np.zeros((self.num_variables, self.dim, self.dim))
-        patterns[vidx, rows, cols] = patterns[vidx, cols, rows] = 1.0
-        patterns.flags.writeable = False
-        return tuple(patterns)
 
     def combine(self, v: np.ndarray) -> np.ndarray:
         """sum_k v_k G_k."""
@@ -246,11 +231,6 @@ def _index_arrays(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pairs[0], pairs[1], owner
 
 
-def support_arrays(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``support`` of a hand-built family's 0/1 patterns."""
-    return _index_arrays([np.argwhere(np.triu(pattern, 1)) for pattern in basis])
-
-
 @lru_cache(maxsize=32)
 def _layout(structure: MomentMatrixStructure, pinned: tuple[bool, ...]):
     """Index maps of ``structure`` when ``pinned`` flags its pinned observables.
@@ -283,11 +263,14 @@ def assemble(
     policy : PinPolicy
         Defaults to pinning every observable moment.
     interval_sigmas : float, optional
-        When given, a pinned key whose table entry carries an uncertainty
-        sigma is not fixed but turned into a bounded variable on
-        ``value +- interval_sigmas * sigma`` (clipped to [-1, 1]).  Keys
-        without a sigma stay point-pinned.
+        When given, finite and nonnegative, a pinned key whose table entry
+        carries an uncertainty sigma is not fixed but turned into a bounded
+        variable on ``value +- interval_sigmas * sigma`` (clipped to
+        [-1, 1]).  Keys whose half-width is zero, which is every key when
+        ``interval_sigmas`` is 0, stay point-pinned.
     """
+    if interval_sigmas is not None and not (np.isfinite(interval_sigmas) and interval_sigmas >= 0.0):
+        raise ValueError(f"interval_sigmas must be finite and >= 0, got {interval_sigmas!r}")
     if policy is None:
         policy = PinPolicy.all()
     if policy.kind == "explicit":
@@ -303,9 +286,8 @@ def assemble(
     widened = {}
     if interval_sigmas is not None:
         for key, value in zip(selected, values.tolist()):
-            sigma = table.sigma(key)
-            if sigma is not None and sigma > 0.0:
-                half = interval_sigmas * sigma
+            half = interval_sigmas * (table.sigma(key) or 0.0)
+            if half > 0.0:
                 widened[key] = (max(-1.0, value - half), min(1.0, value + half))
     pinned = [is_chosen and key not in widened for key, is_chosen in zip(structure.observables, chosen)]
     pinned_keys, variables, (rows, cols, owner), support = _layout(structure, tuple(pinned))
@@ -345,7 +327,7 @@ def structure_report(structure: MomentMatrixStructure) -> dict:
         "scenario": scenario_document(structure.scenario),
         "level": structure.level,
         "dim": structure.dim,
-        "words": [w.name for w in structure.words],
+        "words": [key_name(w) or "I" for w in structure.words],
         "entries": entries,
         "observables": [
             {"name": key_name(key), **key_document(key)} for key in structure.observables

@@ -315,31 +315,6 @@ def _table_index(structure) -> tuple[np.ndarray, ...]:
     return tuple(index)
 
 
-def correlator_from_probabilities(probabilities: Mapping[str, float]) -> float:
-    """Parity-weighted expectation of a dichotomic outcome distribution.
-
-    Outcomes are bitstrings over {0, 1}; each contributes its probability
-    with sign (-1)^(number of 1 outcomes).
-    """
-    if not probabilities:
-        raise ValueError("empty outcome distribution")
-    lengths = {len(bits) for bits in probabilities}
-    if len(lengths) != 1:
-        raise ValueError("outcome bitstrings must share one length")
-    total = 0.0
-    value = 0.0
-    for bits, p in probabilities.items():
-        if any(b not in "01" for b in bits):
-            raise ValueError(f"malformed outcome label {bits!r}")
-        if p < -VALUE_TOL:
-            raise ValueError(f"negative probability {p!r} for outcome {bits!r}")
-        total += p
-        value += (-1.0) ** bits.count("1") * p
-    if abs(total - 1.0) > VALUE_TOL:
-        raise ValueError(f"outcome probabilities sum to {total}, not 1")
-    return value
-
-
 def add_white_noise(state: QuantumState, visibility: float) -> QuantumState:
     """Convex mixture visibility * rho + (1 - visibility) * I / 2^n."""
     if not 0.0 <= visibility <= 1.0:
@@ -347,27 +322,3 @@ def add_white_noise(state: QuantumState, visibility: float) -> QuantumState:
     dim = 2**state.n
     mixed = visibility * state.rho + (1.0 - visibility) * np.eye(dim, dtype=complex) / dim
     return QuantumState(state.n, mixed)
-
-
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    if w.min() < -PSD_TOL:
-        raise ValueError("matrix is not positive semidefinite")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(state_a: QuantumState, state_b: QuantumState) -> float:
-    """Uhlmann fidelity [Tr sqrt(sqrt(a) b sqrt(a))]^2, clamped to [0, 1]."""
-    if state_a.n != state_b.n:
-        raise ValueError("states have different dimensions")
-    root = _psd_sqrt(state_a.rho)
-    inner = root @ state_b.rho @ root
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    # Eigenvalues at the numerical noise floor blow up under the square
-    # root; zero them before summing.
-    w[w < 1e-14 * max(1.0, float(w.max()))] = 0.0
-    value = float(np.sqrt(w).sum() ** 2)
-    if value < -VALUE_TOL or value > 1.0 + VALUE_TOL:
-        raise ValueError(f"fidelity {value} outside [0, 1]")
-    return float(np.clip(value, 0.0, 1.0))

@@ -4,7 +4,9 @@ Everything here recomputes results through a different route than the
 library: brute-force enumeration for the word algebra, Born-rule outcome
 distributions for expectations, grid refinement for the solver, and an
 explicit classical mixture for separable completions, and bisection on
-full analyses for the critical visibility.
+full analyses for the critical visibility.  Hand-built families get their
+support from dense 0/1 patterns here, and :func:`dense_patterns` turns a
+family's support back into those patterns.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from momentcert import (
     analyze,
     expectation,
 )
-from momentcert.hierarchy import AffineMatrixFamily, support_arrays
+from momentcert.hierarchy import AffineMatrixFamily
 from momentcert.quantum import IDENTITY_2
 
 
@@ -67,6 +69,33 @@ def born_probabilities(state, assignment):
                 full = np.kron(full, IDENTITY_2)
         distribution["".join(bits)] = float(np.trace(full @ state.rho).real)
     return distribution
+
+
+def parity_expectation(distribution):
+    """Parity-weighted expectation of a dichotomic outcome distribution.
+
+    Each outcome bitstring contributes its probability with sign
+    (-1)^(number of 1 outcomes).
+    """
+    assert abs(sum(distribution.values()) - 1.0) <= 1e-9
+    return sum((-1.0) ** bits.count("1") * p for bits, p in distribution.items())
+
+
+def support_arrays(patterns):
+    """The ``support`` of hand-built 0/1 patterns, each group in row-major order."""
+    triples = [
+        (i, j, k) for k, pattern in enumerate(patterns) for i, j in np.argwhere(np.triu(pattern, 1))
+    ]
+    rows, cols, vidx = np.array(triples, dtype=np.intp).reshape(-1, 3).T.copy()
+    return rows, cols, vidx
+
+
+def dense_patterns(family):
+    """The dense 0/1 patterns G_k of a family, formed from its support."""
+    rows, cols, vidx = family.support
+    patterns = np.zeros((family.num_variables, family.dim, family.dim))
+    patterns[vidx, rows, cols] = patterns[vidx, cols, rows] = 1.0
+    return patterns
 
 
 def grid_max_lambda_min(family, rounds=12, points=9):

@@ -23,10 +23,10 @@ from momentcert import (
     add_white_noise,
     analyze,
     assemble,
-    correlator_from_probabilities,
     correlator_table,
     expectation,
     ingest_table,
+    key_name,
     make_state,
     maximize_lambda_min,
     moment_kind,
@@ -34,6 +34,7 @@ from momentcert import (
     standard_suite,
     table_document,
     verify_certificate,
+    word_product,
 )
 from momentcert.quantum import PAULI_X, PAULI_Z
 
@@ -41,6 +42,7 @@ from helpers import (
     born_probabilities,
     classical_completion,
     grid_max_lambda_min,
+    parity_expectation,
     random_family,
 )
 
@@ -105,7 +107,7 @@ def test_criterion_02_structure_322(structure_322):
         # 1-based entry (4, 12): word A0B0C1, i.e. sigma_x sigma_x sigma_z
         # under the w suite.
         assert st.ref_at(3, 11) == ((1, 0), (2, 0), (3, 1))
-        assert st.word_at(3, 11).name == "A0B0C1"
+        assert key_name(word_product(st.words[3], st.words[11])) == "A0B0C1"
         suite = standard_suite("w")
         assert np.allclose(suite.operator(1, 0), PAULI_X)
         assert np.allclose(suite.operator(2, 0), PAULI_X)
@@ -173,9 +175,7 @@ def test_criterion_07_correlator_oracle_equivalence(structure_322):
             for key in structure_322.observables:
                 assignment = {p: suite.operator(p, s) for p, s in key}
                 direct = expectation(state, assignment)
-                enumerated = correlator_from_probabilities(
-                    born_probabilities(state, assignment)
-                )
+                enumerated = parity_expectation(born_probabilities(state, assignment))
                 assert abs(direct - enumerated) <= 1e-9
         w = make_state("w", 3)
         ghz = make_state("ghz", 3)

@@ -10,6 +10,7 @@ import momentcert
 from momentcert.cli import main
 
 FAST_FLAGS = ["--max-iters", "800"]
+DATA = Path(__file__).parent / "data"
 
 
 def run(args):
@@ -25,6 +26,15 @@ def test_structure_command(tmp_path, capsys):
     document = json.loads(out.read_text())
     assert document["dim"] == 22
     assert document["counts"]["observables"] == 26
+
+
+def test_structure_document_matches_golden(tmp_path, capsys):
+    # The whole (3,2,2) level-2 document, byte for byte: its word names, every
+    # entry, the observables and the free variables.
+    out = tmp_path / "structure.json"
+    code = run(["structure", "--parties", "3", "--settings", "2", "--level", "2", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (DATA / "structure_322.json").read_bytes()
 
 
 def test_analyze_nonlocal_exit_code(tmp_path):

@@ -11,10 +11,13 @@ from momentcert import (
     Scenario,
     assemble,
     build_structure,
+    key_name,
     moment_kind,
     structure_report,
     word_product,
 )
+
+from helpers import dense_patterns
 
 # Index positions below refer to the level-2 basis order:
 # I, A0, A1, B0, B1, A0A1, A0B0, A0B1, A1B0, A1B1, B0B1.
@@ -64,11 +67,11 @@ def test_structure_322(structure_322):
     assert by_bodies == {1: 6, 2: 12, 3: 8}
     # 1-based entry (4, 12): the product B0 * A0C1 is the observable A0B0C1.
     assert st.ref_at(3, 11) == ((1, 0), (2, 0), (3, 1))
-    assert st.word_at(3, 11).name == "A0B0C1"
+    assert key_name(word_product(st.words[3], st.words[11])) == "A0B0C1"
     # The word B0B1 (the -i sigma_y moment when the settings are x and z)
     # is not observable; 1-based it sits at (1, 17), and (1, 18) is B0C0.
     assert moment_kind(st.ref_at(0, 16)) == "freevar"
-    assert st.word_at(0, 16).name == "B0B1"
+    assert key_name(word_product(st.words[0], st.words[16])) == "B0B1"
     assert st.ref_at(0, 17) == ((2, 0), (3, 0))
 
 
@@ -113,7 +116,7 @@ def test_identification_soundness(structure_322):
     for (i, j), ref in st.entries.items():
         by_ref.setdefault(ref, []).append((i, j))
     for ref, positions in by_ref.items():
-        words = {word_product(st.words[i], st.words[j]).letters for i, j in positions}
+        words = {word_product(st.words[i], st.words[j]) for i, j in positions}
         assert len(words) == 1
 
 
@@ -129,7 +132,7 @@ def test_assemble_pin_all(structure_322):
     table = CorrelatorTable.from_values(structure_322.scenario, values)
     family = assemble(structure_322, table, PinPolicy.all())
     assert family.dim == 22
-    assert len(family.pinned) == 26
+    assert len(family.pinned_keys) == 26
     assert family.variables == structure_322.freevars
     assert all(moment_kind(var) == "freevar" for var in family.variables)
     assert np.allclose(np.diag(family.gamma0), 1.0)
@@ -173,7 +176,7 @@ def test_explicit_policy_validates_keys(structure_322):
     table = _full_table(structure_322)
     good = PinPolicy.explicit(structure_322.observables[:5])
     family = assemble(structure_322, table, good)
-    assert len(family.pinned) == 5
+    assert len(family.pinned_keys) == 5
     bad = PinPolicy.explicit([((1, 0), (1, 1))])
     with pytest.raises(ValueError):
         assemble(structure_322, table, bad)
@@ -183,14 +186,14 @@ def test_support_partition(structure_322):
     family = assemble(structure_322, _full_table(structure_322), PinPolicy.max_bodies(1))
     dim = family.dim
     covered = np.zeros((dim, dim))
-    for pattern in family.basis:
+    for pattern in dense_patterns(family):
         covered += pattern
     pinned_mask = (family.gamma0 != 0.0) & ~np.eye(dim, dtype=bool)
     covered += pinned_mask
     # Pinned values of exactly zero do not show in gamma0; account for them
     # through the structure's observable positions instead.
     positions = structure_322.observable_positions()
-    for key, value in family.pinned:
+    for key, value in zip(family.pinned_keys, family.pinned_values):
         if value == 0.0:
             for i, j in positions[key]:
                 covered[i, j] += 1
@@ -217,7 +220,7 @@ def test_interval_pinning(structure_322):
     entries = {key: (0.5, 0.01) for key in structure_322.observables}
     table = CorrelatorTable(structure_322.scenario, entries)
     family = assemble(structure_322, table, PinPolicy.all(), interval_sigmas=2.0)
-    assert len(family.pinned) == 0
+    assert len(family.pinned_keys) == 0
     observable_bounds = [
         bounds for var, bounds in zip(family.variables, family.bounds)
         if moment_kind(var) == "observable"
@@ -226,6 +229,16 @@ def test_interval_pinning(structure_322):
     for lo, hi in observable_bounds:
         assert lo == pytest.approx(0.48)
         assert hi == pytest.approx(0.52)
+
+
+def test_interval_sigmas_must_be_finite_and_nonnegative(structure_322):
+    # NaN would free every pin that carries a sigma, and a negative width
+    # would give an empty interval.
+    entries = {key: (0.5, 0.01) for key in structure_322.observables}
+    table = CorrelatorTable(structure_322.scenario, entries)
+    for bad in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(ValueError, match="interval_sigmas"):
+            assemble(structure_322, table, PinPolicy.all(), interval_sigmas=bad)
 
 
 def test_structure_report_is_json_ready(structure_222):
@@ -310,11 +323,11 @@ def test_assemble_matches_dense_reference(structure_322, policy, interval_sigmas
     assert np.array_equal(cols, [j for group in groups for _, j in group])
     assert np.array_equal(vidx, [k for k, group in enumerate(groups) for _ in group])
     assert family.bounds.tobytes() == bounds.tobytes()
-    assert np.array_equal(np.array(family.basis).reshape(patterns.shape), patterns)
+    assert np.array_equal(dense_patterns(family).reshape(patterns.shape), patterns)
     pinned = [key for key in structure_322.observables if policy.selects(key)]
     pinned = [key for key in pinned if key not in variables]
     assert family.pinned_keys == tuple(pinned)
-    assert family.pinned == tuple((key, float(np.clip(entries[key][0], -1, 1))) for key in pinned)
+    assert family.pinned_values.tolist() == [float(np.clip(entries[key][0], -1, 1)) for key in pinned]
     v = rng.uniform(-1, 1, family.num_variables)
     assert np.array_equal(family.gamma(v), gamma0 + np.einsum("k,kij->ij", v, patterns))
 

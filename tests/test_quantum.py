@@ -7,10 +7,8 @@ from momentcert import (
     Scenario,
     add_white_noise,
     build_structure,
-    correlator_from_probabilities,
     correlator_table,
     expectation,
-    fidelity,
     graph_state,
     make_state,
     standard_suite,
@@ -23,7 +21,7 @@ from momentcert.quantum import (
     QuantumState,
 )
 
-from helpers import born_probabilities
+from helpers import born_probabilities, parity_expectation
 
 X, Y, Z = PAULI_X, PAULI_Y, PAULI_Z
 
@@ -61,7 +59,8 @@ def test_graph_states_differ_by_third_cz():
     assert np.allclose(cz13 @ linear.rho @ cz13.conj().T, loop.rho)
     _state_checks(linear)
     _state_checks(loop)
-    assert fidelity(linear, loop) != pytest.approx(1.0)
+    # Both are pure, so Tr(rho sigma) is their fidelity.
+    assert np.trace(linear.rho @ loop.rho).real != pytest.approx(1.0)
 
 
 def test_graph_state_stabilizers():
@@ -231,26 +230,6 @@ def test_table_lookup_errors(structure_322):
         table.value(((1, 0), (1, 1)))
 
 
-def test_correlator_from_probabilities_examples():
-    assert correlator_from_probabilities({"00": 1.0}) == pytest.approx(1.0)
-    uniform = {bits: 0.25 for bits in ("00", "01", "10", "11")}
-    assert correlator_from_probabilities(uniform) == pytest.approx(0.0)
-    assert correlator_from_probabilities({"00": 0.5, "11": 0.5}) == pytest.approx(1.0)
-
-
-def test_correlator_from_probabilities_rejects_malformed():
-    with pytest.raises(ValueError):
-        correlator_from_probabilities({"00": 0.9, "11": 0.2})
-    with pytest.raises(ValueError):
-        correlator_from_probabilities({"00": 1.2, "11": -0.2})
-    with pytest.raises(ValueError):
-        correlator_from_probabilities({"0": 0.5, "11": 0.5})
-    with pytest.raises(ValueError):
-        correlator_from_probabilities({"0x": 1.0})
-    with pytest.raises(ValueError):
-        correlator_from_probabilities({})
-
-
 def test_expectation_agrees_with_born_rule(structure_322):
     # Trace evaluation must match the probability route through the parity
     # formula on every observable of the (3,2,2) structure.
@@ -260,7 +239,7 @@ def test_expectation_agrees_with_born_rule(structure_322):
         for key in structure_322.observables:
             assignment = {p: suite.operator(p, s) for p, s in key}
             direct = expectation(state, assignment)
-            via_born = correlator_from_probabilities(born_probabilities(state, assignment))
+            via_born = parity_expectation(born_probabilities(state, assignment))
             assert direct == pytest.approx(via_born, abs=1e-9)
 
 
@@ -277,29 +256,3 @@ def test_white_noise_endpoints_and_scaling():
                 p * expectation(state, assignment), abs=1e-10
             )
 
-
-def test_fidelity_basics():
-    w = make_state("w", 3)
-    ghz = make_state("ghz", 3)
-    zero = make_state("basis:000", 3)
-    one = make_state("basis:111", 3)
-    assert fidelity(w, w) == pytest.approx(1.0, abs=1e-9)
-    assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
-    # For pure states the fidelity reduces to the squared overlap.
-    overlap = abs(np.vdot(_ket(ghz), _ket(w))) ** 2
-    assert fidelity(ghz, w) == pytest.approx(overlap, abs=1e-9)
-    assert abs(fidelity(w, ghz) - fidelity(ghz, w)) <= 1e-9
-
-
-def test_fidelity_mixed_and_mismatch():
-    state = make_state("ghz", 3)
-    noisy = add_white_noise(state, 0.9)
-    value = fidelity(state, noisy)
-    assert 0.9 < value < 1.0
-    with pytest.raises(ValueError):
-        fidelity(state, make_state("basis:00", 2))
-
-
-def _ket(state):
-    w, v = np.linalg.eigh(state.rho)
-    return v[:, -1]

@@ -25,11 +25,11 @@ from momentcert import (
     standard_suite,
     verify_certificate,
 )
-from momentcert import hierarchy, sdp
-from momentcert.hierarchy import AffineMatrixFamily, support_arrays
+from momentcert import sdp
+from momentcert.hierarchy import AffineMatrixFamily
 from momentcert.sdp import certificate_floor
 
-from helpers import grid_max_lambda_min, random_family
+from helpers import dense_patterns, grid_max_lambda_min, random_family, support_arrays
 
 FAST = SolverConfig(max_iters=800)
 
@@ -168,7 +168,7 @@ def test_verify_rejects_perturbed_orthogonality():
     assert out.status == CERTIFIED_INFEASIBLE
     cert = out.certificate
     assert verify_certificate(family, cert, tol=1e-7)
-    bumped = cert.matrix + 10e-7 * family.basis[0] / 2.0
+    bumped = cert.matrix + 10e-7 * dense_patterns(family)[0] / 2.0
     assert not verify_certificate(family, DualCertificate(bumped, cert.value), tol=1e-7)
 
 
@@ -218,7 +218,7 @@ def test_lambda_star_is_the_boxed_optimum_when_the_clip_binds():
     # clipping it to the box would lose about 0.02; lambda_star must still
     # be the optimum over the box.
     family = random_family(np.random.default_rng(12), 6, 2)
-    wide = _family(family.gamma0, family.basis, np.tile([-10.0, 10.0], (2, 1)))
+    wide = _family(family.gamma0, dense_patterns(family), np.tile([-10.0, 10.0], (2, 1)))
     unboxed = maximize_lambda_min(wide).v_star
     assert np.abs(unboxed).max() > 1.1
     clipped = np.linalg.eigvalsh(family.gamma(np.clip(unboxed, -1.0, 1.0)))[0]
@@ -241,7 +241,7 @@ def test_schur_blocks_match_dense_formula(monkeypatch):
     a = rng.normal(size=(9, 9))
     b = rng.normal(size=(9, 9))
     x, w = a @ a.T, b @ b.T
-    mats = [np.eye(9)] + [-g for g in family.basis]
+    mats = [np.eye(9)] + [-g for g in dense_patterns(family)]
     dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
     assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -263,29 +263,20 @@ def test_schur_rows_of_the_visibility_form_match_dense_formula(monkeypatch):
     a = rng.normal(size=(10, 10))
     b = rng.normal(size=(10, 10))
     x, w = a @ a.T, b @ b.T
-    mats = [-delta] + [-g for g in low.basis]
+    mats = [-delta] + [-g for g in dense_patterns(low)]
     dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
     assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def test_support_is_never_scanned_from_patterns(monkeypatch, structure_322):
-    # assemble emits the support from compiled index maps, so neither the
-    # solve, the certificate extraction nor the verifier forms or scans a
-    # dense pattern.
-    calls = []
-    original = hierarchy.support_arrays
-
-    def counted(basis):
-        calls.append(len(basis))
-        return original(basis)
-
-    monkeypatch.setattr(hierarchy, "support_arrays", counted)
-    monkeypatch.setattr(AffineMatrixFamily, "basis", property(lambda _: calls.append("basis")))
+def test_support_is_never_scanned_from_patterns(structure_322):
+    # assemble emits the support from compiled index maps, in the order of
+    # the structure's positions; a family has no dense patterns to scan, and
+    # the solve, the certificate extraction and the verifier work on the
+    # support alone.
     family = _state_family(structure_322, "w", "w")
     out = maximize_lambda_min(family)
     assert out.status == CERTIFIED_INFEASIBLE
     assert verify_certificate(family, out.certificate)
-    assert calls == []
     rows, cols, vidx = family.support
     positions = structure_322.freevar_positions()
     reference = [positions[var] for var in family.variables]
@@ -385,6 +376,22 @@ def test_interval_pins_give_the_boxed_optimum(structure_322):
     assert -0.1780942 - 1e-9 <= out.lambda_star <= -0.17809 + 1e-5
     assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
     assert np.all((family.bounds[:, 0] <= out.v_star) & (out.v_star <= family.bounds[:, 1]))
+
+
+def test_zero_interval_sigmas_pin_every_point(structure_322):
+    # k = 0 widens no pin: W with sigma 0.01 on every key gives the
+    # point-pinned family and is certified as before.
+    table = correlator_table(make_state("w", 3), standard_suite("w"), structure_322)
+    noisy = CorrelatorTable(table.scenario, {k: (table.value(k), 0.01) for k in table.keys()})
+    point = assemble(structure_322, table, PinPolicy.all())
+    family = assemble(structure_322, noisy, PinPolicy.all(), interval_sigmas=0.0)
+    assert family.gamma0.tobytes() == point.gamma0.tobytes()
+    assert family.variables == point.variables
+    assert family.pinned_keys == point.pinned_keys
+    assert family.bounds.tobytes() == point.bounds.tobytes()
+    out = maximize_lambda_min(family)
+    assert out.status == CERTIFIED_INFEASIBLE
+    assert verify_certificate(family, out.certificate)
 
 
 @pytest.mark.parametrize(
