@@ -54,6 +54,7 @@ from .sdp import (
     SolverConfig,
     SolveOutcome,
     certificate_floor,
+    extract_certificate,
     maximize_lambda_min,
     maximize_visibility,
     verify_certificate,
@@ -251,9 +252,11 @@ class RobustnessResult:
 
     ``evaluations`` lists (visibility, verdict) pairs in the order 1, 0, hi,
     lo, each visibility once.  The verdicts at 0 and lo are proved by
-    :func:`~momentcert.sdp.certificate_floor` and the verdict at 1 by the
-    certificate found at hi; only the verdict at hi comes from a full
-    analysis, and lo gets one only when its proof does not hold.
+    :func:`~momentcert.sdp.certificate_floor`, the verdict at hi by the
+    parametric solve's own dual matrix, and the verdict at 1 by the
+    certificate that proved hi.  A visibility gets a full analysis only when
+    its proof does not hold: lo at tolerances so fine that its floor falls
+    below -margin, and hi should the dual matrix fail to verify there.
     """
 
     p_star: float
@@ -281,9 +284,14 @@ def robustness(
     is INCONCLUSIVE; above it the unboxed optimum, and with it the
     certificate value, lies below -margin.  The bracket is
     lo = max(0, p_star - tolerance / 2) and hi = min(1, p_star + tolerance / 2).
-    One full analysis confirms NONLOCAL at hi; the other verdicts are proved
-    rather than solved for:
+    Every verdict is proved rather than solved for:
 
+    - NONLOCAL at hi.  The parametric solve's last dual matrix X, scaled to
+      z = X / Tr X, has value (p_star - p) / Tr X - margin at visibility p,
+      below -margin above p_star.  :func:`~momentcert.sdp.extract_certificate`
+      makes it a certificate verified on the hi family; its value must lie
+      below -margin, the standard :func:`analyze` applies.  Should it not,
+      hi is analysed instead.
     - INCONCLUSIVE at 0 and at lo.  Every certificate verified on a family
       has value at least :func:`~momentcert.sdp.certificate_floor` at any
       completion v, so a floor at or above -margin rules NONLOCAL out.  At
@@ -297,11 +305,11 @@ def robustness(
     - NONLOCAL at 1.  A certificate's value <gamma0(p), Z> is affine in p,
       1 at p = 0 and below -margin at hi, so lower still at 1.  The hi
       certificate is verified on the p = 1 family and its value there must
-      lie below -margin, the standard :func:`analyze` applies.
+      lie below -margin too.
 
     NoBracket is raised instead of returning an unconfirmed threshold: when
-    a proof or a confirming analysis fails, and before any solve when the
-    correlators do not depend on p.
+    a proof and its fallback analysis both fail, and before any solve when
+    the correlators do not depend on p.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
@@ -331,10 +339,13 @@ def robustness(
     while hi - lo > tolerance:  # rounding can widen the bracket by an ulp
         hi = math.nextafter(hi, lo)
     unconfirmed = NoBracket(f"verdicts at [{lo}, {hi}] do not confirm p* = {p_star}")
-    report = analyze(request_at(hi))
-    if report.verdict != NONLOCAL:
-        raise unconfirmed
-    z = report.certificate.matrix
+    proof = extract_certificate(family_for_request(request_at(hi)), critical.z, config.tol_cert)
+    if proof is None or proof.value >= -config.margin:
+        report = analyze(request_at(hi))
+        if report.verdict != NONLOCAL:
+            raise unconfirmed
+        proof = report.certificate
+    z = proof.matrix
     at_one = DualCertificate(matrix=z, value=float(np.sum(high.gamma0 * z)))
     if not (verify_certificate(high, at_one, config.tol_cert) and at_one.value < -config.margin):
         raise NoBracket(f"the certificate at visibility {hi} does not certify visibility 1")

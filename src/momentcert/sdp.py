@@ -60,6 +60,11 @@ unboxed lambda program lies below -margin; at it, the solve's last v is a
 completion that clears -margin.  :func:`certificate_floor` turns any
 completion into a lower bound on the value of every verified certificate,
 so such a completion proves that no certificate reaches below -margin.
+The solve's last dual matrix X has <Delta, X> = -1 and <G_k, X> = 0, and at
+convergence <gamma0(low) + margin I, X> = p_star.  So Z = X / Tr X has
+value <gamma0(p), Z> = (p_star - p) / Tr X - margin at visibility p, below
+-margin for every p above p_star: past the threshold it is the certificate
+that :func:`extract_certificate` turns into a verified one.
 """
 
 from __future__ import annotations
@@ -391,11 +396,14 @@ class VisibilityOutcome:
     """The largest visibility p_star found feasible, its witness, and the steps taken.
 
     ``v_star`` is the completion at p_star: gamma0(low) + p_star Delta +
-    sum_k v_star_k G_k + margin I is positive definite.
+    sum_k v_star_k G_k + margin I is positive definite.  ``z`` is the last
+    dual matrix scaled to unit trace, an unverified certificate for every
+    visibility above p_star.
     """
 
     p_star: float
     v_star: np.ndarray
+    z: np.ndarray
     iterations: int
 
 
@@ -414,7 +422,8 @@ def maximize_visibility(
     program crosses -margin.  The solve starts at p = 0, v = 0, where
     gamma0(low) + margin I must be positive definite.  Every iterate is
     feasible, so p_star never exceeds the exact threshold, and the
-    completion v_star of the last iterate is returned as its witness.
+    completion v_star of the last iterate is returned as its witness.  The
+    last dual matrix, scaled to unit trace, is returned as ``z``.
     """
     cfg = config if config is not None else SolverConfig()
     if low.dim != high.dim or low.variables != high.variables:
@@ -423,10 +432,12 @@ def maximize_visibility(
     if float(np.linalg.eigvalsh(constant)[0]) <= 0.0:
         raise ValueError("gamma0(low) + margin I is not positive definite")
     ops = _FamilyOps(low, a0=low.gamma0 - high.gamma0, c=constant)
-    _, y, iterations = _interior_point(
+    x, y, iterations = _interior_point(
         ops, np.zeros(ops.nvars + 1), np.zeros(0, dtype=int), cfg.max_iters
     )
-    return VisibilityOutcome(p_star=float(y[0]), v_star=y[1:], iterations=iterations)
+    return VisibilityOutcome(
+        p_star=float(y[0]), v_star=y[1:], z=x / np.trace(x), iterations=iterations
+    )
 
 
 def _repair(family: AffineMatrixFamily, z: np.ndarray) -> np.ndarray:
@@ -457,10 +468,13 @@ def extract_certificate(
     """Turn an approximate dual solution Z into a verified certificate.
 
     Z is repaired onto {Tr Z = 1, <G_k, Z> = 0, Z >= 0} and the result is
-    checked by :func:`verify_certificate`.  Failure to verify yields None,
-    never an unchecked certificate.
+    checked by :func:`verify_certificate`.  Failure to verify, or a
+    non-finite Z, yields None, never an unchecked certificate.
     """
-    repaired = _repair(family, np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        return None
+    repaired = _repair(family, z)
     candidate = DualCertificate(matrix=repaired, value=float(np.sum(family.gamma0 * repaired)))
     return candidate if verify_certificate(family, candidate, tol) else None
 
@@ -473,12 +487,15 @@ def verify_certificate(
     Uses only an eigendecomposition and inner products; in particular it
     does not trust the stored value, which is recomputed and compared.
     A non-finite ``tol`` raises ValueError: every comparison against NaN is
-    false, so it would accept anything.
+    false, so it would accept anything.  For the same reason a certificate
+    whose matrix or value is not finite is rejected.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol!r}")
     z = np.asarray(certificate.matrix, dtype=float)
     if z.shape != (family.dim, family.dim):
+        return False
+    if not (np.isfinite(z).all() and math.isfinite(certificate.value)):
         return False
     if np.abs(z - z.T).max() > tol:
         return False

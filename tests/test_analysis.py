@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -131,6 +132,17 @@ def test_nonlocal_report_certificate_rechecks_from_serialization():
     assert verify_certificate(family, certificate, request.config.tol_cert)
 
 
+def test_tampered_nan_value_fails_the_recheck():
+    # json.loads reads NaN, and a NaN value passes every "differs by more
+    # than tol" comparison, so the re-check must reject it outright.
+    request = _request("w", "w")
+    body = analyze(request).body_document()
+    body["certificate"]["value"] = float("nan")
+    certificate = certificate_from_document(json.loads(json.dumps(body)))
+    family = family_for_request(request)
+    assert not verify_certificate(family, certificate, request.config.tol_cert)
+
+
 def test_noisy_measured_table_still_certifies(structure_322):
     # Perturbed values standing in for experimental data with finite errors.
     table = correlator_table(make_state("w", 3), standard_suite("w"), structure_322)
@@ -234,17 +246,17 @@ def test_robustness_matches_bisection(state):
 
 @pytest.mark.parametrize(
     "tolerance, expected",
-    # Analysed visibilities as a function of the bracket (lo, hi): only the
-    # confirmation at hi, since the verdicts at lo and at lo = 0 are proved.
-    # At 1e-6 the floor at lo is below -margin, so lo is analysed too.
+    # Analysed visibilities as a function of the bracket (lo, hi): none, since
+    # the parametric solve's dual matrix proves hi and the floor proves lo
+    # and lo = 0.  At 1e-6 the floor at lo is below -margin, so lo is analysed.
     [
-        (1e-2, lambda lo, hi: [hi]),
-        (0.9, lambda lo, hi: [1.0]),  # hi = 1
-        (1.8, lambda lo, hi: [1.0]),  # bracket [0, 1]
-        (1e-6, lambda lo, hi: [hi, lo]),
+        (1e-2, lambda lo, hi: []),
+        (0.9, lambda lo, hi: []),  # hi = 1
+        (1.8, lambda lo, hi: []),  # bracket [0, 1]
+        (1e-6, lambda lo, hi: [lo]),
     ],
 )
-def test_robustness_runs_one_parametric_solve_and_one_analysis(monkeypatch, tolerance, expected):
+def test_robustness_runs_one_parametric_solve_and_no_analysis(monkeypatch, tolerance, expected):
     analysed, parametric = [], []
     run_analysis, run_parametric = analysis.analyze, analysis.maximize_visibility
 
@@ -303,6 +315,28 @@ def test_robustness_endpoint_proofs_match_analyses(state, suite, scenario):
     assert floor >= -config.margin
     if fresh[lo].certificate is not None:
         assert fresh[lo].certificate.value >= floor
+
+
+def test_robustness_falls_back_to_an_analysis_at_hi(monkeypatch):
+    # With z = I/n, whose value on every family is Tr(gamma0) / n = 1, the
+    # dual matrix proves nothing, so hi is analysed and certifies instead.
+    expected = robustness("w", "w", S322, tolerance=1e-2)
+    analysed = []
+    run_analysis, run_parametric = analysis.analyze, analysis.maximize_visibility
+
+    def counted_analysis(request):
+        analysed.append(request.source.visibility)
+        return run_analysis(request)
+
+    def uninformative_dual(*args):
+        outcome = run_parametric(*args)
+        return dataclasses.replace(outcome, z=np.eye(outcome.z.shape[0]) / outcome.z.shape[0])
+
+    monkeypatch.setattr(analysis, "analyze", counted_analysis)
+    monkeypatch.setattr(analysis, "maximize_visibility", uninformative_dual)
+    result = robustness("w", "w", S322, tolerance=1e-2)
+    assert analysed == [result.bracket[1]]
+    assert result == expected
 
 
 def test_robustness_without_p_dependence_raises_before_any_solve(monkeypatch):

@@ -180,6 +180,19 @@ def test_robustness_command(tmp_path, capsys):
     assert report["bracket"][1] - report["bracket"][0] <= 0.5
 
 
+@pytest.mark.parametrize(
+    "state, tolerance", [("w", "1e-2"), ("ghz", "1e-2"), ("w", "1e-6")]
+)
+def test_robustness_document_matches_golden(tmp_path, capsys, state, tolerance):
+    # p*, the bracket and the evaluations, byte for byte, as robustness wrote
+    # them while it still confirmed hi with a full analysis (numpy 2.4 and
+    # OpenBLAS on x86-64).
+    out = tmp_path / "robustness.json"
+    argv = ["robustness", "--state", state, "--suite", state, "--tol", tolerance]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"robustness_{state}_{tolerance}.json").read_bytes()
+
+
 def test_robustness_command_rejects_nan_tolerance(capsys):
     code = run(["robustness", "--state", "w", "--suite", "w", "--tol", "nan"] + FAST_FLAGS)
     assert code == 1

@@ -428,6 +428,25 @@ def test_verify_rejects_non_finite_tolerance(structure_322):
             verify_certificate(family, junk, bad)
 
 
+def test_verify_rejects_non_finite_certificates(structure_322):
+    # W's genuine certificate, with a NaN put in its value or its matrix.
+    table = correlator_table(make_state("w", 3), standard_suite("w"), structure_322)
+    family = assemble(structure_322, table)
+    genuine = maximize_lambda_min(family).certificate
+    assert verify_certificate(family, genuine)
+    assert not verify_certificate(family, DualCertificate(genuine.matrix, float("nan")))
+    for bad in (float("nan"), float("inf")):
+        matrix = genuine.matrix.copy()
+        matrix[0, 0] = bad
+        assert not verify_certificate(family, DualCertificate(matrix, genuine.value))
+
+
+def test_extract_certificate_rejects_non_finite_duals():
+    family = _family(np.diag([1.0, -1.0]), [])
+    for bad in (float("nan"), float("inf")):
+        assert extract_certificate(family, np.array([[0.0, 0.0], [0.0, bad]])) is None
+
+
 def _family_at(state, visibility, suite=None, scenario=Scenario(3, 2)):
     source = SimulatedSource(state, suite or state, visibility)
     return family_for_request(AnalysisRequest(source=source, scenario=scenario))
@@ -448,6 +467,32 @@ def test_maximize_visibility_returns_its_witness():
     mixed = low.gamma0 + outcome.p_star * (high.gamma0 - low.gamma0)
     shifted = mixed + low.combine(outcome.v_star) + SolverConfig().margin * np.eye(low.dim)
     assert np.linalg.eigvalsh(shifted)[0] > 0.0
+
+
+@pytest.mark.parametrize(
+    "state, suite, scenario",
+    [
+        ("w", "w", Scenario(3, 2)),
+        ("ghz", "ghz", Scenario(3, 2)),
+        ("graph-linear", "graph", Scenario(3, 3)),
+        ("graph-loop", "graph", Scenario(3, 3)),
+    ],
+)
+def test_maximize_visibility_dual_certifies_above_p_star(state, suite, scenario):
+    # The last dual matrix, of unit trace, has value (p_star - p) / Tr X -
+    # margin at visibility p: a certificate past p_star at any tolerance,
+    # which carries to p = 1.
+    margin = SolverConfig().margin
+    low, high = (_family_at(state, p, suite, scenario) for p in (0.0, 1.0))
+    outcome = maximize_visibility(low, high)
+    assert np.trace(outcome.z) == pytest.approx(1.0, abs=1e-12)
+    for tolerance in (0.25, 1e-2, 1e-4, 1e-6, 1e-8):
+        hi = min(1.0, outcome.p_star + 0.5 * tolerance)
+        certificate = extract_certificate(_family_at(state, hi, suite, scenario), outcome.z)
+        assert certificate is not None and certificate.value < -margin
+        z = certificate.matrix
+        at_one = DualCertificate(z, float(np.sum(high.gamma0 * z)))
+        assert verify_certificate(high, at_one) and at_one.value < -margin
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
