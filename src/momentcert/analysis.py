@@ -109,7 +109,6 @@ class VerdictReport:
     variable_names: tuple[str, ...]
     v_star: np.ndarray
     certificate: DualCertificate | None
-    certificate_verified: bool
     config: SolverConfig
     source_description: dict
     wall_time_s: float
@@ -128,7 +127,7 @@ class VerdictReport:
         if self.certificate is not None:
             certificate = {
                 "value": self.certificate.value,
-                "verified": self.certificate_verified,
+                "verified": True,  # the solver holds only verified certificates
                 "matrix": np.asarray(self.certificate.matrix, dtype=float).tolist(),
             }
         return {
@@ -217,17 +216,17 @@ def family_for_request(request: AnalysisRequest) -> AffineMatrixFamily:
 
 
 def analyze(request: AnalysisRequest) -> VerdictReport:
-    """Build, assemble, solve, and map the outcome to a verdict."""
+    """Build, assemble and solve; the solve status is the verdict.
+
+    NONLOCAL iff CERTIFIED_INFEASIBLE, which the solver reports only for a
+    certificate that :func:`~momentcert.sdp.verify_certificate` accepted on
+    this family at ``tol_cert`` and whose value lies below -margin.
+    """
     started = time.perf_counter()
     family = family_for_request(request)
     outcome: SolveOutcome = _stage("solve", maximize_lambda_min, family, request.config)
-
-    verified = outcome.certificate is not None and verify_certificate(
-        family, outcome.certificate, request.config.tol_cert
-    )
-    verdict = NONLOCAL if (outcome.status == CERTIFIED_INFEASIBLE and verified) else INCONCLUSIVE
     return VerdictReport(
-        verdict=verdict,
+        verdict=NONLOCAL if outcome.status == CERTIFIED_INFEASIBLE else INCONCLUSIVE,
         status=outcome.status,
         lambda_star=outcome.lambda_star,
         iterations=outcome.iterations,
@@ -239,7 +238,6 @@ def analyze(request: AnalysisRequest) -> VerdictReport:
         variable_names=family.variable_names(),
         v_star=outcome.v_star,
         certificate=outcome.certificate,
-        certificate_verified=verified,
         config=request.config,
         source_description=_source_description(request.source),
         wall_time_s=time.perf_counter() - started,
@@ -254,9 +252,10 @@ class RobustnessResult:
     lo, each visibility once.  The verdicts at 0 and lo are proved by
     :func:`~momentcert.sdp.certificate_floor`, the verdict at hi by the
     parametric solve's own dual matrix, and the verdict at 1 by the
-    certificate that proved hi.  A visibility gets a full analysis only when
-    its proof does not hold: lo at tolerances so fine that its floor falls
-    below -margin, and hi should the dual matrix fail to verify there.
+    certificate that proved hi.  Only when a proof does not hold (lo at
+    tolerances so fine that its floor falls below -margin, hi should the
+    dual matrix fail to verify there) is that visibility's family solved,
+    and the solve's status is its verdict.
     """
 
     p_star: float
@@ -291,7 +290,7 @@ def robustness(
       below -margin above p_star.  :func:`~momentcert.sdp.extract_certificate`
       makes it a certificate verified on the hi family; its value must lie
       below -margin, the standard :func:`analyze` applies.  Should it not,
-      hi is analysed instead.
+      the hi family is solved instead and must be CERTIFIED_INFEASIBLE.
     - INCONCLUSIVE at 0 and at lo.  Every certificate verified on a family
       has value at least :func:`~momentcert.sdp.certificate_floor` at any
       completion v, so a floor at or above -margin rules NONLOCAL out.  At
@@ -301,15 +300,17 @@ def robustness(
       and S >= 0 the matrix of the parametric solve at p_star, so
       lambda_min(Gamma(v)) >= 1 - t (1 + margin).  When the floor at lo
       still falls below -margin, as it can at tolerances so fine that t is
-      almost 1, lo is analysed instead.
+      almost 1, the lo family is solved instead and must not be
+      CERTIFIED_INFEASIBLE.
     - NONLOCAL at 1.  A certificate's value <gamma0(p), Z> is affine in p,
       1 at p = 0 and below -margin at hi, so lower still at 1.  The hi
       certificate is verified on the p = 1 family and its value there must
       lie below -margin too.
 
-    NoBracket is raised instead of returning an unconfirmed threshold: when
-    a proof and its fallback analysis both fail, and before any solve when
-    the correlators do not depend on p.
+    Each visibility's family is built once, the one at hi = 1 being the
+    p = 1 family.  NoBracket is raised instead of returning an unconfirmed
+    threshold: when a proof and its fallback solve both fail, and before any
+    solve when the correlators do not depend on p.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
@@ -321,6 +322,10 @@ def robustness(
 
     def inconclusive_proved(family: AffineMatrixFamily, v: np.ndarray) -> bool:
         return certificate_floor(family, v, config.tol_cert) >= -config.margin
+
+    def certified(family: AffineMatrixFamily) -> DualCertificate | None:
+        outcome = _stage("solve", maximize_lambda_min, family, config)
+        return outcome.certificate if outcome.status == CERTIFIED_INFEASIBLE else None
 
     low, high = (family_for_request(request_at(p)) for p in (0.0, 1.0))
     if not inconclusive_proved(low, np.zeros(low.num_variables)):
@@ -339,12 +344,12 @@ def robustness(
     while hi - lo > tolerance:  # rounding can widen the bracket by an ulp
         hi = math.nextafter(hi, lo)
     unconfirmed = NoBracket(f"verdicts at [{lo}, {hi}] do not confirm p* = {p_star}")
-    proof = extract_certificate(family_for_request(request_at(hi)), critical.z, config.tol_cert)
+    at_hi = high if hi == 1.0 else family_for_request(request_at(hi))
+    proof = extract_certificate(at_hi, critical.z, config.tol_cert)
     if proof is None or proof.value >= -config.margin:
-        report = analyze(request_at(hi))
-        if report.verdict != NONLOCAL:
+        proof = certified(at_hi)
+        if proof is None:
             raise unconfirmed
-        proof = report.certificate
     z = proof.matrix
     at_one = DualCertificate(matrix=z, value=float(np.sum(high.gamma0 * z)))
     if not (verify_certificate(high, at_one, config.tol_cert) and at_one.value < -config.margin):
@@ -354,7 +359,7 @@ def robustness(
         proved = at_lo.variables == low.variables and inconclusive_proved(
             at_lo, (lo / p_star) * critical.v_star
         )
-        if not proved and analyze(request_at(lo)).verdict != INCONCLUSIVE:
+        if not proved and certified(at_lo) is not None:
             raise unconfirmed
     # A dict drops the repeated visibility when hi = 1 or lo = 0.
     evaluations = {1.0: NONLOCAL, 0.0: INCONCLUSIVE, hi: NONLOCAL, lo: INCONCLUSIVE}

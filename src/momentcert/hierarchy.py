@@ -72,19 +72,13 @@ class MomentMatrixStructure:
             i, j = j, i
         return self.entries[(i, j)]
 
-    def _positions(self, moments) -> dict[Moment, list[tuple[int, int]]]:
+    def positions(self, moments) -> dict[Moment, list[tuple[int, int]]]:
         """The upper-triangle positions of each of ``moments``, in row-major order."""
         positions: dict[Moment, list[tuple[int, int]]] = {m: [] for m in moments}
         for ij, letters in self.entries.items():
             if letters in positions:
                 positions[letters].append(ij)
         return positions
-
-    def observable_positions(self) -> dict[MomentKey, list[tuple[int, int]]]:
-        return self._positions(self.observables)
-
-    def freevar_positions(self) -> dict[Moment, list[tuple[int, int]]]:
-        return self._positions(self.freevars)
 
 
 @lru_cache(maxsize=8)
@@ -241,7 +235,7 @@ def _layout(structure: MomentMatrixStructure, pinned: tuple[bool, ...]):
     keys = list(zip(structure.observables, pinned))
     pinned_keys = tuple(key for key, is_pinned in keys if is_pinned)
     variables = tuple(key for key, is_pinned in keys if not is_pinned) + structure.freevars
-    positions = structure._positions(pinned_keys + variables)
+    positions = structure.positions(pinned_keys + variables)
     pins = _index_arrays([positions[key] for key in pinned_keys])
     return pinned_keys, variables, pins, _index_arrays([positions[v] for v in variables])
 

@@ -504,9 +504,7 @@ def verify_certificate(
         return False
     if abs(np.trace(z_sym) - 1.0) > tol:
         return False
-    rows, cols, vidx = family.support
-    inner = np.bincount(vidx, weights=2.0 * z_sym[rows, cols], minlength=family.num_variables)
-    if np.abs(inner).max(initial=0.0) > tol:
+    if np.abs(family.inner(z_sym)).max(initial=0.0) > tol:
         return False
     if abs(float(np.sum(family.gamma0 * z_sym)) - certificate.value) > tol:
         return False

@@ -25,6 +25,7 @@ from momentcert import (
     assemble,
     correlator_table,
     expectation,
+    family_for_request,
     ingest_table,
     key_name,
     make_state,
@@ -136,11 +137,12 @@ def test_criterion_04_ghz_contrast():
 @pytest.mark.parametrize("kind", ["graph-linear", "graph-loop"])
 def test_criterion_05_graph_states(kind, structure_332):
     with criterion(5, f"{kind} certified infeasibility", 300.0):
-        report = analyze(_simulated(kind, "graph", scenario=S332))
+        request = _simulated(kind, "graph", scenario=S332)
+        report = analyze(request)
         assert report.verdict == NONLOCAL
         assert report.status == "CERTIFIED_INFEASIBLE"
         assert report.certificate is not None
-        assert report.certificate_verified
+        assert verify_certificate(family_for_request(request), report.certificate)
 
 
 def test_criterion_06_separable_soundness(structure_322, structure_332):

@@ -57,11 +57,12 @@ def _request(state, suite, policy=None, visibility=1.0, config=FAST, scenario=S3
 
 
 def test_w_state_detected():
-    report = analyze(_request("w", "w"))
+    request = _request("w", "w")
+    report = analyze(request)
     assert report.verdict == NONLOCAL
     assert report.status == "CERTIFIED_INFEASIBLE"
     assert report.certificate is not None
-    assert report.certificate_verified
+    assert verify_certificate(family_for_request(request), report.certificate)
     assert report.certificate.value < -1e-3
     assert len(report.pinned) == 26
 
@@ -244,11 +245,33 @@ def test_robustness_matches_bisection(state):
     assert abs(at_threshold.lambda_star + SolverConfig().margin) <= 1e-6
 
 
+def _record_robustness(monkeypatch):
+    """Visibilities of the families robustness builds, and of those it solves.
+
+    A solved family is mapped back to its visibility through the build record.
+    """
+    built, solved = [], []
+    build, solve = analysis.family_for_request, analysis.maximize_lambda_min
+
+    def recorded_build(request):
+        family = build(request)
+        built.append((request.source.visibility, family))
+        return family
+
+    def recorded_solve(family, *args):
+        solved.append(next(p for p, known in built if known is family))
+        return solve(family, *args)
+
+    monkeypatch.setattr(analysis, "family_for_request", recorded_build)
+    monkeypatch.setattr(analysis, "maximize_lambda_min", recorded_solve)
+    return built, solved
+
+
 @pytest.mark.parametrize(
     "tolerance, expected",
-    # Analysed visibilities as a function of the bracket (lo, hi): none, since
+    # Solved visibilities as a function of the bracket (lo, hi): none, since
     # the parametric solve's dual matrix proves hi and the floor proves lo
-    # and lo = 0.  At 1e-6 the floor at lo is below -margin, so lo is analysed.
+    # and lo = 0.  At 1e-6 the floor at lo is below -margin, so lo is solved.
     [
         (1e-2, lambda lo, hi: []),
         (0.9, lambda lo, hi: []),  # hi = 1
@@ -257,27 +280,45 @@ def test_robustness_matches_bisection(state):
     ],
 )
 def test_robustness_runs_one_parametric_solve_and_no_analysis(monkeypatch, tolerance, expected):
-    analysed, parametric = [], []
-    run_analysis, run_parametric = analysis.analyze, analysis.maximize_visibility
-
-    def counted_analysis(request):
-        analysed.append(request.source.visibility)
-        return run_analysis(request)
+    _, solved = _record_robustness(monkeypatch)
+    parametric = []
+    run_parametric = analysis.maximize_visibility
 
     def counted_parametric(*args):
         parametric.append(1)
         return run_parametric(*args)
 
-    monkeypatch.setattr(analysis, "analyze", counted_analysis)
+    def no_analysis(request):
+        raise AssertionError("robustness runs no analysis")
+
     monkeypatch.setattr(analysis, "maximize_visibility", counted_parametric)
+    monkeypatch.setattr(analysis, "analyze", no_analysis)
     result = robustness("w", "w", S322, tolerance=tolerance)
-    assert analysed == expected(*result.bracket)
+    assert solved == expected(*result.bracket)
     assert parametric == [1]
     assert result.evaluations[:2] == ((1.0, NONLOCAL), (0.0, INCONCLUSIVE))
     if tolerance == 1.8:
         assert result.bracket == (0.0, 1.0)
     if tolerance == 1e-6:
         assert result.bracket == pytest.approx((0.8496769108, 0.8496779108), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "tolerance, expected",
+    # Built visibilities as a function of the bracket (lo, hi): 0 and 1,
+    # then hi unless it is 1, then lo, each once, whether or not it is solved.
+    [
+        (1e-2, lambda lo, hi: [0.0, 1.0, hi, lo]),
+        (0.9, lambda lo, hi: [0.0, 1.0, lo]),  # hi = 1
+        (1e-6, lambda lo, hi: [0.0, 1.0, hi, lo]),  # lo is solved
+    ],
+)
+def test_robustness_builds_each_visibility_once(monkeypatch, tolerance, expected):
+    built, _ = _record_robustness(monkeypatch)
+    result = robustness("w", "w", S322, tolerance=tolerance)
+    assert [p for p, _ in built] == expected(*result.bracket)
+    if tolerance == 0.9:
+        assert result.bracket[1] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -319,23 +360,18 @@ def test_robustness_endpoint_proofs_match_analyses(state, suite, scenario):
 
 def test_robustness_falls_back_to_an_analysis_at_hi(monkeypatch):
     # With z = I/n, whose value on every family is Tr(gamma0) / n = 1, the
-    # dual matrix proves nothing, so hi is analysed and certifies instead.
+    # dual matrix proves nothing, so the hi family is solved and certifies.
     expected = robustness("w", "w", S322, tolerance=1e-2)
-    analysed = []
-    run_analysis, run_parametric = analysis.analyze, analysis.maximize_visibility
-
-    def counted_analysis(request):
-        analysed.append(request.source.visibility)
-        return run_analysis(request)
+    _, solved = _record_robustness(monkeypatch)
+    run_parametric = analysis.maximize_visibility
 
     def uninformative_dual(*args):
         outcome = run_parametric(*args)
         return dataclasses.replace(outcome, z=np.eye(outcome.z.shape[0]) / outcome.z.shape[0])
 
-    monkeypatch.setattr(analysis, "analyze", counted_analysis)
     monkeypatch.setattr(analysis, "maximize_visibility", uninformative_dual)
     result = robustness("w", "w", S322, tolerance=1e-2)
-    assert analysed == [result.bracket[1]]
+    assert solved == [result.bracket[1]]
     assert result == expected
 
 

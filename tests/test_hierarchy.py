@@ -137,7 +137,7 @@ def test_assemble_pin_all(structure_322):
     assert all(moment_kind(var) == "freevar" for var in family.variables)
     assert np.allclose(np.diag(family.gamma0), 1.0)
     # Every pinned value lands at every position carrying its key.
-    for key, positions in structure_322.observable_positions().items():
+    for key, positions in structure_322.positions(structure_322.observables).items():
         for i, j in positions:
             assert family.gamma0[i, j] == values[key]
 
@@ -192,7 +192,7 @@ def test_support_partition(structure_322):
     covered += pinned_mask
     # Pinned values of exactly zero do not show in gamma0; account for them
     # through the structure's observable positions instead.
-    positions = structure_322.observable_positions()
+    positions = structure_322.positions(structure_322.observables)
     for key, value in zip(family.pinned_keys, family.pinned_values):
         if value == 0.0:
             for i, j in positions[key]:
@@ -264,7 +264,7 @@ def test_structure_report_other_scenarios(structure_322):
 
 def _dense_reference(structure, table, policy, interval_sigmas=None):
     """The family assembled entry by entry from the structure's positions."""
-    observables = structure.observable_positions()
+    observables = structure.positions(structure.observables)
     gamma0 = np.eye(structure.dim)
     variables, groups, bounds = [], [], []
     for key in structure.observables:
@@ -281,7 +281,7 @@ def _dense_reference(structure, table, policy, interval_sigmas=None):
         variables.append(key)
         groups.append(observables[key])
         bounds.append(bound)
-    for var, positions in structure.freevar_positions().items():
+    for var, positions in structure.positions(structure.freevars).items():
         variables.append(var)
         groups.append(positions)
         bounds.append((-1.0, 1.0))

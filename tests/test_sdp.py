@@ -278,7 +278,7 @@ def test_support_is_never_scanned_from_patterns(structure_322):
     assert out.status == CERTIFIED_INFEASIBLE
     assert verify_certificate(family, out.certificate)
     rows, cols, vidx = family.support
-    positions = structure_322.freevar_positions()
+    positions = structure_322.positions(structure_322.freevars)
     reference = [positions[var] for var in family.variables]
     assert np.array_equal(rows, [i for group in reference for i, _ in group])
     assert np.array_equal(cols, [j for group in reference for _, j in group])
@@ -549,3 +549,48 @@ def test_certificate_floor_rejects_non_finite_tolerance():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             certificate_floor(family, np.zeros(0), bad)
+
+
+def _check_outcome_contract(family, config):
+    # analyze takes the verdict from the status alone, so the solver must
+    # hold only certificates the verifier accepts at tol_cert, and be
+    # CERTIFIED_INFEASIBLE exactly when one lies below -margin.
+    outcome = maximize_lambda_min(family, config)
+    certificate = outcome.certificate
+    if certificate is not None:
+        assert verify_certificate(family, certificate, config.tol_cert)
+    certified = certificate is not None and certificate.value < -config.margin
+    assert (outcome.status == CERTIFIED_INFEASIBLE) == certified
+    return outcome
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 8),
+    nvars=st.integers(0, 6),
+    tol_cert=st.sampled_from([1e-9, 1e-7, 1e-5]),
+    margin=st.sampled_from([1e-3, 0.05, 0.3]),
+)
+def test_solve_status_is_the_verified_certificate_verdict(seed, dim, nvars, tol_cert, margin):
+    family = random_family(np.random.default_rng(seed), dim, nvars)
+    _check_outcome_contract(family, SolverConfig(tol_cert=tol_cert, margin=margin))
+
+
+@pytest.mark.parametrize("visibility", [0.9, 1.0])
+@pytest.mark.parametrize(
+    "state, suite, scenario",
+    [
+        ("w", "w", Scenario(3, 2)),
+        ("ghz", "ghz", Scenario(3, 2)),
+        ("graph-linear", "graph", Scenario(3, 3)),
+        ("graph-loop", "graph", Scenario(3, 3)),
+    ],
+)
+def test_state_solves_keep_the_verdict_contract(state, suite, scenario, visibility):
+    # At 0.9 GHZ, whose critical visibility is about 0.915, is FEASIBLE.
+    outcome = _check_outcome_contract(
+        _family_at(state, visibility, suite, scenario), SolverConfig()
+    )
+    if visibility == 1.0:
+        assert outcome.status == CERTIFIED_INFEASIBLE
