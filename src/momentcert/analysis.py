@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -244,18 +244,29 @@ def analyze(request: AnalysisRequest) -> VerdictReport:
     )
 
 
+def white_noise_family(family: AffineMatrixFamily, p: float) -> AffineMatrixFamily:
+    """A simulated ``family`` at visibility 1 taken to visibility p: (1 - p) I + p gamma0.
+
+    White noise scales every pinned correlator by p, since those of I / 2^n
+    are 0.  Bit for bit ``family`` at p = 1 and I at p = 0.
+    """
+    eye = np.eye(family.dim)
+    gamma0 = eye + p * (family.gamma0 - eye)
+    return replace(family, gamma0=gamma0, pinned_values=p * family.pinned_values)
+
+
 @dataclass
 class RobustnessResult:
     """The critical visibility, its confirmed bracket, and the verdicts behind it.
 
     ``evaluations`` lists (visibility, verdict) pairs in the order 1, 0, hi,
-    lo, each visibility once.  The verdicts at 0 and lo are proved by
-    :func:`~momentcert.sdp.certificate_floor`, the verdict at hi by the
-    parametric solve's own dual matrix, and the verdict at 1 by the
-    certificate that proved hi.  Only when a proof does not hold (lo at
-    tolerances so fine that its floor falls below -margin, hi should the
-    dual matrix fail to verify there) is that visibility's family solved,
-    and the solve's status is its verdict.
+    lo, each visibility once, decided on white-noise mixes of one family.
+    The verdicts at 0 and lo are proved by :func:`~momentcert.sdp.certificate_floor`,
+    the verdict at hi by the parametric solve's own dual matrix, and the
+    verdict at 1 by the certificate that proved hi.  Only when a proof does
+    not hold (lo at tolerances so fine that its floor falls below -margin,
+    hi should the dual matrix fail to verify there) is that visibility's
+    family solved, and the solve's status is its verdict.
     """
 
     p_star: float
@@ -273,10 +284,10 @@ def robustness(
     tolerance: float = 1e-2,
     config: SolverConfig | None = None,
 ) -> RobustnessResult:
-    """Critical white-noise visibility from one parametric SDP.
+    """Critical white-noise visibility from one family and one parametric SDP.
 
-    The pinned correlators of p rho + (1 - p) I / 2^n are affine in p, so
-    the families at p = 0 and p = 1 span every visibility, and
+    Only the family at p = 1 is built; the one at visibility p is its
+    :func:`white_noise_family`, (1 - p) I + p gamma0, exactly I at p = 0.
     :func:`~momentcert.sdp.maximize_visibility` gives p_star, the largest p
     at which some completion v_star keeps lambda_min above -margin.  At or
     below p_star every certificate value is at least -margin, so the verdict
@@ -294,10 +305,9 @@ def robustness(
     - INCONCLUSIVE at 0 and at lo.  Every certificate verified on a family
       has value at least :func:`~momentcert.sdp.certificate_floor` at any
       completion v, so a floor at or above -margin rules NONLOCAL out.  At
-      0 the state is I / 2^n, every pinned correlator is 0 and v = 0 has
-      Gamma(0) = gamma0, the identity.  At lo, v = (lo / p_star) v_star
-      gives Gamma(v) = (1 - t) I + t (S - margin I) with t = lo / p_star
-      and S >= 0 the matrix of the parametric solve at p_star, so
+      0 the family is I and v = 0.  At lo, v = (lo / p_star) v_star gives
+      Gamma(v) = (1 - t) I + t (S - margin I) with t = lo / p_star and
+      S >= 0 the matrix of the parametric solve at p_star, so
       lambda_min(Gamma(v)) >= 1 - t (1 + margin).  When the floor at lo
       still falls below -margin, as it can at tolerances so fine that t is
       almost 1, the lo family is solved instead and must not be
@@ -307,18 +317,14 @@ def robustness(
       certificate is verified on the p = 1 family and its value there must
       lie below -margin too.
 
-    Each visibility's family is built once, the one at hi = 1 being the
-    p = 1 family.  NoBracket is raised instead of returning an unconfirmed
-    threshold: when a proof and its fallback solve both fail, and before any
-    solve when the correlators do not depend on p.
+    NoBracket is raised instead of returning an unconfirmed threshold: when
+    a proof and its fallback solve both fail, and before any solve when the
+    correlators do not depend on p.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     policy = policy if policy is not None else PinPolicy.all()
     config = config if config is not None else SolverConfig()
-
-    def request_at(p: float) -> AnalysisRequest:
-        return AnalysisRequest(SimulatedSource(state, suite, p), scenario, level, policy, config)
 
     def inconclusive_proved(family: AffineMatrixFamily, v: np.ndarray) -> bool:
         return certificate_floor(family, v, config.tol_cert) >= -config.margin
@@ -327,13 +333,14 @@ def robustness(
         outcome = _stage("solve", maximize_lambda_min, family, config)
         return outcome.certificate if outcome.status == CERTIFIED_INFEASIBLE else None
 
-    low, high = (family_for_request(request_at(p)) for p in (0.0, 1.0))
-    if not inconclusive_proved(low, np.zeros(low.num_variables)):
+    source = SimulatedSource(state, suite)
+    high = family_for_request(AnalysisRequest(source, scenario, level, policy, config))
+    if not inconclusive_proved(white_noise_family(high, 0.0), np.zeros(high.num_variables)):
         raise NoBracket(f"the verdict at visibility 0 is not provably {INCONCLUSIVE}")
     not_nonlocal_at_one = NoBracket(f"verdict at visibility 1 is {INCONCLUSIVE}, not {NONLOCAL}")
-    if np.array_equal(low.gamma0, high.gamma0):
+    if np.array_equal(high.gamma0, np.eye(high.dim)):
         raise not_nonlocal_at_one
-    critical = maximize_visibility(low, high, config)
+    critical = maximize_visibility(high, config)
     p_star = critical.p_star
     if p_star >= 1.0:
         raise not_nonlocal_at_one
@@ -344,7 +351,7 @@ def robustness(
     while hi - lo > tolerance:  # rounding can widen the bracket by an ulp
         hi = math.nextafter(hi, lo)
     unconfirmed = NoBracket(f"verdicts at [{lo}, {hi}] do not confirm p* = {p_star}")
-    at_hi = high if hi == 1.0 else family_for_request(request_at(hi))
+    at_hi = white_noise_family(high, hi)
     proof = extract_certificate(at_hi, critical.z, config.tol_cert)
     if proof is None or proof.value >= -config.margin:
         proof = certified(at_hi)
@@ -355,10 +362,8 @@ def robustness(
     if not (verify_certificate(high, at_one, config.tol_cert) and at_one.value < -config.margin):
         raise NoBracket(f"the certificate at visibility {hi} does not certify visibility 1")
     if lo > 0.0:
-        at_lo = family_for_request(request_at(lo))
-        proved = at_lo.variables == low.variables and inconclusive_proved(
-            at_lo, (lo / p_star) * critical.v_star
-        )
+        at_lo = white_noise_family(high, lo)
+        proved = inconclusive_proved(at_lo, (lo / p_star) * critical.v_star)
         if not proved and certified(at_lo) is not None:
             raise unconfirmed
     # A dict drops the repeated visibility when hi = 1 or lo = 0.

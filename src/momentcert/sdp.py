@@ -47,21 +47,21 @@ so <gamma0, Z> < 0 proves that no completion is positive semidefinite.  The
 certificate is checked by :func:`verify_certificate` using nothing but an
 eigendecomposition and inner products, independently of the solver.
 
-The same interior-point method also solves a second program.  Two families
-that share their variables and differ in gamma0 mix into
-gamma0(p) = gamma0(low) + p Delta, with Delta = gamma0(high) - gamma0(low);
+The same interior-point method also solves a second program.  Under white
+noise every pinned correlator scales with the visibility p while the unit
+diagonal stays, so the family at p has gamma0(p) = (1 - p) I + p gamma0;
 :func:`maximize_visibility` finds the largest p for which
 
-    gamma0(low) + p Delta + sum_k v_k G_k + margin I >= 0
+    (1 - p) I + p gamma0 + sum_k v_k G_k + margin I >= 0
 
-for some unbounded v, in one solve.  Its objective matrix is -Delta in
+for some unbounded v, in one solve.  Its objective matrix is I - gamma0 in
 place of I, and its start p = 0, v = 0.  Past that p the optimum of the
 unboxed lambda program lies below -margin; at it, the solve's last v is a
 completion that clears -margin.  :func:`certificate_floor` turns any
 completion into a lower bound on the value of every verified certificate,
 so such a completion proves that no certificate reaches below -margin.
-The solve's last dual matrix X has <Delta, X> = -1 and <G_k, X> = 0, and at
-convergence <gamma0(low) + margin I, X> = p_star.  So Z = X / Tr X has
+The solve's last dual matrix X has <gamma0 - I, X> = -1 and <G_k, X> = 0,
+and at convergence <(1 + margin) I, X> = p_star.  So Z = X / Tr X has
 value <gamma0(p), Z> = (p_star - p) / Tr X - margin at visibility p, below
 -margin for every p above p_star: past the threshold it is the certificate
 that :func:`extract_certificate` turns into a verified one.
@@ -395,7 +395,7 @@ def maximize_lambda_min(
 class VisibilityOutcome:
     """The largest visibility p_star found feasible, its witness, and the steps taken.
 
-    ``v_star`` is the completion at p_star: gamma0(low) + p_star Delta +
+    ``v_star`` is the completion at p_star: (1 - p_star) I + p_star gamma0 +
     sum_k v_star_k G_k + margin I is positive definite.  ``z`` is the last
     dual matrix scaled to unit trace, an unverified certificate for every
     visibility above p_star.
@@ -408,30 +408,24 @@ class VisibilityOutcome:
 
 
 def maximize_visibility(
-    low: AffineMatrixFamily, high: AffineMatrixFamily, config: SolverConfig | None = None
+    family: AffineMatrixFamily, config: SolverConfig | None = None
 ) -> VisibilityOutcome:
-    """Largest p at which the mixed family still clears -margin.
+    """Largest visibility p at which (1 - p) I + p gamma0 still clears -margin.
 
-    ``low`` and ``high`` must share their variables and differ only in
-    gamma0; at visibility p the family's gamma0 is
-    gamma0(low) + p Delta with Delta = gamma0(high) - gamma0(low).  Solves
+    ``family`` is the one at visibility 1.  Solves
 
-        max p   subject to   gamma0(low) + p Delta + sum_k v_k G_k + margin I >= 0
+        max p   subject to   (1 - p) I + p gamma0 + sum_k v_k G_k + margin I >= 0
 
     with v unbounded, so p_star is where the optimum of the unboxed lambda
-    program crosses -margin.  The solve starts at p = 0, v = 0, where
-    gamma0(low) + margin I must be positive definite.  Every iterate is
-    feasible, so p_star never exceeds the exact threshold, and the
-    completion v_star of the last iterate is returned as its witness.  The
-    last dual matrix, scaled to unit trace, is returned as ``z``.
+    program crosses -margin.  The solve starts at p = 0, v = 0, from the
+    positive definite (1 + margin) I.  Every iterate is feasible, so p_star
+    never exceeds the exact threshold, and the completion v_star of the
+    last iterate is returned as its witness.  The last dual matrix, scaled
+    to unit trace, is returned as ``z``.
     """
     cfg = config if config is not None else SolverConfig()
-    if low.dim != high.dim or low.variables != high.variables:
-        raise ValueError("families must share their dimension and variables")
-    constant = low.gamma0 + cfg.margin * np.eye(low.dim)
-    if float(np.linalg.eigvalsh(constant)[0]) <= 0.0:
-        raise ValueError("gamma0(low) + margin I is not positive definite")
-    ops = _FamilyOps(low, a0=low.gamma0 - high.gamma0, c=constant)
+    eye = np.eye(family.dim)
+    ops = _FamilyOps(family, a0=eye - family.gamma0, c=(1.0 + cfg.margin) * eye)
     x, y, iterations = _interior_point(
         ops, np.zeros(ops.nvars + 1), np.zeros(0, dtype=int), cfg.max_iters
     )

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcert import (
     INCONCLUSIVE,
@@ -248,7 +250,9 @@ def test_robustness_matches_bisection(state):
 def _record_robustness(monkeypatch):
     """Visibilities of the families robustness builds, and of those it solves.
 
-    A solved family is mapped back to its visibility through the build record.
+    A solved family is the white-noise mix (1 - p) I + p gamma0 of the one
+    built at visibility 1, mapped back to p by its gamma0: p is the ratio of
+    the two families' pinned correlators, up to rounding.
     """
     built, solved = [], []
     build, solve = analysis.family_for_request, analysis.maximize_lambda_min
@@ -258,9 +262,14 @@ def _record_robustness(monkeypatch):
         built.append((request.source.visibility, family))
         return family
 
-    def recorded_solve(family, *args):
-        solved.append(next(p for p, known in built if known is family))
-        return solve(family, *args)
+    def recorded_solve(family, config):
+        (_, high), = built
+        i = np.argmax(np.abs(high.pinned_values))
+        p = float(family.pinned_values[i] / high.pinned_values[i])
+        eye = np.eye(high.dim)
+        assert np.abs(family.gamma0 - ((1 - p) * eye + p * high.gamma0)).max() <= 1e-15
+        solved.append(p)
+        return solve(family, config)
 
     monkeypatch.setattr(analysis, "family_for_request", recorded_build)
     monkeypatch.setattr(analysis, "maximize_lambda_min", recorded_solve)
@@ -284,9 +293,9 @@ def test_robustness_runs_one_parametric_solve_and_no_analysis(monkeypatch, toler
     parametric = []
     run_parametric = analysis.maximize_visibility
 
-    def counted_parametric(*args):
+    def counted_parametric(family, config):
         parametric.append(1)
-        return run_parametric(*args)
+        return run_parametric(family, config)
 
     def no_analysis(request):
         raise AssertionError("robustness runs no analysis")
@@ -294,7 +303,7 @@ def test_robustness_runs_one_parametric_solve_and_no_analysis(monkeypatch, toler
     monkeypatch.setattr(analysis, "maximize_visibility", counted_parametric)
     monkeypatch.setattr(analysis, "analyze", no_analysis)
     result = robustness("w", "w", S322, tolerance=tolerance)
-    assert solved == expected(*result.bracket)
+    assert solved == pytest.approx(expected(*result.bracket), rel=0, abs=1e-15)
     assert parametric == [1]
     assert result.evaluations[:2] == ((1.0, NONLOCAL), (0.0, INCONCLUSIVE))
     if tolerance == 1.8:
@@ -305,12 +314,12 @@ def test_robustness_runs_one_parametric_solve_and_no_analysis(monkeypatch, toler
 
 @pytest.mark.parametrize(
     "tolerance, expected",
-    # Built visibilities as a function of the bracket (lo, hi): 0 and 1,
-    # then hi unless it is 1, then lo, each once, whether or not it is solved.
+    # Built visibilities as a function of the bracket (lo, hi): 1 alone, as
+    # every other visibility's family is its white-noise mix, solved or not.
     [
-        (1e-2, lambda lo, hi: [0.0, 1.0, hi, lo]),
-        (0.9, lambda lo, hi: [0.0, 1.0, lo]),  # hi = 1
-        (1e-6, lambda lo, hi: [0.0, 1.0, hi, lo]),  # lo is solved
+        (1e-2, lambda lo, hi: [1.0]),
+        (0.9, lambda lo, hi: [1.0]),  # hi = 1
+        (1e-6, lambda lo, hi: [1.0]),  # lo is solved
     ],
 )
 def test_robustness_builds_each_visibility_once(monkeypatch, tolerance, expected):
@@ -351,7 +360,7 @@ def test_robustness_endpoint_proofs_match_analyses(state, suite, scenario):
     assert verify_certificate(high, at_one, config.tol_cert)
     assert at_one.value < at_hi.value < -config.margin
     # The floor that proved the verdict at lo, below any certificate found there.
-    v_star = maximize_visibility(family_at(0.0), high, config).v_star
+    v_star = maximize_visibility(high, config).v_star
     floor = certificate_floor(family_at(lo), (lo / result.p_star) * v_star, config.tol_cert)
     assert floor >= -config.margin
     if fresh[lo].certificate is not None:
@@ -365,25 +374,72 @@ def test_robustness_falls_back_to_an_analysis_at_hi(monkeypatch):
     _, solved = _record_robustness(monkeypatch)
     run_parametric = analysis.maximize_visibility
 
-    def uninformative_dual(*args):
-        outcome = run_parametric(*args)
+    def uninformative_dual(family, config):
+        outcome = run_parametric(family, config)
         return dataclasses.replace(outcome, z=np.eye(outcome.z.shape[0]) / outcome.z.shape[0])
 
     monkeypatch.setattr(analysis, "maximize_visibility", uninformative_dual)
     result = robustness("w", "w", S322, tolerance=1e-2)
-    assert solved == [result.bracket[1]]
+    assert solved == pytest.approx([result.bracket[1]], rel=0, abs=1e-15)
     assert result == expected
 
 
 def test_robustness_without_p_dependence_raises_before_any_solve(monkeypatch):
     # Under the w suite every one-body correlator of GHZ is 0 at every visibility.
-    def no_solve(*args, **kwargs):
+    def no_solve(family, config):
         raise AssertionError("no solve expected")
 
     monkeypatch.setattr(analysis, "maximize_lambda_min", no_solve)
     monkeypatch.setattr(analysis, "maximize_visibility", no_solve)
     with pytest.raises(NoBracket, match="verdict at visibility 1 is INCONCLUSIVE, not NONLOCAL"):
         robustness("ghz", "w", S322, policy=PinPolicy.max_bodies(1))
+
+
+# States, suites and scenarios robustness runs on, each suite with enough settings.
+ROBUSTNESS_CASES = [
+    ("w", "w", S322),
+    ("ghz", "ghz", S322),
+    ("graph-linear", "graph", S322),
+    ("graph-loop", "graph", S322),
+    ("basis:010", "w", S322),
+    ("graph-linear", "graph", Scenario(3, 3)),
+    ("graph-loop", "graph", Scenario(3, 3)),
+    ("ghz", "graph", Scenario(3, 3)),
+    ("w", "w", Scenario(4, 2)),
+]
+ROBUSTNESS_POLICIES = [PinPolicy.all(), PinPolicy.max_bodies(2)]
+
+
+@pytest.mark.parametrize("policy", ROBUSTNESS_POLICIES, ids=["all", "max-bodies-2"])
+@pytest.mark.parametrize("state, suite, scenario", ROBUSTNESS_CASES)
+def test_family_at_visibility_zero_is_the_identity(state, suite, scenario, policy):
+    # The simulated family at p = 0 is exactly the mix robustness uses there,
+    # which keeps p* bit for bit what the simulated families gave.
+    request = _request(state, suite, policy, visibility=0.0, scenario=scenario)
+    family = family_for_request(request)
+    assert np.array_equal(family.gamma0, np.eye(family.dim))
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(
+    case=st.sampled_from(ROBUSTNESS_CASES),
+    policy=st.sampled_from(ROBUSTNESS_POLICIES),
+    p=st.floats(0.0, 1.0),
+)
+def test_white_noise_family_matches_the_simulated_family(case, policy, p):
+    state, suite, scenario = case
+    high = family_for_request(_request(state, suite, policy, scenario=scenario))
+    mixed = analysis.white_noise_family(high, p)
+    simulated = family_for_request(_request(state, suite, policy, visibility=p, scenario=scenario))
+    assert all(a is b for a, b in zip(mixed.support, simulated.support))
+    assert mixed.variables == simulated.variables
+    assert mixed.pinned_keys == simulated.pinned_keys
+    assert np.array_equal(mixed.bounds, simulated.bounds)
+    assert np.abs(mixed.gamma0 - simulated.gamma0).max() <= 1e-15
+    assert np.abs(mixed.pinned_values - simulated.pinned_values).max(initial=0.0) <= 1e-15
+    # Exact at the ends: the family itself at p = 1, the identity at p = 0.
+    assert np.array_equal(analysis.white_noise_family(high, 1.0).gamma0, high.gamma0)
+    assert np.array_equal(analysis.white_noise_family(high, 0.0).gamma0, np.eye(high.dim))
 
 
 def _w_document(structure):

@@ -180,17 +180,41 @@ def test_robustness_command(tmp_path, capsys):
     assert report["bracket"][1] - report["bracket"][0] <= 0.5
 
 
+def _package_env(**variables):
+    """The environment of a subprocess that imports this momentcert."""
+    package_root = str(Path(momentcert.__file__).resolve().parents[1])
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize(
-    "state, tolerance", [("w", "1e-2"), ("ghz", "1e-2"), ("w", "1e-6")]
+    "golden, state, suite, parties, settings, tolerance",
+    [
+        ("w", "w", "w", 3, 2, "1e-2"),
+        ("ghz", "ghz", "ghz", 3, 2, "1e-2"),
+        ("w", "w", "w", 3, 2, "1e-6"),
+        ("w4", "w", "w", 4, 2, "1e-2"),
+        ("graph-loop", "graph-loop", "graph", 3, 3, "1e-2"),
+    ],
+    ids=["w-1e-2", "ghz-1e-2", "w-1e-6", "w4-1e-2", "graph-loop-1e-2"],
 )
-def test_robustness_document_matches_golden(tmp_path, capsys, state, tolerance):
+def test_robustness_document_matches_golden(
+    tmp_path, golden, state, suite, parties, settings, tolerance
+):
     # p*, the bracket and the evaluations, byte for byte, as robustness wrote
-    # them while it still confirmed hi with a full analysis (numpy 2.4 and
-    # OpenBLAS on x86-64).
+    # them while it still confirmed hi with a full analysis (the (3,2,2)
+    # files) or simulated the family of every visibility it decided (the
+    # others), with numpy 2.4 and OpenBLAS on x86-64.  The command runs in a
+    # subprocess on one BLAS thread: at dim 46 threaded products round
+    # differently.
     out = tmp_path / "robustness.json"
-    argv = ["robustness", "--state", state, "--suite", state, "--tol", tolerance]
-    assert run(argv + ["--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / f"robustness_{state}_{tolerance}.json").read_bytes()
+    argv = ["robustness", "--state", state, "--suite", suite, "--parties", str(parties),
+            "--settings", str(settings), "--tol", tolerance, "--out", str(out)]
+    one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    subprocess.run([sys.executable, "-m", "momentcert.cli", *argv],
+                   env=_package_env(**one_thread), capture_output=True, check=True)
+    assert out.read_bytes() == (DATA / f"robustness_{golden}_{tolerance}.json").read_bytes()
 
 
 def test_robustness_command_rejects_nan_tolerance(capsys):
@@ -201,12 +225,9 @@ def test_robustness_command_rejects_nan_tolerance(capsys):
 
 def test_cli_import_loads_no_scipy():
     # scipy.optimize alone adds about half a second and 50 MB to start-up.
-    package_root = str(Path(momentcert.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     code = "import sys, momentcert.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
 

@@ -247,7 +247,7 @@ def test_schur_blocks_match_dense_formula(monkeypatch):
 
 
 def test_schur_rows_of_the_visibility_form_match_dense_formula(monkeypatch):
-    # The p form has A_0 = -Delta, not I.  Support sizes 1 to 3 give blocks
+    # The p form has A_0 = I - gamma0 = -Delta, not I.  Support sizes 1 to 3 give blocks
     # of several shapes, and the small SCHUR_BLOCK splits each shape.
     monkeypatch.setattr(sdp, "SCHUR_BLOCK", 100)
     rng = np.random.default_rng(8)
@@ -452,20 +452,12 @@ def _family_at(state, visibility, suite=None, scenario=Scenario(3, 2)):
     return family_for_request(AnalysisRequest(source=source, scenario=scenario))
 
 
-def test_maximize_visibility_rejects_mismatched_families():
-    other = _family_at("w", 1.0, suite="graph", scenario=Scenario(3, 3))
-    with pytest.raises(ValueError, match="share"):
-        maximize_visibility(_family_at("w", 0.0), other)
-    # Starting at p = 0 needs gamma0(low) + margin I > 0.
-    with pytest.raises(ValueError, match="positive definite"):
-        maximize_visibility(_family_at("w", 1.0), _family_at("w", 0.0))
-
-
 def test_maximize_visibility_returns_its_witness():
-    low, high = _family_at("w", 0.0), _family_at("w", 1.0)
-    outcome = maximize_visibility(low, high)
-    mixed = low.gamma0 + outcome.p_star * (high.gamma0 - low.gamma0)
-    shifted = mixed + low.combine(outcome.v_star) + SolverConfig().margin * np.eye(low.dim)
+    family = _family_at("w", 1.0)
+    outcome = maximize_visibility(family)
+    eye = np.eye(family.dim)
+    mixed = (1.0 - outcome.p_star) * eye + outcome.p_star * family.gamma0
+    shifted = mixed + family.combine(outcome.v_star) + SolverConfig().margin * eye
     assert np.linalg.eigvalsh(shifted)[0] > 0.0
 
 
@@ -483,8 +475,8 @@ def test_maximize_visibility_dual_certifies_above_p_star(state, suite, scenario)
     # margin at visibility p: a certificate past p_star at any tolerance,
     # which carries to p = 1.
     margin = SolverConfig().margin
-    low, high = (_family_at(state, p, suite, scenario) for p in (0.0, 1.0))
-    outcome = maximize_visibility(low, high)
+    high = _family_at(state, 1.0, suite, scenario)
+    outcome = maximize_visibility(high)
     assert np.trace(outcome.z) == pytest.approx(1.0, abs=1e-12)
     for tolerance in (0.25, 1e-2, 1e-4, 1e-6, 1e-8):
         hi = min(1.0, outcome.p_star + 0.5 * tolerance)
