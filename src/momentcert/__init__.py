@@ -67,7 +67,6 @@ from .sdp import (
     SolverConfig,
     extract_certificate,
     maximize_lambda_min,
-    maximize_visibility,
     verify_certificate,
 )
 

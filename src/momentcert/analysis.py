@@ -54,9 +54,7 @@ from .sdp import (
     SolverConfig,
     SolveOutcome,
     certificate_floor,
-    extract_certificate,
     maximize_lambda_min,
-    maximize_visibility,
     verify_certificate,
 )
 
@@ -261,12 +259,12 @@ class RobustnessResult:
 
     ``evaluations`` lists (visibility, verdict) pairs in the order 1, 0, hi,
     lo, each visibility once, decided on white-noise mixes of one family.
-    The verdicts at 0 and lo are proved by :func:`~momentcert.sdp.certificate_floor`,
-    the verdict at hi by the parametric solve's own dual matrix, and the
-    verdict at 1 by the certificate that proved hi.  Only when a proof does
-    not hold (lo at tolerances so fine that its floor falls below -margin,
-    hi should the dual matrix fail to verify there) is that visibility's
-    family solved, and the solve's status is its verdict.
+    The verdict at 1 is the solve of that family, hi is proved by its
+    certificate, 0 by the identity family, and lo by
+    :func:`~momentcert.sdp.certificate_floor` at its scaled completion.
+    Only when the floor at lo falls below -margin, at tolerances so fine
+    that lo is almost p_star, is the lo family solved, and the solve's
+    status is its verdict.
     """
 
     p_star: float
@@ -284,88 +282,60 @@ def robustness(
     tolerance: float = 1e-2,
     config: SolverConfig | None = None,
 ) -> RobustnessResult:
-    """Critical white-noise visibility from one family and one parametric SDP.
+    """Critical white-noise visibility from one analysis at visibility 1.
 
-    Only the family at p = 1 is built; the one at visibility p is its
-    :func:`white_noise_family`, (1 - p) I + p gamma0, exactly I at p = 0.
-    :func:`~momentcert.sdp.maximize_visibility` gives p_star, the largest p
-    at which some completion v_star keeps lambda_min above -margin.  At or
-    below p_star every certificate value is at least -margin, so the verdict
-    is INCONCLUSIVE; above it the unboxed optimum, and with it the
-    certificate value, lies below -margin.  The bracket is
-    lo = max(0, p_star - tolerance / 2) and hi = min(1, p_star + tolerance / 2).
-    Every verdict is proved rather than solved for:
+    Only the family at p = 1 is built and solved, as :func:`analyze` would;
+    unless it is NONLOCAL, NoBracket is raised.  The family at visibility p
+    is its :func:`white_noise_family`, (1 - p) I + p gamma0, with the same
+    variable directions.  So the solve's verified certificate Z, of value
+    c at p = 1, verifies on every mix with value 1 - p (1 - c), and
+    p_star = (1 + margin) / (1 - c) is where that value crosses -margin.
+    The bracket is lo = max(0, p_star - tolerance / 2) and
+    hi = min(1, p_star + tolerance / 2), and its verdicts are proved:
 
-    - NONLOCAL at hi.  The parametric solve's last dual matrix X, scaled to
-      z = X / Tr X, has value (p_star - p) / Tr X - margin at visibility p,
-      below -margin above p_star.  :func:`~momentcert.sdp.extract_certificate`
-      makes it a certificate verified on the hi family; its value must lie
-      below -margin, the standard :func:`analyze` applies.  Should it not,
-      the hi family is solved instead and must be CERTIFIED_INFEASIBLE.
-    - INCONCLUSIVE at 0 and at lo.  Every certificate verified on a family
-      has value at least :func:`~momentcert.sdp.certificate_floor` at any
-      completion v, so a floor at or above -margin rules NONLOCAL out.  At
-      0 the family is I and v = 0.  At lo, v = (lo / p_star) v_star gives
-      Gamma(v) = (1 - t) I + t (S - margin I) with t = lo / p_star and
-      S >= 0 the matrix of the parametric solve at p_star, so
-      lambda_min(Gamma(v)) >= 1 - t (1 + margin).  When the floor at lo
-      still falls below -margin, as it can at tolerances so fine that t is
-      almost 1, the lo family is solved instead and must not be
+    - NONLOCAL at hi.  Z, re-valued on the hi family, must pass
+      :func:`~momentcert.sdp.verify_certificate` there with a value below
+      -margin, the standard :func:`analyze` applies.
+    - INCONCLUSIVE at 0.  The family there is I, on which a verified
+      certificate has value within tol_cert of its trace, so at least
+      1 - 2 tol_cert.
+    - INCONCLUSIVE at lo.  Every certificate verified on a family has value
+      at least :func:`~momentcert.sdp.certificate_floor` at any completion
+      v, so a floor at or above -margin rules NONLOCAL out.  With v_star
+      the solve's completion, v = lo v_star gives
+      Gamma(v) = (1 - lo) I + lo Gamma_1(v_star), so
+      lambda_min(Gamma(v)) >= 1 - lo (1 - lambda_star).  When the floor
+      still falls below -margin, as it can at tolerances so fine that lo is
+      almost p_star, the lo family is solved instead and must not be
       CERTIFIED_INFEASIBLE.
-    - NONLOCAL at 1.  A certificate's value <gamma0(p), Z> is affine in p,
-      1 at p = 0 and below -margin at hi, so lower still at 1.  The hi
-      certificate is verified on the p = 1 family and its value there must
-      lie below -margin too.
 
-    NoBracket is raised instead of returning an unconfirmed threshold: when
-    a proof and its fallback solve both fail, and before any solve when the
-    correlators do not depend on p.
+    NoBracket is raised instead of returning an unconfirmed threshold.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     policy = policy if policy is not None else PinPolicy.all()
     config = config if config is not None else SolverConfig()
-
-    def inconclusive_proved(family: AffineMatrixFamily, v: np.ndarray) -> bool:
-        return certificate_floor(family, v, config.tol_cert) >= -config.margin
-
-    def certified(family: AffineMatrixFamily) -> DualCertificate | None:
-        outcome = _stage("solve", maximize_lambda_min, family, config)
-        return outcome.certificate if outcome.status == CERTIFIED_INFEASIBLE else None
-
     source = SimulatedSource(state, suite)
     high = family_for_request(AnalysisRequest(source, scenario, level, policy, config))
-    if not inconclusive_proved(white_noise_family(high, 0.0), np.zeros(high.num_variables)):
-        raise NoBracket(f"the verdict at visibility 0 is not provably {INCONCLUSIVE}")
-    not_nonlocal_at_one = NoBracket(f"verdict at visibility 1 is {INCONCLUSIVE}, not {NONLOCAL}")
-    if np.array_equal(high.gamma0, np.eye(high.dim)):
-        raise not_nonlocal_at_one
-    critical = maximize_visibility(high, config)
-    p_star = critical.p_star
-    if p_star >= 1.0:
-        raise not_nonlocal_at_one
-    if not 0.0 <= p_star:
-        raise NoBracket(f"critical visibility {p_star} lies outside [0, 1]")
+    outcome: SolveOutcome = _stage("solve", maximize_lambda_min, high, config)
+    if outcome.status != CERTIFIED_INFEASIBLE:
+        raise NoBracket(f"verdict at visibility 1 is {INCONCLUSIVE}, not {NONLOCAL}")
+    z = outcome.certificate.matrix
+    p_star = (1.0 + config.margin) / (1.0 - outcome.certificate.value)
     lo = max(0.0, p_star - 0.5 * tolerance)
     hi = min(1.0, p_star + 0.5 * tolerance)
     while hi - lo > tolerance:  # rounding can widen the bracket by an ulp
         hi = math.nextafter(hi, lo)
     unconfirmed = NoBracket(f"verdicts at [{lo}, {hi}] do not confirm p* = {p_star}")
     at_hi = white_noise_family(high, hi)
-    proof = extract_certificate(at_hi, critical.z, config.tol_cert)
-    if proof is None or proof.value >= -config.margin:
-        proof = certified(at_hi)
-        if proof is None:
-            raise unconfirmed
-    z = proof.matrix
-    at_one = DualCertificate(matrix=z, value=float(np.sum(high.gamma0 * z)))
-    if not (verify_certificate(high, at_one, config.tol_cert) and at_one.value < -config.margin):
-        raise NoBracket(f"the certificate at visibility {hi} does not certify visibility 1")
+    proof = DualCertificate(matrix=z, value=float(np.sum(at_hi.gamma0 * z)))
+    if not (verify_certificate(at_hi, proof, config.tol_cert) and proof.value < -config.margin):
+        raise unconfirmed
     if lo > 0.0:
         at_lo = white_noise_family(high, lo)
-        proved = inconclusive_proved(at_lo, (lo / p_star) * critical.v_star)
-        if not proved and certified(at_lo) is not None:
-            raise unconfirmed
+        if certificate_floor(at_lo, lo * outcome.v_star, config.tol_cert) < -config.margin:
+            if _stage("solve", maximize_lambda_min, at_lo, config).status == CERTIFIED_INFEASIBLE:
+                raise unconfirmed
     # A dict drops the repeated visibility when hi = 1 or lo = 0.
     evaluations = {1.0: NONLOCAL, 0.0: INCONCLUSIVE, hi: NONLOCAL, lo: INCONCLUSIVE}
     return RobustnessResult(

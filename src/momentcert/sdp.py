@@ -47,24 +47,12 @@ so <gamma0, Z> < 0 proves that no completion is positive semidefinite.  The
 certificate is checked by :func:`verify_certificate` using nothing but an
 eigendecomposition and inner products, independently of the solver.
 
-The same interior-point method also solves a second program.  Under white
-noise every pinned correlator scales with the visibility p while the unit
-diagonal stays, so the family at p has gamma0(p) = (1 - p) I + p gamma0;
-:func:`maximize_visibility` finds the largest p for which
-
-    (1 - p) I + p gamma0 + sum_k v_k G_k + margin I >= 0
-
-for some unbounded v, in one solve.  Its objective matrix is I - gamma0 in
-place of I, and its start p = 0, v = 0.  Past that p the optimum of the
-unboxed lambda program lies below -margin; at it, the solve's last v is a
-completion that clears -margin.  :func:`certificate_floor` turns any
-completion into a lower bound on the value of every verified certificate,
-so such a completion proves that no certificate reaches below -margin.
-The solve's last dual matrix X has <gamma0 - I, X> = -1 and <G_k, X> = 0,
-and at convergence <(1 + margin) I, X> = p_star.  So Z = X / Tr X has
-value <gamma0(p), Z> = (p_star - p) / Tr X - margin at visibility p, below
--margin for every p above p_star: past the threshold it is the certificate
-that :func:`extract_certificate` turns into a verified one.
+Under white noise the family at visibility p is (1 - p) I + p gamma0 with
+the same G_k.  The trace, eigenvalues and <G_k, Z> of a certificate do not
+depend on p, so one verified at p = 1 verifies at every p, with value
+(1 - p) Tr Z + p <gamma0, Z>, affine in p.  That is how
+:func:`~momentcert.analysis.robustness` gets the critical visibility from
+one solve.
 """
 
 from __future__ import annotations
@@ -85,8 +73,7 @@ WITNESS_TOL = 1e-8
 # The interior-point solve stops once the relative duality gap is this small.
 GAP_TOL = 1e-9
 # ... provided the residual of the linear constraints on Z is this small.
-# With A_0 = I the start Z = I/n satisfies them and the steps keep them up
-# to rounding; otherwise the steps have to reach them first.
+# The start Z = I/n satisfies them and the steps keep them up to rounding.
 FEAS_TOL = 1e-6
 # Stall exit: a step shorter than this ends the solve.
 MIN_STEP = 1e-8
@@ -99,7 +86,7 @@ SCHUR_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings of :func:`maximize_lambda_min` and :func:`maximize_visibility`.
+    """Settings of :func:`maximize_lambda_min`.
 
     ``max_iters`` caps the number of Newton steps; the solve normally stops
     well before on its gap or stall exit.  ``margin`` is the decision
@@ -148,24 +135,15 @@ class SolveOutcome:
 class _FamilyOps:
     """The semidefinite program solved over one affine family,
 
-        max y_0   subject to   S = C - y_0 A_0 + sum_k v_k G_k >= 0,
+        max t   subject to   S = gamma0 - t I + sum_k v_k G_k >= 0,
 
-    with its objective matrix A_0, constant matrix C, variable box and the
-    blocks of its Schur assembly.  The defaults A_0 = I and C = gamma0 give
-    the lambda_min program, with y_0 = t.  The maps sum_k v_k G_k and
-    <G_k, Z> are the family's own.
+    with its variable box and the blocks of its Schur assembly.  The maps
+    sum_k v_k G_k and <G_k, Z> are the family's own.
     """
 
-    def __init__(
-        self,
-        family: AffineMatrixFamily,
-        a0: np.ndarray | None = None,
-        c: np.ndarray | None = None,
-    ):
+    def __init__(self, family: AffineMatrixFamily):
         self.family = family
         self.dim = family.dim
-        self.a0 = np.eye(self.dim) if a0 is None else np.asarray(a0, dtype=float)
-        self.c = np.asarray(family.gamma0 if c is None else c, dtype=float)
         self.nvars = family.num_variables
         rows, cols, vidx = family.support
         counts = np.bincount(vidx, minlength=self.nvars)
@@ -173,8 +151,8 @@ class _FamilyOps:
         self.starts = np.cumsum(counts) - counts
         if self.nvars and (counts == 0).any():
             raise ValueError("family has a variable with empty support")
-        if rows.size and any(np.abs(m[rows, cols]).max() > 0.0 for m in (self.c, self.a0)):
-            raise ValueError("gamma0 or the objective overlaps a variable support")
+        if rows.size and np.abs(family.gamma0[rows, cols]).max() > 0.0:
+            raise ValueError("gamma0 overlaps a variable support")
         bounds = np.asarray(family.bounds, dtype=float).reshape(self.nvars, 2)
         self.lo = bounds[:, 0]
         self.hi = bounds[:, 1]
@@ -203,8 +181,8 @@ class _FamilyOps:
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """Matrix-block part of the HKM Schur complement M_ij = Tr(A_i X A_j S^-1).
 
-        The matrix parts of the constraints are A_0 and A_k = -G_k, so
-        M_0k = -<G_k, X A_0 S^-1> and M_kl = Tr(G_k X G_l S^-1) =
+        The matrix parts of the constraints are A_0 = I and A_k = -G_k, so
+        M_0k = -<G_k, X S^-1> and M_kl = Tr(G_k X G_l S^-1) =
         <G_k, X G_l S^-1> for k, l >= 1.  With the positions (r_p, c_p) of
         variable l and X symmetric, X G_l S^-1 = X[a, :]' S^-1[b, :] for
         a = (r..., c...) and b = (c..., r...), a product of rank 2|l|; the
@@ -212,9 +190,9 @@ class _FamilyOps:
         transient memory.
         """
         m = np.empty((self.nvars + 1, self.nvars + 1))
-        m[0, 0] = np.sum((self.a0 @ x @ self.a0) * s_inv)
+        m[0, 0] = np.sum(x * s_inv)
         if self.nvars:
-            cross = -self.family.inner(x @ self.a0 @ s_inv)
+            cross = -self.family.inner(x @ s_inv)
             m[0, 1:] = cross
             m[1:, 0] = cross
             r, c, _ = self.family.support
@@ -224,12 +202,12 @@ class _FamilyOps:
         return m
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
-        """(<A_0, Z>, ..., <A_K, Z>) = (Tr A_0 Z, -<G_k, Z>)."""
-        return np.concatenate(([np.trace(self.a0 @ z)], -self.family.inner(z)))
+        """(<A_0, Z>, ..., <A_K, Z>) = (Tr Z, -<G_k, Z>)."""
+        return np.concatenate(([np.trace(z)], -self.family.inner(z)))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """sum_i y_i A_i = y_0 A_0 - sum_k y_k G_k."""
-        return y[0] * self.a0 - self.family.combine(y[1:])
+        """sum_i y_i A_i = y_0 I - sum_k y_k G_k."""
+        return y[0] * np.eye(self.dim) - self.family.combine(y[1:])
 
 
 def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -252,18 +230,18 @@ def _max_step(l_inv: np.ndarray, d: np.ndarray, w: np.ndarray, dw: np.ndarray) -
 def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: int):
     """Mehrotra predictor-corrector HKM steps on the primal-dual pair.
 
-    Maximizes y_0 subject to S = C - y_0 A_0 + sum_k v_k G_k >= 0 (the
-    program ``ops`` carries) from the start y = (y_0, v), where S must be
-    positive definite, together with min <C, Z> subject to <A_0, Z> = 1,
+    Maximizes t subject to S = gamma0 - t I + sum_k v_k G_k >= 0 (the
+    program ``ops`` carries) from the start y = (t, v), where S must be
+    positive definite, together with min <gamma0, Z> subject to Tr Z = 1,
     <G_k, Z> = 0 and Z >= 0 from Z = I/n.  The variables k in ``box`` also
     get the linear constraints v_k >= lo_k and v_k <= hi_k.  The iterate is
     (X, u, y, S, w): X the matrix Z, u >= 0 the multipliers of the box rows
     and w >= 0 the box slacks v - lo and hi - v.  Every iterate keeps S
-    positive definite, so each y_0 is attained.  Returns the last X, y and
+    positive definite, so each t is attained.  Returns the last X, y and
     the number of steps.
     """
     n = ops.dim
-    eye = np.eye(n)
+    gamma0 = ops.family.gamma0
     # Box row j reads sign_j v_idx_j <= c_box_j.
     idx = np.concatenate((box, box))
     sign = np.repeat([-1.0, 1.0], box.size)
@@ -277,18 +255,17 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: 
 
     b = np.zeros(ops.nvars + 1)
     b[0] = 1.0
-    s = ops.c - ops.adjoint(y)
+    s = gamma0 - ops.adjoint(y)
     w = c_box - sign * y[1:][idx]
-    # With A_0 = I, X = I/n has <A_0, X> = 1 and <G_k, X> = 0, so any u
-    # with equal pairs is primal feasible; this one is centred, with
-    # u_j w_j = <X, S> / n.  Other A_0 start primal infeasible.
-    x = eye / n
+    # X = I/n has Tr X = 1 and <G_k, X> = 0, so any u with equal pairs is
+    # primal feasible; this one is centred, with u_j w_j = <X, S> / n.
+    x = np.eye(n) / n
     u = float(np.sum(x * s)) / n / w
     pairs = n + idx.size
     steps = 0
     while steps < max_iters:
         r_primal = b - constraints(x, u)
-        primal = float(np.sum(ops.c * x) + c_box @ u)
+        primal = float(np.sum(gamma0 * x) + c_box @ u)
         scale = 1.0 + abs(primal) + abs(y[0])
         if primal - y[0] <= GAP_TOL * scale and np.abs(r_primal).max() <= FEAS_TOL:
             break
@@ -303,7 +280,7 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: 
         except np.linalg.LinAlgError:
             break
         mu = float(np.sum(x * s) + u @ w) / pairs
-        r_dual = ops.c - ops.adjoint(y) - s
+        r_dual = gamma0 - ops.adjoint(y) - s
         r_box = c_box - sign * y[1:][idx] - w
         base = constraints(x @ r_dual @ s_inv, u * r_box / w) + r_primal
 
@@ -317,7 +294,13 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: 
             dx = target - x @ ds @ s_inv
             return 0.5 * (dx + dx.T), target_box - u * dw / w, dy, ds, dw
 
-        dx, du, dy, ds, dw = direction(-x, -u)
+        try:
+            dx, du, dy, ds, dw = direction(-x, -u)
+        except np.linalg.LinAlgError:
+            # M can pass the Cholesky test yet be exactly singular to the LU
+            # of the solve; that too ends the solve at the last iterate.
+            # The corrector solves with the same M, so it cannot raise.
+            break
         alpha_p = min(1.0, _max_step(lx_inv, dx, u, du))
         alpha_d = min(1.0, _max_step(ls_inv, ds, w, dw))
         mu_aff = float(
@@ -388,49 +371,6 @@ def maximize_lambda_min(
         v_star=v_star,
         certificate=certificate,
         iterations=iterations,
-    )
-
-
-@dataclass(frozen=True)
-class VisibilityOutcome:
-    """The largest visibility p_star found feasible, its witness, and the steps taken.
-
-    ``v_star`` is the completion at p_star: (1 - p_star) I + p_star gamma0 +
-    sum_k v_star_k G_k + margin I is positive definite.  ``z`` is the last
-    dual matrix scaled to unit trace, an unverified certificate for every
-    visibility above p_star.
-    """
-
-    p_star: float
-    v_star: np.ndarray
-    z: np.ndarray
-    iterations: int
-
-
-def maximize_visibility(
-    family: AffineMatrixFamily, config: SolverConfig | None = None
-) -> VisibilityOutcome:
-    """Largest visibility p at which (1 - p) I + p gamma0 still clears -margin.
-
-    ``family`` is the one at visibility 1.  Solves
-
-        max p   subject to   (1 - p) I + p gamma0 + sum_k v_k G_k + margin I >= 0
-
-    with v unbounded, so p_star is where the optimum of the unboxed lambda
-    program crosses -margin.  The solve starts at p = 0, v = 0, from the
-    positive definite (1 + margin) I.  Every iterate is feasible, so p_star
-    never exceeds the exact threshold, and the completion v_star of the
-    last iterate is returned as its witness.  The last dual matrix, scaled
-    to unit trace, is returned as ``z``.
-    """
-    cfg = config if config is not None else SolverConfig()
-    eye = np.eye(family.dim)
-    ops = _FamilyOps(family, a0=eye - family.gamma0, c=(1.0 + cfg.margin) * eye)
-    x, y, iterations = _interior_point(
-        ops, np.zeros(ops.nvars + 1), np.zeros(0, dtype=int), cfg.max_iters
-    )
-    return VisibilityOutcome(
-        p_star=float(y[0]), v_star=y[1:], z=x / np.trace(x), iterations=iterations
     )
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -32,14 +31,13 @@ from momentcert import (
     ingest_table,
     make_state,
     maximize_lambda_min,
-    maximize_visibility,
     robustness,
     standard_suite,
     table_document,
     verify_certificate,
 )
 from momentcert import analysis, hierarchy
-from momentcert.sdp import certificate_floor
+from momentcert.sdp import WITNESS_TOL, certificate_floor
 
 from helpers import bisect_visibility
 
@@ -278,33 +276,25 @@ def _record_robustness(monkeypatch):
 
 @pytest.mark.parametrize(
     "tolerance, expected",
-    # Solved visibilities as a function of the bracket (lo, hi): none, since
-    # the parametric solve's dual matrix proves hi and the floor proves lo
-    # and lo = 0.  At 1e-6 the floor at lo is below -margin, so lo is solved.
+    # Solved visibilities as a function of the bracket (lo, hi): 1 alone,
+    # since its certificate proves hi and the floor proves lo, or lo = 0.
+    # At 1e-6 the floor at lo is below -margin, so lo is solved too.
     [
-        (1e-2, lambda lo, hi: []),
-        (0.9, lambda lo, hi: []),  # hi = 1
-        (1.8, lambda lo, hi: []),  # bracket [0, 1]
-        (1e-6, lambda lo, hi: [lo]),
+        (1e-2, lambda lo, hi: [1.0]),
+        (0.9, lambda lo, hi: [1.0]),  # hi = 1
+        (1.8, lambda lo, hi: [1.0]),  # bracket [0, 1]
+        (1e-6, lambda lo, hi: [1.0, lo]),
     ],
 )
-def test_robustness_runs_one_parametric_solve_and_no_analysis(monkeypatch, tolerance, expected):
+def test_robustness_runs_one_solve_and_no_analysis(monkeypatch, tolerance, expected):
     _, solved = _record_robustness(monkeypatch)
-    parametric = []
-    run_parametric = analysis.maximize_visibility
-
-    def counted_parametric(family, config):
-        parametric.append(1)
-        return run_parametric(family, config)
 
     def no_analysis(request):
         raise AssertionError("robustness runs no analysis")
 
-    monkeypatch.setattr(analysis, "maximize_visibility", counted_parametric)
     monkeypatch.setattr(analysis, "analyze", no_analysis)
     result = robustness("w", "w", S322, tolerance=tolerance)
     assert solved == pytest.approx(expected(*result.bracket), rel=0, abs=1e-15)
-    assert parametric == [1]
     assert result.evaluations[:2] == ((1.0, NONLOCAL), (0.0, INCONCLUSIVE))
     if tolerance == 1.8:
         assert result.bracket == (0.0, 1.0)
@@ -360,39 +350,63 @@ def test_robustness_endpoint_proofs_match_analyses(state, suite, scenario):
     assert verify_certificate(high, at_one, config.tol_cert)
     assert at_one.value < at_hi.value < -config.margin
     # The floor that proved the verdict at lo, below any certificate found there.
-    v_star = maximize_visibility(high, config).v_star
-    floor = certificate_floor(family_at(lo), (lo / result.p_star) * v_star, config.tol_cert)
+    v_star = maximize_lambda_min(high, config).v_star
+    floor = certificate_floor(family_at(lo), lo * v_star, config.tol_cert)
     assert floor >= -config.margin
     if fresh[lo].certificate is not None:
         assert fresh[lo].certificate.value >= floor
 
 
-def test_robustness_falls_back_to_an_analysis_at_hi(monkeypatch):
-    # With z = I/n, whose value on every family is Tr(gamma0) / n = 1, the
-    # dual matrix proves nothing, so the hi family is solved and certifies.
-    expected = robustness("w", "w", S322, tolerance=1e-2)
-    _, solved = _record_robustness(monkeypatch)
-    run_parametric = analysis.maximize_visibility
+def test_robustness_without_p_dependence_raises_after_one_solve(monkeypatch):
+    # Under the w suite every one-body correlator of GHZ is 0 at every
+    # visibility, so the family at 1 is I and its solve is FEASIBLE.
+    solved = []
+    solve = analysis.maximize_lambda_min
 
-    def uninformative_dual(family, config):
-        outcome = run_parametric(family, config)
-        return dataclasses.replace(outcome, z=np.eye(outcome.z.shape[0]) / outcome.z.shape[0])
+    def counted_solve(family, config):
+        solved.append(np.array_equal(family.gamma0, np.eye(family.dim)))
+        return solve(family, config)
 
-    monkeypatch.setattr(analysis, "maximize_visibility", uninformative_dual)
-    result = robustness("w", "w", S322, tolerance=1e-2)
-    assert solved == pytest.approx([result.bracket[1]], rel=0, abs=1e-15)
-    assert result == expected
-
-
-def test_robustness_without_p_dependence_raises_before_any_solve(monkeypatch):
-    # Under the w suite every one-body correlator of GHZ is 0 at every visibility.
-    def no_solve(family, config):
-        raise AssertionError("no solve expected")
-
-    monkeypatch.setattr(analysis, "maximize_lambda_min", no_solve)
-    monkeypatch.setattr(analysis, "maximize_visibility", no_solve)
+    monkeypatch.setattr(analysis, "maximize_lambda_min", counted_solve)
     with pytest.raises(NoBracket, match="verdict at visibility 1 is INCONCLUSIVE, not NONLOCAL"):
         robustness("ghz", "w", S322, policy=PinPolicy.max_bodies(1))
+    assert solved == [True]
+
+
+@pytest.mark.parametrize(
+    "state, suite, scenario, tolerance",
+    # The cases of the robustness documents under tests/data.
+    [
+        ("w", "w", S322, 1e-2),
+        ("ghz", "ghz", S322, 1e-2),
+        ("w", "w", S322, 1e-6),
+        ("w", "w", Scenario(4, 2), 1e-2),
+        ("graph-loop", "graph", Scenario(3, 3), 1e-2),
+    ],
+)
+def test_p_star_is_where_the_p_one_certificate_crosses_the_margin(
+    state, suite, scenario, tolerance
+):
+    config = SolverConfig()
+    result = robustness(state, suite, scenario, tolerance=tolerance, config=config)
+    certificate = analyze(_request(state, suite, config=config, scenario=scenario)).certificate
+    assert result.p_star == (1.0 + config.margin) / (1.0 - certificate.value)
+
+
+# Scenarios whose explicit pin sets of one or two keys include some on which
+# the Newton system turns singular.
+PIN_SET_CASES = [("w", "w", S322), ("ghz", "ghz", S322), ("graph-linear", "graph", Scenario(3, 3))]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(PIN_SET_CASES), data=st.data())
+def test_every_explicit_pin_set_gets_a_verdict(case, data):
+    state, suite, scenario = case
+    observables = hierarchy.build_structure(scenario, 2).observables
+    keys = data.draw(st.sets(st.sampled_from(observables), min_size=1, max_size=3))
+    report = analyze(_request(state, suite, PinPolicy.explicit(keys), scenario=scenario))
+    if report.status == "FEASIBLE":
+        assert report.lambda_star >= -WITNESS_TOL
 
 
 # States, suites and scenarios robustness runs on, each suite with enough settings.

@@ -202,12 +202,10 @@ def _package_env(**variables):
 def test_robustness_document_matches_golden(
     tmp_path, golden, state, suite, parties, settings, tolerance
 ):
-    # p*, the bracket and the evaluations, byte for byte, as robustness wrote
-    # them while it still confirmed hi with a full analysis (the (3,2,2)
-    # files) or simulated the family of every visibility it decided (the
-    # others), with numpy 2.4 and OpenBLAS on x86-64.  The command runs in a
-    # subprocess on one BLAS thread: at dim 46 threaded products round
-    # differently.
+    # p*, the bracket and the evaluations, byte for byte, as robustness
+    # writes them from the certificate of its solve at visibility 1, with
+    # numpy 2.4 and OpenBLAS on x86-64.  The command runs in a subprocess on
+    # one BLAS thread: at dim 46 threaded products round differently.
     out = tmp_path / "robustness.json"
     argv = ["robustness", "--state", state, "--suite", suite, "--parties", str(parties),
             "--settings", str(settings), "--tol", tolerance, "--out", str(out)]
@@ -215,6 +213,50 @@ def test_robustness_document_matches_golden(
     subprocess.run([sys.executable, "-m", "momentcert.cli", *argv],
                    env=_package_env(**one_thread), capture_output=True, check=True)
     assert out.read_bytes() == (DATA / f"robustness_{golden}_{tolerance}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "state, suite, settings, key",
+    # One-key pin sets on which the Newton system turns exactly singular.
+    [
+        ("w", "w", 2, {"parties": [1, 2, 3], "settings": [0, 0, 1]}),
+        ("ghz", "ghz", 2, {"parties": [1, 2, 3], "settings": [0, 0, 0]}),
+        ("graph-linear", "graph", 3, {"parties": [1, 2], "settings": [0, 2]}),
+    ],
+    ids=["w-A0B0C1", "ghz-A0B0C0", "graph-linear-A0B2"],
+)
+def test_singular_newton_system_ends_in_a_verdict(tmp_path, state, suite, settings, key):
+    pin_path = tmp_path / "pins.json"
+    pin_path.write_text(json.dumps([key]))
+    out = tmp_path / "report.json"
+    argv = ["analyze", "--state", state, "--suite", suite, "--settings", str(settings),
+            "--pin", f"explicit:{pin_path}", "--out", str(out)]
+    assert run(argv) == 0
+    body = json.loads(out.read_text())["body"]
+    assert body["status"] == "FEASIBLE"
+    assert body["lambda_star"] >= -1e-8
+
+
+def test_analysis_agrees_across_blas_thread_counts(tmp_path):
+    # Threaded products round differently at dim 46, so the floats of a
+    # report may differ in the last digits; nothing else may.
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        argv = ["analyze", "--state", "graph-loop", "--suite", "graph", "--parties", "3",
+                "--settings", "3", "--out", str(out)]
+        env = _package_env(
+            **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        )
+        code = subprocess.run([sys.executable, "-m", "momentcert.cli", *argv],
+                              env=env, capture_output=True).returncode
+        assert code == 2
+        bodies.append(json.loads(out.read_text())["body"])
+    one, two = bodies
+    assert [one[k] for k in ("verdict", "status", "iterations")] == [
+        two[k] for k in ("verdict", "status", "iterations")
+    ]
+    assert abs(one["lambda_star"] - two["lambda_star"]) <= 1e-12
 
 
 def test_robustness_command_rejects_nan_tolerance(capsys):

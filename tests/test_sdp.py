@@ -21,7 +21,6 @@ from momentcert import (
     family_for_request,
     make_state,
     maximize_lambda_min,
-    maximize_visibility,
     standard_suite,
     verify_certificate,
 )
@@ -232,40 +231,23 @@ def test_lambda_star_is_the_boxed_optimum_when_the_clip_binds():
 
 def test_schur_blocks_match_dense_formula(monkeypatch):
     # M_ij = Tr(A_i X A_j S^-1) with A_0 = I and A_k = -G_k, assembled in
-    # several row blocks, against the same sums taken densely.
-    monkeypatch.setattr(sdp, "SCHUR_BLOCK", 40)
-    rng = np.random.default_rng(5)
-    family = random_family(rng, 9, 12)
-    ops = sdp._FamilyOps(family)
-    assert len(ops.blocks) > 1
-    a = rng.normal(size=(9, 9))
-    b = rng.normal(size=(9, 9))
-    x, w = a @ a.T, b @ b.T
-    mats = [np.eye(9)] + [-g for g in dense_patterns(family)]
-    dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
-    assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
-
-
-def test_schur_rows_of_the_visibility_form_match_dense_formula(monkeypatch):
-    # The p form has A_0 = I - gamma0 = -Delta, not I.  Support sizes 1 to 3 give blocks
-    # of several shapes, and the small SCHUR_BLOCK splits each shape.
-    monkeypatch.setattr(sdp, "SCHUR_BLOCK", 100)
-    rng = np.random.default_rng(8)
-    low = random_family(rng, 10, 14)
-    rows, cols, _ = low.support
-    delta = np.triu(rng.normal(size=(10, 10)), 1)
-    delta[rows, cols] = 0.0
-    delta += delta.T
-    ops = sdp._FamilyOps(low, a0=-delta, c=low.gamma0 + 1e-3 * np.eye(10))
-    shapes = [a.shape[1] for _, a, _ in ops.blocks]
-    assert set(shapes) == {2, 4, 6}
-    assert len(shapes) > len(set(shapes))
-    a = rng.normal(size=(10, 10))
-    b = rng.normal(size=(10, 10))
-    x, w = a @ a.T, b @ b.T
-    mats = [-delta] + [-g for g in dense_patterns(low)]
-    dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
-    assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
+    # several row blocks, against the same sums taken densely.  Support
+    # sizes 1 to 3 give blocks of several shapes, and the small SCHUR_BLOCK
+    # splits each shape.
+    for seed, dim, nvars, block in ((5, 9, 12, 40), (8, 10, 14, 100)):
+        monkeypatch.setattr(sdp, "SCHUR_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        family = random_family(rng, dim, nvars)
+        ops = sdp._FamilyOps(family)
+        shapes = [a.shape[1] for _, a, _ in ops.blocks]
+        assert set(shapes) == {2, 4, 6}
+        assert len(shapes) > len(set(shapes))
+        a = rng.normal(size=(dim, dim))
+        b = rng.normal(size=(dim, dim))
+        x, w = a @ a.T, b @ b.T
+        mats = [np.eye(dim)] + [-g for g in dense_patterns(family)]
+        dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
+        assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_support_is_never_scanned_from_patterns(structure_322):
@@ -452,15 +434,6 @@ def _family_at(state, visibility, suite=None, scenario=Scenario(3, 2)):
     return family_for_request(AnalysisRequest(source=source, scenario=scenario))
 
 
-def test_maximize_visibility_returns_its_witness():
-    family = _family_at("w", 1.0)
-    outcome = maximize_visibility(family)
-    eye = np.eye(family.dim)
-    mixed = (1.0 - outcome.p_star) * eye + outcome.p_star * family.gamma0
-    shifted = mixed + family.combine(outcome.v_star) + SolverConfig().margin * eye
-    assert np.linalg.eigvalsh(shifted)[0] > 0.0
-
-
 @pytest.mark.parametrize(
     "state, suite, scenario",
     [
@@ -470,21 +443,18 @@ def test_maximize_visibility_returns_its_witness():
         ("graph-loop", "graph", Scenario(3, 3)),
     ],
 )
-def test_maximize_visibility_dual_certifies_above_p_star(state, suite, scenario):
-    # The last dual matrix, of unit trace, has value (p_star - p) / Tr X -
-    # margin at visibility p: a certificate past p_star at any tolerance,
-    # which carries to p = 1.
+def test_p_one_certificate_certifies_above_p_star(state, suite, scenario):
+    # The certificate of the solve at visibility 1, of value c there, has
+    # value 1 - p (1 - c) on the family simulated at visibility p: below
+    # -margin past p_star = (1 + margin) / (1 - c), at any tolerance.
     margin = SolverConfig().margin
-    high = _family_at(state, 1.0, suite, scenario)
-    outcome = maximize_visibility(high)
-    assert np.trace(outcome.z) == pytest.approx(1.0, abs=1e-12)
+    certificate = maximize_lambda_min(_family_at(state, 1.0, suite, scenario)).certificate
+    z = certificate.matrix
+    p_star = (1.0 + margin) / (1.0 - certificate.value)
     for tolerance in (0.25, 1e-2, 1e-4, 1e-6, 1e-8):
-        hi = min(1.0, outcome.p_star + 0.5 * tolerance)
-        certificate = extract_certificate(_family_at(state, hi, suite, scenario), outcome.z)
-        assert certificate is not None and certificate.value < -margin
-        z = certificate.matrix
-        at_one = DualCertificate(z, float(np.sum(high.gamma0 * z)))
-        assert verify_certificate(high, at_one) and at_one.value < -margin
+        at_hi = _family_at(state, min(1.0, p_star + 0.5 * tolerance), suite, scenario)
+        revalued = DualCertificate(z, float(np.sum(at_hi.gamma0 * z)))
+        assert verify_certificate(at_hi, revalued) and revalued.value < -margin
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
