@@ -26,6 +26,7 @@ from momentcert import (
 )
 from momentcert import sdp
 from momentcert.hierarchy import AffineMatrixFamily
+from momentcert.analysis import white_noise_family
 from momentcert.sdp import certificate_floor
 
 from helpers import dense_patterns, grid_max_lambda_min, random_family, support_arrays
@@ -231,23 +232,39 @@ def test_lambda_star_is_the_boxed_optimum_when_the_clip_binds():
 
 def test_schur_blocks_match_dense_formula(monkeypatch):
     # M_ij = Tr(A_i X A_j S^-1) with A_0 = I and A_k = -G_k, assembled in
-    # several row blocks, against the same sums taken densely.  Support
-    # sizes 1 to 3 give blocks of several shapes, and the small SCHUR_BLOCK
-    # splits each shape.
-    for seed, dim, nvars, block in ((5, 9, 12, 40), (8, 10, 14, 100)):
-        monkeypatch.setattr(sdp, "SCHUR_BLOCK", block)
-        rng = np.random.default_rng(seed)
-        family = random_family(rng, dim, nvars)
-        ops = sdp._FamilyOps(family)
-        shapes = [a.shape[1] for _, a, _ in ops.blocks]
-        assert set(shapes) == {2, 4, 6}
-        assert len(shapes) > len(set(shapes))
-        a = rng.normal(size=(dim, dim))
-        b = rng.normal(size=(dim, dim))
-        x, w = a @ a.T, b @ b.T
-        mats = [np.eye(dim)] + [-g for g in dense_patterns(family)]
-        dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
-        assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
+    # several row blocks, against the same sums taken densely.
+    monkeypatch.setattr(sdp, "SCHUR_BLOCK", 40)
+    rng = np.random.default_rng(5)
+    family = random_family(rng, 9, 12)
+    ops = sdp._FamilyOps(family)
+    assert len(ops.blocks) > 1
+    a = rng.normal(size=(9, 9))
+    b = rng.normal(size=(9, 9))
+    x, w = a @ a.T, b @ b.T
+    mats = [np.eye(9)] + [-g for g in dense_patterns(family)]
+    dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
+    assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_schur_rows_of_the_visibility_form_match_dense_formula(monkeypatch):
+    # The family at visibility p, (1 - p) I + p gamma0, keeps the G_k of the
+    # family at 1, so its Schur rows are theirs.  Support sizes 1 to 3 give
+    # blocks of several shapes, and the small SCHUR_BLOCK splits each shape.
+    monkeypatch.setattr(sdp, "SCHUR_BLOCK", 100)
+    rng = np.random.default_rng(8)
+    high = random_family(rng, 10, 14)
+    low = white_noise_family(high, 0.3)
+    ops = sdp._FamilyOps(low)
+    shapes = [a.shape[1] for _, a, _ in ops.blocks]
+    assert set(shapes) == {2, 4, 6}
+    assert len(shapes) > len(set(shapes))
+    a = rng.normal(size=(10, 10))
+    b = rng.normal(size=(10, 10))
+    x, w = a @ a.T, b @ b.T
+    mats = [np.eye(10)] + [-g for g in dense_patterns(high)]
+    dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
+    assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.array_equal(ops.schur(x, w), sdp._FamilyOps(high).schur(x, w))
 
 
 def test_support_is_never_scanned_from_patterns(structure_322):
