@@ -16,16 +16,17 @@ pair Z = I/n, v = the centre of the variable box.  The solve stops when the
 relative duality gap reaches GAP_TOL.  On boundary-feasible data, such as
 product states with optimum exactly 0, the Newton system degenerates first;
 the solve then stops at the last iterate (the stall exit): when the Schur
-complement is no longer positive definite, or when a step shrinks below
-MIN_STEP.  The Schur complement of each Newton step is assembled from
-low-rank products: a variable with s entry positions makes X G_k S^-1 a
-product of rank 2s, and variables of one support size are taken in blocks
-whose transient memory stays bounded.  The complement itself holds
-(K + 1)^2 floats for K variables; its Cholesky factorization is only the
-positive-definiteness test, and the predictor and corrector directions come
-from direct solves with it.  The maps sum_k v_k G_k and <G_k, Z> are the
-family's own (:meth:`AffineMatrixFamily.combine` and ``.inner``); the solver
-adds only the program around them.
+complement is no longer positive definite or is singular to its solve, or
+when a step shrinks below MIN_STEP.  The Schur complement of each Newton
+step is assembled from low-rank products: a variable with s entry
+positions makes X G_k S^-1 a product of rank 2s, and variables of one
+support size are taken in blocks whose transient memory stays bounded.
+The complement itself holds (K + 1)^2 floats for K variables; its Cholesky
+factorization is only the positive-definiteness test, and the predictor
+and corrector directions come from direct solves with it.  The maps
+sum_k v_k G_k and <G_k, Z> are the family's own
+(:meth:`AffineMatrixFamily.combine` and ``.inner``); the solver adds only
+the program around them.
 
 The first solve ignores the variable box.  Its maximizer is clipped to the
 box and lambda_star = lambda_min(Gamma(v_star)) recomputed, so lambda_star is
@@ -44,8 +45,14 @@ variable direction; for any v whatsoever,
     lambda_min(Gamma(v)) <= <Gamma(v), Z> = <gamma0, Z>,
 
 so <gamma0, Z> < 0 proves that no completion is positive semidefinite.  The
-certificate is checked by :func:`verify_certificate` using nothing but an
-eigendecomposition and inner products, independently of the solver.
+certificate is the first solve's last dual iterate Z, valued as it stands
+and neither projected nor shifted: Z starts at I/n, which has Tr Z = 1 and
+<G_k, Z> = 0, each Newton step carries the residual of those constraints,
+so they hold up to rounding, HKM symmetrizes each step, so Z stays exactly
+symmetric, and every iterate is strictly inside the cone.  Soundness does
+not rest on that argument: the certificate is checked by
+:func:`verify_certificate` using nothing but an eigendecomposition and
+inner products, independently of the solver.
 
 Under white noise the family at visibility p is (1 - p) I + p gamma0 with
 the same G_k.  The trace, eigenvalues and <G_k, Z> of a certificate do not
@@ -262,6 +269,18 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: 
     x = np.eye(n) / n
     u = float(np.sum(x * s)) / n / w
     pairs = n + idx.size
+
+    def direction(target, target_box):
+        # Solves dX S + X dS = target S and du w + u dw = target_box w
+        # together with the linear residuals of the current step; HKM then
+        # symmetrizes dX.
+        rhs = base - constraints(target, target_box)
+        dy = np.linalg.solve(m, rhs)
+        ds = r_dual - ops.adjoint(dy)
+        dw = r_box - sign * dy[1:][idx]
+        dx = target - x @ ds @ s_inv
+        return 0.5 * (dx + dx.T), target_box - u * dw / w, dy, ds, dw
+
     steps = 0
     while steps < max_iters:
         r_primal = b - constraints(x, u)
@@ -277,29 +296,15 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: 
             m[diagonal, diagonal] += np.bincount(idx, weights=u / w, minlength=ops.nvars)
             # Only the positive-definiteness test: its failure is the stall exit.
             np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            break
-        mu = float(np.sum(x * s) + u @ w) / pairs
-        r_dual = gamma0 - ops.adjoint(y) - s
-        r_box = c_box - sign * y[1:][idx] - w
-        base = constraints(x @ r_dual @ s_inv, u * r_box / w) + r_primal
-
-        def direction(target, target_box):
-            # Solves dX S + X dS = target S and du w + u dw = target_box w
-            # together with the linear residuals; HKM then symmetrizes dX.
-            rhs = base - constraints(target, target_box)
-            dy = np.linalg.solve(m, rhs)
-            ds = r_dual - ops.adjoint(dy)
-            dw = r_box - sign * dy[1:][idx]
-            dx = target - x @ ds @ s_inv
-            return 0.5 * (dx + dx.T), target_box - u * dw / w, dy, ds, dw
-
-        try:
+            mu = float(np.sum(x * s) + u @ w) / pairs
+            r_dual = gamma0 - ops.adjoint(y) - s
+            r_box = c_box - sign * y[1:][idx] - w
+            base = constraints(x @ r_dual @ s_inv, u * r_box / w) + r_primal
+            # M can pass the Cholesky test yet be exactly singular to the LU
+            # of the solve; that too ends the solve at the last iterate.  The
+            # corrector solves with the same M, so it cannot raise.
             dx, du, dy, ds, dw = direction(-x, -u)
         except np.linalg.LinAlgError:
-            # M can pass the Cholesky test yet be exactly singular to the LU
-            # of the solve; that too ends the solve at the last iterate.
-            # The corrector solves with the same M, so it cannot raise.
             break
         alpha_p = min(1.0, _max_step(lx_inv, dx, u, du))
         alpha_d = min(1.0, _max_step(ls_inv, ds, w, dw))
@@ -374,42 +379,22 @@ def maximize_lambda_min(
     )
 
 
-def _repair(family: AffineMatrixFamily, z: np.ndarray) -> np.ndarray:
-    """Shift the affine projection Z_a of Z onto the PSD cone.
-
-    Z_a is the orthogonal projection of Z onto {Tr Z = 1, <G_k, Z> = 0}.
-    The G_k have disjoint off-diagonal supports and zero diagonal, so
-    together with I they form an orthogonal set and one pass is exact.
-    Returns (Z_a + delta I) / (1 + n delta) with delta = max(0, -lambda_min(Z_a));
-    I is orthogonal to every G_k, so the result stays affine.
-    """
-    n = family.dim
-    z = 0.5 * (z + z.T)
-    rows, cols, vidx = family.support
-    # <G_k, G_k> is twice the size of k's support.
-    sizes = np.bincount(vidx, minlength=family.num_variables)[vidx]
-    coeff = family.inner(z)[vidx] / (2.0 * sizes)
-    z[rows, cols] -= coeff
-    z[cols, rows] -= coeff
-    z = z + (1.0 - np.trace(z)) / n * np.eye(n)
-    delta = max(0.0, -float(np.linalg.eigvalsh(z)[0]))
-    return (z + delta * np.eye(n)) / (1.0 + n * delta)
-
-
 def extract_certificate(
     family: AffineMatrixFamily, z: np.ndarray, tol: float = SolverConfig.tol_cert
 ) -> DualCertificate | None:
-    """Turn an approximate dual solution Z into a verified certificate.
+    """Value the dual iterate Z and return it as a certificate if verified.
 
-    Z is repaired onto {Tr Z = 1, <G_k, Z> = 0, Z >= 0} and the result is
-    checked by :func:`verify_certificate`.  Failure to verify, or a
-    non-finite Z, yields None, never an unchecked certificate.
+    Z is taken as it stands, with value <gamma0, Z>: neither projected onto
+    {Tr Z = 1, <G_k, Z> = 0} nor shifted onto the PSD cone.  The result is
+    returned only if :func:`verify_certificate` accepts it, so a Z off the
+    verified form, or not finite, yields None, never an unchecked
+    certificate.
     """
     z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
-        return None
-    repaired = _repair(family, z)
-    candidate = DualCertificate(matrix=repaired, value=float(np.sum(family.gamma0 * repaired)))
+    # A non-finite Z may value to NaN (inf times a zero of gamma0); the
+    # verifier rejects it either way.
+    with np.errstate(invalid="ignore"):
+        candidate = DualCertificate(matrix=z, value=float(np.sum(family.gamma0 * z)))
     return candidate if verify_certificate(family, candidate, tol) else None
 
 

@@ -2,7 +2,8 @@
 
 Everything here recomputes results through a different route than the
 library: brute-force enumeration for the word algebra, Born-rule outcome
-distributions for expectations, grid refinement for the solver, and an
+distributions for expectations, grid refinement for the solver, dense
+projections for duals of the verified form, and an
 explicit classical mixture for separable completions, and bisection on
 full analyses for the critical visibility.  Hand-built families get their
 support from dense 0/1 patterns here, and :func:`dense_patterns` turns a
@@ -96,6 +97,21 @@ def dense_patterns(family):
     patterns = np.zeros((family.num_variables, family.dim, family.dim))
     patterns[vidx, rows, cols] = patterns[vidx, cols, rows] = 1.0
     return patterns
+
+
+def dual_of_the_verified_form(family, z):
+    """Any symmetric Z moved onto {Tr Z = 1, <G_k, Z> = 0, Z >= 0}.
+
+    Z loses its component along each dense pattern G_k, is given unit trace
+    along I, then is mixed with I / n until its smallest eigenvalue is 0.
+    Used to build verifiable duals of every shape, not only the solver's.
+    """
+    n = family.dim
+    for g in dense_patterns(family):
+        z = z - np.sum(g * z) / np.sum(g * g) * g
+    z = z + (1.0 - np.trace(z)) / n * np.eye(n)
+    delta = max(0.0, -float(np.linalg.eigvalsh(z)[0]))
+    return (z + delta * np.eye(n)) / (1.0 + n * delta)
 
 
 def grid_max_lambda_min(family, rounds=12, points=9):

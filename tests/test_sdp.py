@@ -29,7 +29,13 @@ from momentcert.hierarchy import AffineMatrixFamily
 from momentcert.analysis import white_noise_family
 from momentcert.sdp import certificate_floor
 
-from helpers import dense_patterns, grid_max_lambda_min, random_family, support_arrays
+from helpers import (
+    dense_patterns,
+    dual_of_the_verified_form,
+    grid_max_lambda_min,
+    random_family,
+    support_arrays,
+)
 
 FAST = SolverConfig(max_iters=800)
 
@@ -109,22 +115,27 @@ def test_extract_certificate_trivial():
     assert verify_certificate(family, cert)
 
 
-def test_repair_shifts_a_non_psd_dual_onto_the_cone():
-    # Z_a has unit trace and eigenvalues -0.1 and 1.1; the shift by
-    # delta = 0.1 gives the rank-one (Z_a + 0.1 I) / 1.2, and with a unit
-    # diagonal in gamma0 its value is (value(Z_a) + n delta) / (1 + n delta).
+def test_extract_certificate_rejects_what_it_no_longer_repairs():
+    # Z_a has unit trace but eigenvalues -0.1 and 1.1, so it is off the
+    # cone; the second Z is PSD but has <G, Z> = 0.1, off the affine set.
+    # Extraction values Z as it stands, so neither is a certificate.
     family = _family(np.array([[1.0, 2.0], [2.0, 1.0]]), [])
-    z = np.array([[0.5, -0.6], [-0.6, 0.5]])
-    cert = extract_certificate(family, z, 1e-9)
-    assert cert is not None
-    assert np.allclose(cert.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
-    assert cert.value == pytest.approx((-1.4 + 2 * 0.1) / 1.2, abs=1e-15)
-    # A dual that is PSD already is only projected, not shifted.
+    z_a = np.array([[0.5, -0.6], [-0.6, 0.5]])
+    assert extract_certificate(family, z_a, 1e-9) is None
     pattern = _pattern(3, 0, 1)
     family = _family(np.diag([1.0, -1.0, -1.0]), [pattern])
     z = np.diag([0.2, 0.3, 0.5]) + 0.05 * pattern
-    cert = extract_certificate(family, z, 1e-9)
-    assert np.array_equal(cert.matrix, np.diag([0.2, 0.3, 0.5]))
+    assert np.linalg.eigvalsh(z)[0] > 0.0
+    assert extract_certificate(family, z, 1e-9) is None
+
+
+def _assert_unrepaired_form(family, certificate):
+    # The solver's last dual iterate is exactly symmetric and on the affine
+    # set to 1e-9, at least 100 times inside the default tol_cert.
+    z = certificate.matrix
+    assert np.array_equal(z, z.T)
+    assert abs(np.trace(z) - 1.0) <= 1e-9
+    assert np.abs(family.inner(z)).max(initial=0.0) <= 1e-9
 
 
 def test_verify_rejects_bad_certificates():
@@ -210,6 +221,7 @@ def test_solver_against_grid_oracle():
         assert abs(out.lambda_star - oracle) <= 1e-3
         if out.certificate is not None:
             assert verify_certificate(family, out.certificate)
+            _assert_unrepaired_form(family, out.certificate)
             assert out.lambda_star <= out.certificate.value + 1e-6
 
 
@@ -365,6 +377,21 @@ def test_lambda_star_is_the_optimum(request, structure_name, state, suite, optim
     assert out.certificate.value - out.lambda_star <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "state, suite, scenario",
+    [("w", "w", Scenario(3, 2)), ("graph-linear", "graph", Scenario(3, 3))],
+)
+def test_level_three_certificates_are_the_unrepaired_dual(state, suite, scenario):
+    # Graph-linear on (3,3,2) at level 3 (dim 130, 402 variables) is the
+    # largest documented size, where the residuals of Z are largest.
+    request = AnalysisRequest(source=SimulatedSource(state, suite), scenario=scenario, level=3)
+    family = family_for_request(request)
+    out = maximize_lambda_min(family)
+    assert out.status == CERTIFIED_INFEASIBLE
+    assert verify_certificate(family, out.certificate)
+    _assert_unrepaired_form(family, out.certificate)
+
+
 def test_interval_pins_give_the_boxed_optimum(structure_322):
     # Every pin widened to value +- 1e-6: the box contains the point-pinned
     # family, so its optimum is at least W's -0.1780942, and only just.
@@ -441,9 +468,11 @@ def test_verify_rejects_non_finite_certificates(structure_322):
 
 
 def test_extract_certificate_rejects_non_finite_duals():
+    # Off the diagonal, inf meets a zero of gamma0 and values to NaN.
     family = _family(np.diag([1.0, -1.0]), [])
     for bad in (float("nan"), float("inf")):
         assert extract_certificate(family, np.array([[0.0, 0.0], [0.0, bad]])) is None
+        assert extract_certificate(family, np.array([[0.5, bad], [bad, 0.5]])) is None
 
 
 def _family_at(state, visibility, suite=None, scenario=Scenario(3, 2)):
@@ -495,9 +524,8 @@ def test_certificate_floor_bounds_every_verified_certificate(seed, dim, nvars, s
     step = 0.99 * tol * np.sign(v)[vidx] / (2.0 * np.bincount(vidx, minlength=k)[vidx])
     a = rng.normal(size=(dim, dim))
     for z in (a @ a.T, 0.5 * (a + a.T)):
-        certificate = extract_certificate(family, z, tol)
-        if certificate is None:
-            continue
+        certificate = extract_certificate(family, dual_of_the_verified_form(family, z), tol)
+        assert certificate is not None
         assert certificate.value >= floor
         # Spend the slack verification allows against the floor: each
         # <G_k, Z> moves by 0.99 tol along v_k, Tr Z by 0.99 tol against
