@@ -13,9 +13,10 @@ All file formats are JSON with a top-level "schema_version": 1.  Parties are
      "moments": [{"parties": [1, 3], "settings": [0, 1],
                   "value": 0.25, "sigma": 0.01}, ...]}
 
-sigma is optional.  An explicit pin file is a JSON list of the same
-parties/settings objects (without value), read with the table's key checks
-against the --parties/--settings scenario.
+sigma is optional.  With --from-table the scenario is the table's own, and
+--parties/--settings are not read.  An explicit pin file is a JSON list of
+the same parties/settings objects (without value), read with the table's
+key checks against the scenario of the analysis.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ class _Parser(argparse.ArgumentParser):
 
 # Defaults applied after parsing, so that a flag a command does not read is
 # told apart from one left at its default.
-_LATE_DEFAULTS = {"settings": 2, "level": 2, "noise": 1.0}
+_LATE_DEFAULTS = {"parties": 3, "settings": 2, "level": 2, "noise": 1.0}
 
 
 def _add_scenario_flags(parser):
-    parser.add_argument("--parties", type=int, default=3, help="number of parties (default 3)")
+    parser.add_argument("--parties", type=int, help="number of parties (default 3)")
     parser.add_argument("--settings", type=int, help="measurement settings per party (default 2)")
     parser.add_argument("--level", type=int, help="hierarchy level (default 2)")
 
@@ -171,16 +172,16 @@ def _cmd_structure(args) -> int:
 
 
 def _analysis_request(args) -> analysis.AnalysisRequest:
-    scenario = Scenario(args.parties, args.settings)
-    policy = _parse_pin(args.pin, scenario)
     config = _solver_config(args)
     if args.from_table:
         table = analysis.ingest_table(_load_json(args.from_table))
-        source = analysis.MeasuredSource(table)
+        source, scenario = analysis.MeasuredSource(table), table.scenario
     else:
         if not args.state or not args.suite:
             raise CliError("--state and --suite are required unless --from-table is given")
         source = analysis.SimulatedSource(args.state, args.suite, args.noise)
+        scenario = Scenario(args.parties, args.settings)
+    policy = _parse_pin(args.pin, scenario)
     return analysis.AnalysisRequest(
         source=source, scenario=scenario, level=args.level, policy=policy, config=config
     )
@@ -289,7 +290,7 @@ _COMMANDS = {
 def _reject_unread_flags(args) -> None:
     """A usage error for a flag that the chosen mode of a command never reads."""
     if args.command == "analyze" and args.from_table:
-        unread, mode = ("state", "suite", "noise"), "with --from-table"
+        unread, mode = ("state", "suite", "noise", "parties", "settings"), "with --from-table"
     elif args.command == "states" and not args.dump:
         unread, mode = ("suite", "settings", "level", "out"), "without --dump"
     else:

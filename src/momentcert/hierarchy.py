@@ -160,12 +160,12 @@ class AffineMatrixFamily:
 
     ``gamma0`` carries the unit diagonal and the pinned data.  ``support``
     is ``(rows, cols, vidx)``: G_k is 1 at (rows[p], cols[p]) and its mirror
-    for every p with vidx[p] = k, positions grouped by variable, each group
-    in row-major order.  Supports are pairwise disjoint and never touch the
-    diagonal, so together with the pinned positions they partition the
-    off-diagonal entry set.  ``bounds`` is a (K, 2) array of per-variable
-    intervals, [-1, 1] by default: every canonical word is a product of
-    commuting involutions, so its moment in any realization lies there.
+    for every p with vidx[p] = k, the positions in any order.  Supports are
+    pairwise disjoint and never touch the diagonal, so together with the
+    pinned positions they partition the off-diagonal entry set.  ``bounds``
+    is a (K, 2) array of per-variable intervals, [-1, 1] by default: every
+    canonical word is a product of commuting involutions, so its moment in
+    any realization lies there.
     ``variables`` names each variable by its letter tuple: the unpinned
     observables, then the free variables.
     """

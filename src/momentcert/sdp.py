@@ -28,15 +28,15 @@ sum_k v_k G_k and <G_k, Z> are the family's own
 (:meth:`AffineMatrixFamily.combine` and ``.inner``); the solver adds only
 the program around them.
 
-The first solve ignores the variable box.  Its maximizer is clipped to the
-box and lambda_star = lambda_min(Gamma(v_star)) recomputed, so lambda_star is
-always an attained value.  When the clipping loses value, the maximizer has
-left the box (possible only when the optimum is negative, or with interval
-pins), and a second solve adds the box as linear constraints
-lo_k <= v_k <= hi_k; variables with a zero-width box are enforced by the
-clipping alone.  At convergence lambda_star is therefore the optimum over
-the box, and the certificate value <gamma0, Z> from the first solve is an
-upper bound on it, equal to it when the box does not bind.
+The first solve ignores the variable box.  When its maximizer lies outside
+the box (possible only when the optimum is negative, or with interval pins),
+a second solve adds the box as linear constraints lo_k <= v_k <= hi_k.  The
+last maximizer is clipped to the box, which alone enforces the variables
+with a zero-width box, and lambda_star = lambda_min(Gamma(v_star)) is taken
+there, so lambda_star is always an attained value.  At convergence
+lambda_star is therefore the optimum over the box, and the certificate value
+<gamma0, Z> from the first solve is an upper bound on it, equal to it when
+the box does not bind.
 
 Infeasibility is never reported on optimizer convergence alone.  A dual
 certificate is a symmetric Z >= 0 with Tr Z = 1 and <G_k, Z> = 0 for every
@@ -79,9 +79,6 @@ UNDECIDED = "UNDECIDED"
 WITNESS_TOL = 1e-8
 # The interior-point solve stops once the relative duality gap is this small.
 GAP_TOL = 1e-9
-# ... provided the residual of the linear constraints on Z is this small.
-# The start Z = I/n satisfies them and the steps keep them up to rounding.
-FEAS_TOL = 1e-6
 # Stall exit: a step shorter than this ends the solve.
 MIN_STEP = 1e-8
 # Fraction of the distance to the cone boundary that each step covers.
@@ -153,8 +150,10 @@ class _FamilyOps:
         self.dim = family.dim
         self.nvars = family.num_variables
         rows, cols, vidx = family.support
+        # The positions sorted by variable; starts[k] is where k's group begins.
+        order = np.argsort(vidx, kind="stable")
+        self.rows, self.cols = rows[order], cols[order]
         counts = np.bincount(vidx, minlength=self.nvars)
-        # Positions are grouped by variable; starts[k] is where k's group begins.
         self.starts = np.cumsum(counts) - counts
         if self.nvars and (counts == 0).any():
             raise ValueError("family has a variable with empty support")
@@ -180,7 +179,7 @@ class _FamilyOps:
             per_variable = max(self.dim, 2 * size) * self.dim
             width = max(1, SCHUR_BLOCK // max(per_variable, rows.size))
             at = self.starts[ks, None] + np.arange(size)
-            r, c = rows[at], cols[at]
+            r, c = self.rows[at], self.cols[at]
             a, b = np.hstack((r, c)), np.hstack((c, r))
             for j in range(0, ks.size, width):
                 self.blocks.append((ks[j:j + width], a[j:j + width], b[j:j + width]))
@@ -202,7 +201,7 @@ class _FamilyOps:
             cross = -self.family.inner(x @ s_inv)
             m[0, 1:] = cross
             m[1:, 0] = cross
-            r, c, _ = self.family.support
+            r, c = self.rows, self.cols
             for ks, a, b in self.blocks:
                 y = np.matmul(x[a].transpose(0, 2, 1), s_inv[b])
                 m[1 + ks, 1:] = np.add.reduceat(y[:, r, c] + y[:, c, r], self.starts, axis=1)
@@ -283,10 +282,8 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: 
 
     steps = 0
     while steps < max_iters:
-        r_primal = b - constraints(x, u)
         primal = float(np.sum(gamma0 * x) + c_box @ u)
-        scale = 1.0 + abs(primal) + abs(y[0])
-        if primal - y[0] <= GAP_TOL * scale and np.abs(r_primal).max() <= FEAS_TOL:
+        if primal - y[0] <= GAP_TOL * (1.0 + abs(primal) + abs(y[0])):
             break
         try:
             lx_inv = _inverse_cholesky(x)
@@ -297,6 +294,7 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: 
             # Only the positive-definiteness test: its failure is the stall exit.
             np.linalg.cholesky(m)
             mu = float(np.sum(x * s) + u @ w) / pairs
+            r_primal = b - constraints(x, u)
             r_dual = gamma0 - ops.adjoint(y) - s
             r_box = c_box - sign * y[1:][idx] - w
             base = constraints(x @ r_dual @ s_inv, u * r_box / w) + r_primal
@@ -332,9 +330,12 @@ def maximize_lambda_min(
 ) -> SolveOutcome:
     """Maximize lambda_min over the family and decide feasibility.
 
-    Returns FEASIBLE with a witness when lambda_star clears the witness
-    tolerance, CERTIFIED_INFEASIBLE when a verified dual certificate with
-    value below -margin is extracted, and UNDECIDED otherwise.
+    The first solve ignores the variable box; only when its maximizer lies
+    outside the box does a second solve add the box rows.  lambda_star is
+    lambda_min at the last maximizer clipped to the box.  Returns FEASIBLE
+    with a witness when lambda_star clears the witness tolerance,
+    CERTIFIED_INFEASIBLE when a verified dual certificate with value below
+    -margin is extracted, and UNDECIDED otherwise.
     """
     cfg = config if config is not None else SolverConfig()
     if family.dim == 0:
@@ -344,22 +345,14 @@ def maximize_lambda_min(
     y = np.concatenate(([0.0], 0.5 * (ops.lo + ops.hi)))
     y[0] = float(np.linalg.eigvalsh(family.gamma(y[1:]))[0]) - 1.0
     z, y_end, iterations = _interior_point(ops, y, np.zeros(0, dtype=int), cfg.max_iters)
-    v = y_end[1:]
-    unboxed = float(np.linalg.eigvalsh(family.gamma(v))[0])
-    v_star = np.clip(v, ops.lo, ops.hi)
-    if np.array_equal(v_star, v):
-        lambda_star = unboxed
-    else:
-        lambda_star = float(np.linalg.eigvalsh(family.gamma(v_star))[0])
-    if lambda_star < unboxed - GAP_TOL * (1.0 + abs(unboxed)):
+    if ((y_end[1:] < ops.lo) | (y_end[1:] > ops.hi)).any():
         # The maximizer left the box, so solve again inside it.  The
         # certificate still comes from the first solve, whose Z is the best
         # one of the verified form.
         _, y_end, more = _interior_point(ops, y, ops.boxed, cfg.max_iters)
-        v = y_end[1:]
         iterations += more
-        v_star = np.clip(v, ops.lo, ops.hi)
-        lambda_star = float(np.linalg.eigvalsh(family.gamma(v_star))[0])
+    v_star = np.clip(y_end[1:], ops.lo, ops.hi)
+    lambda_star = float(np.linalg.eigvalsh(family.gamma(v_star))[0])
 
     certificate = None
     if lambda_star >= -WITNESS_TOL:

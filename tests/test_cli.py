@@ -155,6 +155,8 @@ def _unread(flag, *argv):
     _unread("--suite", "analyze", "--from-table", TABLE, "--suite", "nonsense"),
     _unread("--noise", "analyze", "--from-table", TABLE, "--noise", "0.1"),
     _unread("--state", "analyze", "--from-table", TABLE, "--state", "w"),
+    _unread("--parties", "analyze", "--from-table", TABLE, "--parties", "3"),
+    _unread("--settings", "analyze", "--from-table", TABLE, "--settings", "2"),
 ])
 def test_exit_code_matrix(tmp_path, capsys, argv, expected, unread_flag):
     if TABLE in argv:
@@ -165,6 +167,23 @@ def test_exit_code_matrix(tmp_path, capsys, argv, expected, unread_flag):
     assert run(argv) == expected
     if unread_flag is not None:
         assert f"{unread_flag} is not read" in capsys.readouterr().err
+
+
+def test_analyze_from_table_reads_the_table_scenario(tmp_path):
+    # A (3,3,2) table is analyzed in its own scenario, with no --settings,
+    # and an explicit pin file is checked against that scenario: setting 2
+    # exists in (3,3,2) but not in the default (3,2,2).
+    table_path = tmp_path / "table332.json"
+    assert run(["states", "--state", "graph-loop", "--suite", "graph", "--settings", "3",
+                "--dump", "--out", str(table_path)]) == 0
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--from-table", str(table_path), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["body"]["scenario"]["settings"] == 3
+    pin_path = tmp_path / "pins.json"
+    pin_path.write_text(json.dumps([{"parties": [1], "settings": [2]}]))
+    assert run(["analyze", "--from-table", str(table_path), "--pin", f"explicit:{pin_path}",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["body"]["policy"] == {"kind": "explicit", "keys": ["A2"]}
 
 
 def test_robustness_command(tmp_path, capsys):

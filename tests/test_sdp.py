@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -392,16 +393,73 @@ def test_level_three_certificates_are_the_unrepaired_dual(state, suite, scenario
     _assert_unrepaired_form(family, out.certificate)
 
 
+def _w_interval_family(structure):
+    """W with every pin widened to value +- 1e-6."""
+    table = correlator_table(make_state("w", 3), standard_suite("w"), structure)
+    widened = CorrelatorTable(table.scenario, {k: (table.value(k), 1e-6) for k in table.keys()})
+    return assemble(structure, widened, PinPolicy.all(), interval_sigmas=1.0)
+
+
 def test_interval_pins_give_the_boxed_optimum(structure_322):
     # Every pin widened to value +- 1e-6: the box contains the point-pinned
     # family, so its optimum is at least W's -0.1780942, and only just.
-    table = correlator_table(make_state("w", 3), standard_suite("w"), structure_322)
-    widened = CorrelatorTable(table.scenario, {k: (table.value(k), 1e-6) for k in table.keys()})
-    family = assemble(structure_322, widened, PinPolicy.all(), interval_sigmas=1.0)
+    family = _w_interval_family(structure_322)
     out = maximize_lambda_min(family)
     assert -0.1780942 - 1e-9 <= out.lambda_star <= -0.17809 + 1e-5
     assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
     assert np.all((family.bounds[:, 0] <= out.v_star) & (out.v_star <= family.bounds[:, 1]))
+
+
+@pytest.mark.parametrize(
+    "make, boxed",
+    [
+        (lambda structure: _state_family(structure, "w", "w"), False),
+        (lambda structure: random_family(np.random.default_rng(12), 6, 2), True),
+        (_w_interval_family, True),
+    ],
+    ids=["w", "clip-binds", "interval"],
+)
+def test_boxed_solve_runs_exactly_when_the_maximizer_leaves_the_box(
+    monkeypatch, structure_322, make, boxed
+):
+    # The first solve has no box rows.  A second solve, with a row pair for
+    # every variable whose box has an interior, runs exactly when the first
+    # maximizer lies outside the box: never for W, whose optimum is inside
+    # [-1, 1], but for the family of the clip-binds test and for W's
+    # interval family, whose boxes of width 2e-6 its maximizer leaves.
+    family = make(structure_322)
+    solves = []
+    solve = sdp._interior_point
+
+    def recorded(ops, y, box, max_iters):
+        x, y_end, steps = solve(ops, y, box, max_iters)
+        solves.append((box.size, y_end[1:]))
+        return x, y_end, steps
+
+    monkeypatch.setattr(sdp, "_interior_point", recorded)
+    maximize_lambda_min(family)
+    lo, hi = family.bounds[:, 0], family.bounds[:, 1]
+    first = solves[0][1]
+    assert solves[0][0] == 0
+    assert bool(((first < lo) | (first > hi)).any()) is boxed
+    sizes = [size for size, _ in solves]
+    assert sizes == ([0, int(np.count_nonzero(hi > lo))] if boxed else [0])
+
+
+def test_solve_does_not_depend_on_the_order_of_the_support(structure_322):
+    # W with its support positions permuted is the same family: Gamma(v) is
+    # identical for every v, so the solve must certify it just the same.
+    family = _state_family(structure_322, "w", "w")
+    rows, cols, vidx = family.support
+    order = np.random.default_rng(0).permutation(rows.size)
+    shuffled = dataclasses.replace(family, support=(rows[order], cols[order], vidx[order]))
+    v = np.random.default_rng(1).uniform(-1.0, 1.0, family.num_variables)
+    assert np.array_equal(shuffled.gamma(v), family.gamma(v))
+    grouped, out = maximize_lambda_min(family), maximize_lambda_min(shuffled)
+    assert out.status == grouped.status == CERTIFIED_INFEASIBLE
+    assert out.iterations == grouped.iterations
+    assert out.lambda_star == pytest.approx(grouped.lambda_star, abs=1e-12)
+    assert verify_certificate(shuffled, out.certificate)
 
 
 def test_zero_interval_sigmas_pin_every_point(structure_322):
