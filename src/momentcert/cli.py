@@ -13,7 +13,8 @@ All file formats are JSON with a top-level "schema_version": 1.  Parties are
      "moments": [{"parties": [1, 3], "settings": [0, 1],
                   "value": 0.25, "sigma": 0.01}, ...]}
 
-sigma is optional.  With --from-table the scenario is the table's own, and
+sigma is optional; it is validated and written back by ingest, but no
+analysis reads it.  With --from-table the scenario is the table's own, and
 --parties/--settings are not read.  An explicit pin file is a JSON list of
 the same parties/settings objects (without value), read with the table's
 key checks against the scenario of the analysis.

@@ -162,17 +162,16 @@ class AffineMatrixFamily:
     is ``(rows, cols, vidx)``: G_k is 1 at (rows[p], cols[p]) and its mirror
     for every p with vidx[p] = k, the positions in any order.  Supports are
     pairwise disjoint and never touch the diagonal, so together with the
-    pinned positions they partition the off-diagonal entry set.  ``bounds``
-    is a (K, 2) array of per-variable intervals, [-1, 1] by default: every
-    canonical word is a product of commuting involutions, so its moment in
-    any realization lies there.
+    pinned positions they partition the off-diagonal entry set.  The
+    variables carry no bounds: where Gamma(v) is positive semidefinite, its
+    unit diagonal already keeps every |v_k| <= 1, the range of a moment of
+    commuting involutions.
     ``variables`` names each variable by its letter tuple: the unpinned
     observables, then the free variables.
     """
 
     gamma0: np.ndarray
     support: tuple[np.ndarray, np.ndarray, np.ndarray]
-    bounds: np.ndarray
     variables: tuple[Moment, ...]
     pinned_keys: tuple[MomentKey, ...] = ()
     pinned_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -244,7 +243,6 @@ def assemble(
     structure: MomentMatrixStructure,
     table,
     policy: PinPolicy | None = None,
-    interval_sigmas: float | None = None,
 ) -> AffineMatrixFamily:
     """Substitute pinned data into the structure and emit the affine family.
 
@@ -253,18 +251,11 @@ def assemble(
     structure : MomentMatrixStructure
     table : CorrelatorTable
         Must supply a value for every key the policy selects.  The table
-        validated its values; here they are only clipped to [-1, 1].
+        validated its values; here they are only clipped to [-1, 1].  Its
+        sigmas are not read: every pinned key is fixed to its value.
     policy : PinPolicy
         Defaults to pinning every observable moment.
-    interval_sigmas : float, optional
-        When given, finite and nonnegative, a pinned key whose table entry
-        carries an uncertainty sigma is not fixed but turned into a bounded
-        variable on ``value +- interval_sigmas * sigma`` (clipped to
-        [-1, 1]).  Keys whose half-width is zero, which is every key when
-        ``interval_sigmas`` is 0, stay point-pinned.
     """
-    if interval_sigmas is not None and not (np.isfinite(interval_sigmas) and interval_sigmas >= 0.0):
-        raise ValueError(f"interval_sigmas must be finite and >= 0, got {interval_sigmas!r}")
     if policy is None:
         policy = PinPolicy.all()
     if policy.kind == "explicit":
@@ -273,26 +264,14 @@ def assemble(
             names = sorted(key_name(k) for k in stray)
             raise ValueError(f"explicit pin keys not in structure: {names}")
 
-    chosen = [policy.selects(key) for key in structure.observables]
-    selected = [key for key, is_chosen in zip(structure.observables, chosen) if is_chosen]
-    values = np.clip(np.array([table.value(key) for key in selected], dtype=float), -1.0, 1.0)
-    # Bounds of the widened keys, looked up by variable.
-    widened = {}
-    if interval_sigmas is not None:
-        for key, value in zip(selected, values.tolist()):
-            half = interval_sigmas * (table.sigma(key) or 0.0)
-            if half > 0.0:
-                widened[key] = (max(-1.0, value - half), min(1.0, value + half))
-    pinned = [is_chosen and key not in widened for key, is_chosen in zip(structure.observables, chosen)]
-    pinned_keys, variables, (rows, cols, owner), support = _layout(structure, tuple(pinned))
-    pinned_values = values[np.array([key not in widened for key in selected], dtype=bool)]
+    pinned = tuple(policy.selects(key) for key in structure.observables)
+    pinned_keys, variables, (rows, cols, owner), support = _layout(structure, pinned)
+    pinned_values = np.clip(np.array([table.value(key) for key in pinned_keys], dtype=float), -1.0, 1.0)
     gamma0 = np.eye(structure.dim)
     gamma0[rows, cols] = gamma0[cols, rows] = pinned_values[owner]
-    bounds = [widened.get(letters, (-1.0, 1.0)) for letters in variables]
     return AffineMatrixFamily(
         gamma0=gamma0,
         support=support,
-        bounds=np.array(bounds, dtype=float).reshape(-1, 2),
         variables=variables,
         pinned_keys=pinned_keys,
         pinned_values=pinned_values,

@@ -12,8 +12,8 @@ whose dual is
 Both are solved together by a primal-dual interior-point method with the HKM
 search direction (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) and
 Mehrotra's predictor-corrector steps, started from the strictly feasible
-pair Z = I/n, v = the centre of the variable box.  The solve stops when the
-relative duality gap reaches GAP_TOL.  On boundary-feasible data, such as
+pair Z = I/n, v = 0.  The solve stops when the relative duality gap
+reaches GAP_TOL.  On boundary-feasible data, such as
 product states with optimum exactly 0, the Newton system degenerates first;
 the solve then stops at the last iterate (the stall exit): when the Schur
 complement is no longer positive definite or is singular to its solve, or
@@ -28,15 +28,16 @@ sum_k v_k G_k and <G_k, Z> are the family's own
 (:meth:`AffineMatrixFamily.combine` and ``.inner``); the solver adds only
 the program around them.
 
-The first solve ignores the variable box.  When its maximizer lies outside
-the box (possible only when the optimum is negative, or with interval pins),
-a second solve adds the box as linear constraints lo_k <= v_k <= hi_k.  The
-last maximizer is clipped to the box, which alone enforces the variables
-with a zero-width box, and lambda_star = lambda_min(Gamma(v_star)) is taken
-there, so lambda_star is always an attained value.  At convergence
-lambda_star is therefore the optimum over the box, and the certificate value
-<gamma0, Z> from the first solve is an upper bound on it, equal to it when
-the box does not bind.
+This one program is the whole question.  It has no bounds on v: a
+positive semidefinite Gamma(v) has unit diagonal, so every |v_k| <= 1
+already, and a bound would only change the program where it is infeasible.
+One solve gives both reported numbers: lambda_star =
+lambda_min(Gamma(v_star)) at its last maximizer v_star, an attained value,
+and the certificate value <gamma0, Z> at its last dual iterate, an upper
+bound on lambda_star.  At convergence they differ by at most the duality
+gap.  On infeasible data v_star may
+leave [-1, 1], by at most -lambda_star: Gamma(v_star) - lambda_star I >= 0
+has diagonal 1 - lambda_star.
 
 Infeasibility is never reported on optimizer convergence alone.  A dual
 certificate is a symmetric Z >= 0 with Tr Z = 1 and <G_k, Z> = 0 for every
@@ -45,7 +46,7 @@ variable direction; for any v whatsoever,
     lambda_min(Gamma(v)) <= <Gamma(v), Z> = <gamma0, Z>,
 
 so <gamma0, Z> < 0 proves that no completion is positive semidefinite.  The
-certificate is the first solve's last dual iterate Z, valued as it stands
+certificate is the solve's last dual iterate Z, valued as it stands
 and neither projected nor shifted: Z starts at I/n, which has Tr Z = 1 and
 <G_k, Z> = 0, each Newton step carries the residual of those constraints,
 so they hold up to rounding, HKM symmetrizes each step, so Z stays exactly
@@ -129,6 +130,14 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """The result of :func:`maximize_lambda_min` on one family.
+
+    ``lambda_star`` is lambda_min(Gamma(v_star)), the primal value of the
+    solve, and the certificate value <gamma0, Z> is the dual value of the
+    same program, so lambda_star <= certificate.value whenever a
+    certificate is held; their difference is the solver's gap.
+    """
+
     status: str
     lambda_star: float
     v_star: np.ndarray
@@ -141,14 +150,19 @@ class _FamilyOps:
 
         max t   subject to   S = gamma0 - t I + sum_k v_k G_k >= 0,
 
-    with its variable box and the blocks of its Schur assembly.  The maps
-    sum_k v_k G_k and <G_k, Z> are the family's own.
+    with the blocks of its Schur assembly.  The maps sum_k v_k G_k and
+    <G_k, Z> are the family's own.  A family whose gamma0 is not finite and
+    exactly symmetric, or whose supports are empty or overlap gamma0, is
+    rejected with ValueError before any solve.
     """
 
     def __init__(self, family: AffineMatrixFamily):
         self.family = family
         self.dim = family.dim
         self.nvars = family.num_variables
+        gamma0 = family.gamma0
+        if not (np.isfinite(gamma0).all() and np.array_equal(gamma0, gamma0.T)):
+            raise ValueError("gamma0 must be finite and symmetric")
         rows, cols, vidx = family.support
         # The positions sorted by variable; starts[k] is where k's group begins.
         order = np.argsort(vidx, kind="stable")
@@ -157,16 +171,8 @@ class _FamilyOps:
         self.starts = np.cumsum(counts) - counts
         if self.nvars and (counts == 0).any():
             raise ValueError("family has a variable with empty support")
-        if rows.size and np.abs(family.gamma0[rows, cols]).max() > 0.0:
+        if rows.size and np.abs(gamma0[rows, cols]).max() > 0.0:
             raise ValueError("gamma0 overlaps a variable support")
-        bounds = np.asarray(family.bounds, dtype=float).reshape(self.nvars, 2)
-        self.lo = bounds[:, 0]
-        self.hi = bounds[:, 1]
-        if not (np.isfinite(bounds).all() and (self.lo <= self.hi).all()):
-            raise ValueError("family bounds must be finite intervals")
-        # Variables whose box has an interior; a zero-width box is enforced
-        # by clipping alone.
-        self.boxed = np.flatnonzero(self.hi > self.lo)
         # Blocks (ks, a, b) for the Schur assembly: the variables ks share
         # one support size s, and row j of the (len(ks), 2s) arrays a and b
         # lists (r..., c...) and (c..., r...) over the positions of ks[j].
@@ -221,68 +227,40 @@ def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(matrix))
 
 
-def _max_step(l_inv: np.ndarray, d: np.ndarray, w: np.ndarray, dw: np.ndarray) -> float:
-    """Largest alpha with L L' + alpha d >= 0 and w + alpha dw >= 0.
-
-    Capped at 1 / STEP_FRACTION.
-    """
-    lowest = min(
-        float(np.linalg.eigvalsh(l_inv @ d @ l_inv.T)[0]),
-        float(np.min(dw / w, initial=0.0)),
-    )
+def _max_step(l_inv: np.ndarray, d: np.ndarray) -> float:
+    """Largest alpha with L L' + alpha d >= 0, capped at 1 / STEP_FRACTION."""
+    lowest = float(np.linalg.eigvalsh(l_inv @ d @ l_inv.T)[0])
     return 1.0 / STEP_FRACTION if lowest >= -STEP_FRACTION else -1.0 / lowest
 
 
-def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: int):
+def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
     """Mehrotra predictor-corrector HKM steps on the primal-dual pair.
 
     Maximizes t subject to S = gamma0 - t I + sum_k v_k G_k >= 0 (the
     program ``ops`` carries) from the start y = (t, v), where S must be
     positive definite, together with min <gamma0, Z> subject to Tr Z = 1,
-    <G_k, Z> = 0 and Z >= 0 from Z = I/n.  The variables k in ``box`` also
-    get the linear constraints v_k >= lo_k and v_k <= hi_k.  The iterate is
-    (X, u, y, S, w): X the matrix Z, u >= 0 the multipliers of the box rows
-    and w >= 0 the box slacks v - lo and hi - v.  Every iterate keeps S
-    positive definite, so each t is attained.  Returns the last X, y and
-    the number of steps.
+    <G_k, Z> = 0 and Z >= 0 from Z = I/n.  The iterate is (X, y, S), X the
+    matrix Z.  Every iterate keeps S positive definite, so each t is
+    attained.  Returns the last X, y and the number of steps.
     """
     n = ops.dim
     gamma0 = ops.family.gamma0
-    # Box row j reads sign_j v_idx_j <= c_box_j.
-    idx = np.concatenate((box, box))
-    sign = np.repeat([-1.0, 1.0], box.size)
-    c_box = sign * np.concatenate((ops.lo[box], ops.hi[box]))
-    diagonal = np.arange(1, ops.nvars + 1)
-
-    def constraints(z, u):
-        out = ops.constraints(z)
-        out[1:] += np.bincount(idx, weights=sign * u, minlength=ops.nvars)
-        return out
-
     b = np.zeros(ops.nvars + 1)
     b[0] = 1.0
     s = gamma0 - ops.adjoint(y)
-    w = c_box - sign * y[1:][idx]
-    # X = I/n has Tr X = 1 and <G_k, X> = 0, so any u with equal pairs is
-    # primal feasible; this one is centred, with u_j w_j = <X, S> / n.
     x = np.eye(n) / n
-    u = float(np.sum(x * s)) / n / w
-    pairs = n + idx.size
 
-    def direction(target, target_box):
-        # Solves dX S + X dS = target S and du w + u dw = target_box w
-        # together with the linear residuals of the current step; HKM then
-        # symmetrizes dX.
-        rhs = base - constraints(target, target_box)
-        dy = np.linalg.solve(m, rhs)
+    def direction(target):
+        # Solves dX S + X dS = target S together with the linear residuals
+        # of the current step; HKM then symmetrizes dX.
+        dy = np.linalg.solve(m, base - ops.constraints(target))
         ds = r_dual - ops.adjoint(dy)
-        dw = r_box - sign * dy[1:][idx]
         dx = target - x @ ds @ s_inv
-        return 0.5 * (dx + dx.T), target_box - u * dw / w, dy, ds, dw
+        return 0.5 * (dx + dx.T), dy, ds
 
     steps = 0
     while steps < max_iters:
-        primal = float(np.sum(gamma0 * x) + c_box @ u)
+        primal = float(np.sum(gamma0 * x))
         if primal - y[0] <= GAP_TOL * (1.0 + abs(primal) + abs(y[0])):
             break
         try:
@@ -290,35 +268,28 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, box: np.ndarray, max_iters: 
             ls_inv = _inverse_cholesky(s)
             s_inv = ls_inv.T @ ls_inv
             m = ops.schur(x, s_inv)
-            m[diagonal, diagonal] += np.bincount(idx, weights=u / w, minlength=ops.nvars)
             # Only the positive-definiteness test: its failure is the stall exit.
             np.linalg.cholesky(m)
-            mu = float(np.sum(x * s) + u @ w) / pairs
-            r_primal = b - constraints(x, u)
+            mu = float(np.sum(x * s)) / n
+            r_primal = b - ops.constraints(x)
             r_dual = gamma0 - ops.adjoint(y) - s
-            r_box = c_box - sign * y[1:][idx] - w
-            base = constraints(x @ r_dual @ s_inv, u * r_box / w) + r_primal
+            base = ops.constraints(x @ r_dual @ s_inv) + r_primal
             # M can pass the Cholesky test yet be exactly singular to the LU
             # of the solve; that too ends the solve at the last iterate.  The
             # corrector solves with the same M, so it cannot raise.
-            dx, du, dy, ds, dw = direction(-x, -u)
+            dx, dy, ds = direction(-x)
         except np.linalg.LinAlgError:
             break
-        alpha_p = min(1.0, _max_step(lx_inv, dx, u, du))
-        alpha_d = min(1.0, _max_step(ls_inv, ds, w, dw))
-        mu_aff = float(
-            np.sum((x + alpha_p * dx) * (s + alpha_d * ds))
-            + (u + alpha_p * du) @ (w + alpha_d * dw)
-        ) / pairs
+        alpha_p = min(1.0, _max_step(lx_inv, dx))
+        alpha_d = min(1.0, _max_step(ls_inv, ds))
+        mu_aff = float(np.sum((x + alpha_p * dx) * (s + alpha_d * ds))) / n
         sigma = min(1.0, (mu_aff / mu) ** 3)
         # Corrector: centring plus Mehrotra's second-order term dX dS.
-        dx, du, dy, ds, dw = direction(
-            sigma * mu * s_inv - x - dx @ ds @ s_inv, (sigma * mu - du * dw) / w - u
-        )
-        alpha_p = min(1.0, STEP_FRACTION * _max_step(lx_inv, dx, u, du))
-        alpha_d = min(1.0, STEP_FRACTION * _max_step(ls_inv, ds, w, dw))
-        x, u = x + alpha_p * dx, u + alpha_p * du
-        y, s, w = y + alpha_d * dy, s + alpha_d * ds, w + alpha_d * dw
+        dx, dy, ds = direction(sigma * mu * s_inv - x - dx @ ds @ s_inv)
+        alpha_p = min(1.0, STEP_FRACTION * _max_step(lx_inv, dx))
+        alpha_d = min(1.0, STEP_FRACTION * _max_step(ls_inv, ds))
+        x = x + alpha_p * dx
+        y, s = y + alpha_d * dy, s + alpha_d * ds
         steps += 1
         if min(alpha_p, alpha_d) < MIN_STEP:
             break
@@ -330,28 +301,21 @@ def maximize_lambda_min(
 ) -> SolveOutcome:
     """Maximize lambda_min over the family and decide feasibility.
 
-    The first solve ignores the variable box; only when its maximizer lies
-    outside the box does a second solve add the box rows.  lambda_star is
-    lambda_min at the last maximizer clipped to the box.  Returns FEASIBLE
-    with a witness when lambda_star clears the witness tolerance,
-    CERTIFIED_INFEASIBLE when a verified dual certificate with value below
-    -margin is extracted, and UNDECIDED otherwise.
+    One solve from v = 0 gives the maximizer v_star, reported as it stands,
+    lambda_star = lambda_min(Gamma(v_star)) and the dual iterate Z.  Returns
+    FEASIBLE with the witness v_star when lambda_star clears the witness
+    tolerance, CERTIFIED_INFEASIBLE when Z is a verified dual certificate
+    with value below -margin, and UNDECIDED otherwise.
     """
     cfg = config if config is not None else SolverConfig()
     if family.dim == 0:
         raise ValueError("degenerate family of dimension 0")
     ops = _FamilyOps(family)
-    # Start at the centre of the box, with t one below lambda_min there.
-    y = np.concatenate(([0.0], 0.5 * (ops.lo + ops.hi)))
+    # Start at v = 0, with t one below lambda_min there.
+    y = np.zeros(ops.nvars + 1)
     y[0] = float(np.linalg.eigvalsh(family.gamma(y[1:]))[0]) - 1.0
-    z, y_end, iterations = _interior_point(ops, y, np.zeros(0, dtype=int), cfg.max_iters)
-    if ((y_end[1:] < ops.lo) | (y_end[1:] > ops.hi)).any():
-        # The maximizer left the box, so solve again inside it.  The
-        # certificate still comes from the first solve, whose Z is the best
-        # one of the verified form.
-        _, y_end, more = _interior_point(ops, y, ops.boxed, cfg.max_iters)
-        iterations += more
-    v_star = np.clip(y_end[1:], ops.lo, ops.hi)
+    z, y_end, iterations = _interior_point(ops, y, cfg.max_iters)
+    v_star = y_end[1:]
     lambda_star = float(np.linalg.eigvalsh(family.gamma(v_star))[0])
 
     certificate = None

@@ -115,12 +115,18 @@ def dual_of_the_verified_form(family, z):
 
 
 def grid_max_lambda_min(family, rounds=12, points=9):
-    """Brute-force grid refinement of max-over-box lambda_min."""
+    """Brute-force grid refinement of max lambda_min.
+
+    The search box is |v_k| <= 1 - lambda_min(gamma0), which holds every
+    maximizer: its lambda_star is at least lambda_min at v = 0, and the unit
+    diagonal of Gamma(v) - lambda_star I >= 0 keeps |v_k| <= 1 - lambda_star.
+    """
     nvars = family.num_variables
     if nvars == 0:
         return float(np.linalg.eigvalsh(family.gamma0)[0])
-    lo = family.bounds[:, 0].copy()
-    hi = family.bounds[:, 1].copy()
+    radius = 1.0 - float(np.linalg.eigvalsh(family.gamma0)[0])
+    lo = np.full(nvars, -radius)
+    hi = np.full(nvars, radius)
     best_f, best_v = -np.inf, None
     for _ in range(rounds):
         axes = [np.linspace(lo[k], hi[k], points) for k in range(nvars)]
@@ -130,8 +136,8 @@ def grid_max_lambda_min(family, rounds=12, points=9):
             if f > best_f:
                 best_f, best_v = f, v
         span = (hi - lo) / (points - 1)
-        lo = np.maximum(family.bounds[:, 0], best_v - span)
-        hi = np.minimum(family.bounds[:, 1], best_v + span)
+        lo = np.maximum(-radius, best_v - span)
+        hi = np.minimum(radius, best_v + span)
     return best_f
 
 
@@ -140,7 +146,7 @@ def random_family(rng, dim, nvars):
     positions = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     rng.shuffle(positions)
     nvars = min(nvars, len(positions))
-    patterns, variables, bounds = [], [], []
+    patterns, variables = [], []
     used = 0
     for k in range(nvars):
         remaining = len(positions) - used - (nvars - k - 1)
@@ -152,7 +158,6 @@ def random_family(rng, dim, nvars):
             pattern[i, j] = pattern[j, i] = 1.0
         patterns.append(pattern)
         variables.append(((1, k),))
-        bounds.append((-1.0, 1.0))
     gamma0 = np.eye(dim)
     leftover = positions[used:]
     for i, j in leftover[: len(leftover) // 2]:
@@ -161,7 +166,6 @@ def random_family(rng, dim, nvars):
     return AffineMatrixFamily(
         gamma0=gamma0,
         support=support_arrays(patterns),
-        bounds=np.array(bounds).reshape(nvars, 2),
         variables=tuple(variables),
     )
 

@@ -448,7 +448,6 @@ def test_white_noise_family_matches_the_simulated_family(case, policy, p):
     assert all(a is b for a, b in zip(mixed.support, simulated.support))
     assert mixed.variables == simulated.variables
     assert mixed.pinned_keys == simulated.pinned_keys
-    assert np.array_equal(mixed.bounds, simulated.bounds)
     assert np.abs(mixed.gamma0 - simulated.gamma0).max() <= 1e-15
     assert np.abs(mixed.pinned_values - simulated.pinned_values).max(initial=0.0) <= 1e-15
     # Exact at the ends: the family itself at p = 1, the identity at p = 0.

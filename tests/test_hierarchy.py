@@ -209,36 +209,11 @@ def test_gamma_stays_symmetric_and_bounded(structure_322):
     table = CorrelatorTable.from_values(structure_322.scenario, values)
     family = assemble(structure_322, table)
     for _ in range(5):
-        v = rng.uniform(family.bounds[:, 0], family.bounds[:, 1])
+        v = rng.uniform(-1.0, 1.0, family.num_variables)
         gamma = family.gamma(v)
         assert np.allclose(gamma, gamma.T)
         assert np.allclose(np.diag(gamma), 1.0)
         assert np.abs(gamma).max() <= 1.0 + 1e-12
-
-
-def test_interval_pinning(structure_322):
-    entries = {key: (0.5, 0.01) for key in structure_322.observables}
-    table = CorrelatorTable(structure_322.scenario, entries)
-    family = assemble(structure_322, table, PinPolicy.all(), interval_sigmas=2.0)
-    assert len(family.pinned_keys) == 0
-    observable_bounds = [
-        bounds for var, bounds in zip(family.variables, family.bounds)
-        if moment_kind(var) == "observable"
-    ]
-    assert len(observable_bounds) == 26
-    for lo, hi in observable_bounds:
-        assert lo == pytest.approx(0.48)
-        assert hi == pytest.approx(0.52)
-
-
-def test_interval_sigmas_must_be_finite_and_nonnegative(structure_322):
-    # NaN would free every pin that carries a sigma, and a negative width
-    # would give an empty interval.
-    entries = {key: (0.5, 0.01) for key in structure_322.observables}
-    table = CorrelatorTable(structure_322.scenario, entries)
-    for bad in (float("nan"), -1.0, float("inf")):
-        with pytest.raises(ValueError, match="interval_sigmas"):
-            assemble(structure_322, table, PinPolicy.all(), interval_sigmas=bad)
 
 
 def test_structure_report_is_json_ready(structure_222):
@@ -262,70 +237,60 @@ def test_structure_report_other_scenarios(structure_322):
     assert tiny["counts"] == {"observables": 1, "freevars": 0}
 
 
-def _dense_reference(structure, table, policy, interval_sigmas=None):
+def _dense_reference(structure, table, policy):
     """The family assembled entry by entry from the structure's positions."""
     observables = structure.positions(structure.observables)
     gamma0 = np.eye(structure.dim)
-    variables, groups, bounds = [], [], []
+    variables, groups = [], []
     for key in structure.observables:
-        bound = (-1.0, 1.0)
         if policy.selects(key):
             value = float(np.clip(table.value(key), -1.0, 1.0))
-            sigma = table.sigma(key)
-            if interval_sigmas is None or sigma is None or sigma <= 0.0:
-                for i, j in observables[key]:
-                    gamma0[i, j] = gamma0[j, i] = value
-                continue
-            half = interval_sigmas * sigma
-            bound = (max(-1.0, value - half), min(1.0, value + half))
+            for i, j in observables[key]:
+                gamma0[i, j] = gamma0[j, i] = value
+            continue
         variables.append(key)
         groups.append(observables[key])
-        bounds.append(bound)
     for var, positions in structure.positions(structure.freevars).items():
         variables.append(var)
         groups.append(positions)
-        bounds.append((-1.0, 1.0))
     patterns = np.zeros((len(groups), structure.dim, structure.dim))
     for k, group in enumerate(groups):
         for i, j in group:
             patterns[k, i, j] = patterns[k, j, i] = 1.0
-    return gamma0, tuple(variables), groups, np.array(bounds).reshape(-1, 2), patterns
+    return gamma0, tuple(variables), groups, patterns
 
 
 @pytest.mark.parametrize(
-    "policy, interval_sigmas",
+    "policy",
     [
-        (PinPolicy.all(), None),
-        (PinPolicy.max_bodies(2), None),
-        (PinPolicy.explicit([((1, 0),), ((1, 1), (2, 0)), ((1, 0), (2, 1), (3, 1))]), None),
-        (PinPolicy.all(), 2.0),
-        (PinPolicy.max_bodies(2), 0.5),
+        PinPolicy.all(),
+        PinPolicy.max_bodies(2),
+        PinPolicy.explicit([((1, 0),), ((1, 1), (2, 0)), ((1, 0), (2, 1), (3, 1))]),
     ],
+    # The ids are those of the time the test also took a sigma multiplier.
+    ids=["policy0-None", "policy1-None", "policy2-None"],
 )
-def test_assemble_matches_dense_reference(structure_322, policy, interval_sigmas):
+def test_assemble_matches_dense_reference(structure_322, policy):
     rng = np.random.default_rng(19)
-    # Sigmas of every kind: absent, zero (a point pin) and positive; values
-    # at and beyond the ends of [-1, 1] exercise the clipping.
+    # Sigmas of every kind, absent, zero and positive, which assemble does
+    # not read; values at and beyond the ends of [-1, 1] exercise the
+    # clipping.
     sigmas = [None, 0.0, 0.01, 0.3]
     entries = {
         key: (float(rng.choice([rng.uniform(-1, 1), 1.0, -1.0, 1.0 + 5e-10])), sigmas[n % 4])
         for n, key in enumerate(structure_322.observables)
     }
     table = CorrelatorTable(structure_322.scenario, entries)
-    family = assemble(structure_322, table, policy, interval_sigmas=interval_sigmas)
-    gamma0, variables, groups, bounds, patterns = _dense_reference(
-        structure_322, table, policy, interval_sigmas
-    )
+    family = assemble(structure_322, table, policy)
+    gamma0, variables, groups, patterns = _dense_reference(structure_322, table, policy)
     assert family.gamma0.tobytes() == gamma0.tobytes()
     assert family.variables == variables
     rows, cols, vidx = family.support
     assert np.array_equal(rows, [i for group in groups for i, _ in group])
     assert np.array_equal(cols, [j for group in groups for _, j in group])
     assert np.array_equal(vidx, [k for k, group in enumerate(groups) for _ in group])
-    assert family.bounds.tobytes() == bounds.tobytes()
     assert np.array_equal(dense_patterns(family).reshape(patterns.shape), patterns)
     pinned = [key for key in structure_322.observables if policy.selects(key)]
-    pinned = [key for key in pinned if key not in variables]
     assert family.pinned_keys == tuple(pinned)
     assert family.pinned_values.tolist() == [float(np.clip(entries[key][0], -1, 1)) for key in pinned]
     v = rng.uniform(-1, 1, family.num_variables)

@@ -10,7 +10,6 @@ from momentcert import (
     CERTIFIED_INFEASIBLE,
     FEASIBLE,
     AnalysisRequest,
-    CorrelatorTable,
     DualCertificate,
     PinPolicy,
     Scenario,
@@ -41,16 +40,12 @@ from helpers import (
 FAST = SolverConfig(max_iters=800)
 
 
-def _family(gamma0, patterns, bounds=None):
+def _family(gamma0, patterns):
     patterns = tuple(np.asarray(p, dtype=float) for p in patterns)
-    k = len(patterns)
-    if bounds is None:
-        bounds = np.tile([-1.0, 1.0], (k, 1))
-    variables = tuple(((1, i),) for i in range(k))
+    variables = tuple(((1, i),) for i in range(len(patterns)))
     return AffineMatrixFamily(
         gamma0=np.asarray(gamma0, dtype=float),
         support=support_arrays(patterns),
-        bounds=np.asarray(bounds, dtype=float).reshape(k, 2),
         variables=variables,
     )
 
@@ -93,7 +88,11 @@ def test_degenerate_family_rejected():
     malformed = [
         (_family(np.eye(2), [off_diagonal, np.zeros((2, 2))]), "empty support"),
         (_family(np.eye(2) + 0.5 * off_diagonal, [off_diagonal]), "overlaps a variable support"),
-        (_family(np.eye(2), [off_diagonal], bounds=[0.5, -0.5]), "finite intervals"),
+        (_family(np.array([[1.0, np.nan], [np.nan, 1.0]]), []), "finite and symmetric"),
+        (_family(np.diag([1.0, np.inf]), [off_diagonal]), "finite and symmetric"),
+        # eigvalsh reads only the lower triangle, which is the identity here;
+        # the symmetric part has lambda_min 0.75, not 1.
+        (_family(np.triu(np.full((3, 3), 0.5)) + 0.5 * np.eye(3), []), "finite and symmetric"),
     ]
     for family, message in malformed:
         with pytest.raises(ValueError, match=message):
@@ -226,23 +225,6 @@ def test_solver_against_grid_oracle():
             assert out.lambda_star <= out.certificate.value + 1e-6
 
 
-def test_lambda_star_is_the_boxed_optimum_when_the_clip_binds():
-    # Without the [-1, 1] box this family's maximizer has |v_k| > 1, so
-    # clipping it to the box would lose about 0.02; lambda_star must still
-    # be the optimum over the box.
-    family = random_family(np.random.default_rng(12), 6, 2)
-    wide = _family(family.gamma0, dense_patterns(family), np.tile([-10.0, 10.0], (2, 1)))
-    unboxed = maximize_lambda_min(wide).v_star
-    assert np.abs(unboxed).max() > 1.1
-    clipped = np.linalg.eigvalsh(family.gamma(np.clip(unboxed, -1.0, 1.0)))[0]
-    out = maximize_lambda_min(family)
-    assert out.lambda_star >= clipped + 1e-2
-    assert abs(out.lambda_star - grid_max_lambda_min(family)) <= 1e-6
-    assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
-    assert out.status == CERTIFIED_INFEASIBLE
-    assert out.lambda_star <= out.certificate.value
-
-
 def test_schur_blocks_match_dense_formula(monkeypatch):
     # M_ij = Tr(A_i X A_j S^-1) with A_0 = I and A_k = -G_k, assembled in
     # several row blocks, against the same sums taken densely.
@@ -318,8 +300,9 @@ def test_one_family_ops_per_solve(monkeypatch, structure_322):
 
 
 def test_certificate_bounds_lambda_min_everywhere():
-    # The point of the certificate: <gamma0, Z> upper-bounds lambda_min over
-    # the whole box, so sampling can never beat a verified value.
+    # The point of the certificate: <gamma0, Z> upper-bounds lambda_min at
+    # every v, inside [-1, 1] and beyond, so sampling can never beat a
+    # verified value.
     rng = np.random.default_rng(43)
     family = random_family(rng, 10, 3)
     out = maximize_lambda_min(family, SolverConfig())
@@ -327,7 +310,7 @@ def test_certificate_bounds_lambda_min_everywhere():
         pytest.skip("sampled family happened to be feasible")
     bound = out.certificate.value
     for _ in range(200):
-        v = rng.uniform(family.bounds[:, 0], family.bounds[:, 1])
+        v = rng.uniform(-2.0, 2.0, family.num_variables)
         assert np.linalg.eigvalsh(family.gamma(v))[0] <= bound + 1e-9
 
 
@@ -372,10 +355,10 @@ def test_lambda_star_is_the_optimum(request, structure_name, state, suite, optim
     out = maximize_lambda_min(family)
     assert out.status == CERTIFIED_INFEASIBLE
     assert abs(out.lambda_star - optimum) <= 1e-5
-    # lambda_star is attained and the certificate bounds it from above.
+    # lambda_star is attained, and the certificate value is the dual value
+    # of the same program, above it by no more than the solver's gap.
     assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
-    assert out.lambda_star <= out.certificate.value
-    assert out.certificate.value - out.lambda_star <= 1e-6
+    assert 0.0 <= out.certificate.value - out.lambda_star <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -393,57 +376,27 @@ def test_level_three_certificates_are_the_unrepaired_dual(state, suite, scenario
     _assert_unrepaired_form(family, out.certificate)
 
 
-def _w_interval_family(structure):
-    """W with every pin widened to value +- 1e-6."""
-    table = correlator_table(make_state("w", 3), standard_suite("w"), structure)
-    widened = CorrelatorTable(table.scenario, {k: (table.value(k), 1e-6) for k in table.keys()})
-    return assemble(structure, widened, PinPolicy.all(), interval_sigmas=1.0)
-
-
-def test_interval_pins_give_the_boxed_optimum(structure_322):
-    # Every pin widened to value +- 1e-6: the box contains the point-pinned
-    # family, so its optimum is at least W's -0.1780942, and only just.
-    family = _w_interval_family(structure_322)
-    out = maximize_lambda_min(family)
-    assert -0.1780942 - 1e-9 <= out.lambda_star <= -0.17809 + 1e-5
-    assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
-    assert np.all((family.bounds[:, 0] <= out.v_star) & (out.v_star <= family.bounds[:, 1]))
-
-
-@pytest.mark.parametrize(
-    "make, boxed",
-    [
-        (lambda structure: _state_family(structure, "w", "w"), False),
-        (lambda structure: random_family(np.random.default_rng(12), 6, 2), True),
-        (_w_interval_family, True),
-    ],
-    ids=["w", "clip-binds", "interval"],
-)
-def test_boxed_solve_runs_exactly_when_the_maximizer_leaves_the_box(
-    monkeypatch, structure_322, make, boxed
-):
-    # The first solve has no box rows.  A second solve, with a row pair for
-    # every variable whose box has an interior, runs exactly when the first
-    # maximizer lies outside the box: never for W, whose optimum is inside
-    # [-1, 1], but for the family of the clip-binds test and for W's
-    # interval family, whose boxes of width 2e-6 its maximizer leaves.
-    family = make(structure_322)
+def test_lambda_star_is_the_optimum_where_a_box_would_bind(monkeypatch):
+    # This family's maximizer has |v_k| > 1, where a [-1, 1] box on v would
+    # bind.  One solve still gives lambda_star and the certificate value as
+    # the primal and dual values of one program.
+    family = random_family(np.random.default_rng(12), 6, 2)
     solves = []
     solve = sdp._interior_point
 
-    def recorded(ops, y, box, max_iters):
-        x, y_end, steps = solve(ops, y, box, max_iters)
-        solves.append((box.size, y_end[1:]))
-        return x, y_end, steps
+    def recorded(*args):
+        solves.append(args)
+        return solve(*args)
 
     monkeypatch.setattr(sdp, "_interior_point", recorded)
-    maximize_lambda_min(family)
-    lo, hi = family.bounds[:, 0], family.bounds[:, 1]
-    first = solves[0][1]
-    assert solves[0][0] == 0
-    assert bool(((first < lo) | (first > hi)).any()) is boxed
-    sizes = [size for size, _ in solves]
-    assert sizes == ([0, int(np.count_nonzero(hi > lo))] if boxed else [0])
+    out = maximize_lambda_min(family)
+    assert len(solves) == 1
+    assert np.abs(out.v_star).max() > 1.1
+    assert out.status == CERTIFIED_INFEASIBLE
+    assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] == pytest.approx(out.lambda_star, abs=1e-12)
+    assert 0.0 <= out.certificate.value - out.lambda_star <= 1e-8
+    # The grid search, attained at every point, finds nothing better.
+    assert grid_max_lambda_min(family) <= out.lambda_star + 1e-12
 
 
 def test_solve_does_not_depend_on_the_order_of_the_support(structure_322):
@@ -460,22 +413,6 @@ def test_solve_does_not_depend_on_the_order_of_the_support(structure_322):
     assert out.iterations == grouped.iterations
     assert out.lambda_star == pytest.approx(grouped.lambda_star, abs=1e-12)
     assert verify_certificate(shuffled, out.certificate)
-
-
-def test_zero_interval_sigmas_pin_every_point(structure_322):
-    # k = 0 widens no pin: W with sigma 0.01 on every key gives the
-    # point-pinned family and is certified as before.
-    table = correlator_table(make_state("w", 3), standard_suite("w"), structure_322)
-    noisy = CorrelatorTable(table.scenario, {k: (table.value(k), 0.01) for k in table.keys()})
-    point = assemble(structure_322, table, PinPolicy.all())
-    family = assemble(structure_322, noisy, PinPolicy.all(), interval_sigmas=0.0)
-    assert family.gamma0.tobytes() == point.gamma0.tobytes()
-    assert family.variables == point.variables
-    assert family.pinned_keys == point.pinned_keys
-    assert family.bounds.tobytes() == point.bounds.tobytes()
-    out = maximize_lambda_min(family)
-    assert out.status == CERTIFIED_INFEASIBLE
-    assert verify_certificate(family, out.certificate)
 
 
 @pytest.mark.parametrize(
@@ -602,7 +539,6 @@ def test_certificate_floor_bounds_every_verified_certificate(seed, dim, nvars, s
     scaled = AffineMatrixFamily(
         gamma0=(family.gamma0 + shift * np.eye(dim)) / (1.0 + shift),
         support=family.support,
-        bounds=family.bounds,
         variables=family.variables,
     )
     bound = -(dim + k + 1) * tol
@@ -626,6 +562,19 @@ def _check_outcome_contract(family, config):
         assert verify_certificate(family, certificate, config.tol_cert)
     certified = certificate is not None and certificate.value < -config.margin
     assert (outcome.status == CERTIFIED_INFEASIBLE) == certified
+    # One program: lambda_star is attained at v_star, a certified value is
+    # above it by no more than the solver's gap, and the unit diagonal of
+    # Gamma(v_star) - lambda_star I >= 0 keeps |v_k| <= 1 - lambda_star, so
+    # a bound on v would add nothing where the data are feasible.
+    assert np.linalg.eigvalsh(family.gamma(outcome.v_star))[0] == pytest.approx(
+        outcome.lambda_star, abs=1e-12
+    )
+    if certified:
+        assert 0.0 <= certificate.value - outcome.lambda_star <= 1e-8
+    largest = float(np.abs(outcome.v_star).max(initial=0.0))
+    assert largest <= 1.0 - outcome.lambda_star + 1e-9
+    if outcome.status == FEASIBLE:
+        assert largest <= 1.0 + sdp.WITNESS_TOL
     return outcome
 
 
