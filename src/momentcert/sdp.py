@@ -21,9 +21,13 @@ when a step shrinks below MIN_STEP.  The Schur complement of each Newton
 step is assembled from low-rank products: a variable with s entry
 positions makes X G_k S^-1 a product of rank 2s, and variables of one
 support size are taken in blocks whose transient memory stays bounded.
-The complement itself holds (K + 1)^2 floats for K variables; its Cholesky
-factorization is only the positive-definiteness test, and the predictor
-and corrector directions come from direct solves with it.  The maps
+The complement itself holds (K + 1)^2 floats for K variables.  Its
+Cholesky factor is the positive-definiteness test.  Above
+CHOLESKY_SOLVE_ROWS rows the complement is factored only that once per
+step: the predictor and corrector directions come from forward and back
+substitution over blocks of the factor, whose diagonal blocks are
+inverted once.  Up to that size, where an LU costs no more, the two
+direction systems are solved directly.  The maps
 sum_k v_k G_k and <G_k, Z> are the family's own
 (:meth:`AffineMatrixFamily.combine` and ``.inner``); the solver adds only
 the program around them.
@@ -87,6 +91,13 @@ STEP_FRACTION = 0.98
 # Entries per array in a block of the Schur assembly; its transient memory
 # is a few times this many floats, whatever the family's size.
 SCHUR_BLOCK = 1 << 16
+# A Schur complement of more rows than this is solved through its own
+# Cholesky factor (:func:`_cholesky_solver`); up to it, np.linalg.solve is
+# as fast.  Measured crossover with one BLAS thread: about 90 rows.
+CHOLESKY_SOLVE_ROWS = 90
+# Rows per diagonal block of that factor; each block is inverted once per
+# Newton step.
+SOLVE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -151,8 +162,11 @@ class _FamilyOps:
         max t   subject to   S = gamma0 - t I + sum_k v_k G_k >= 0,
 
     with the blocks of its Schur assembly.  The maps sum_k v_k G_k and
-    <G_k, Z> are the family's own.  A family whose gamma0 is not finite and
-    exactly symmetric, or whose supports are empty or overlap gamma0, is
+    <G_k, Z> are the family's own, and they are adjoint only on a
+    well-formed support.  A family whose gamma0 is not finite and exactly
+    symmetric, whose support has a position outside the matrix, on its
+    diagonal or repeated in either orientation, or names a variable outside
+    range(num_variables), or whose supports are empty or overlap gamma0, is
     rejected with ValueError before any solve.
     """
 
@@ -164,6 +178,15 @@ class _FamilyOps:
         if not (np.isfinite(gamma0).all() and np.array_equal(gamma0, gamma0.T)):
             raise ValueError("gamma0 must be finite and symmetric")
         rows, cols, vidx = family.support
+        inside = (0 <= rows) & (rows < self.dim) & (0 <= cols) & (cols < self.dim)
+        if not (inside & (rows != cols)).all():
+            raise ValueError("support has a position outside the matrix or on its diagonal")
+        if not ((0 <= vidx) & (vidx < self.nvars)).all():
+            raise ValueError("support names a variable outside range(num_variables)")
+        # Counted, not np.unique, which imports numpy.ma (about 1.7 MB).
+        upper = np.minimum(rows, cols) * self.dim + np.maximum(rows, cols)
+        if np.bincount(upper).max(initial=0) > 1:
+            raise ValueError("support repeats a position")
         # The positions sorted by variable; starts[k] is where k's group begins.
         order = np.argsort(vidx, kind="stable")
         self.rows, self.cols = rows[order], cols[order]
@@ -227,6 +250,47 @@ def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(matrix))
 
 
+def _cholesky_solver(matrix: np.ndarray):
+    """The map r -> matrix^-1 r through the Cholesky factor L of ``matrix``.
+
+    Raises LinAlgError unless ``matrix`` is positive definite.  The diagonal
+    blocks of L, SOLVE_BLOCK rows each, are inverted once here; each solve
+    is then a forward substitution L w = r and a back substitution L' x = w
+    over the blocks, each block from the ones already solved, in
+    matrix-vector products.
+    """
+    factor = np.linalg.cholesky(matrix)
+    blocks = [
+        (slice(i, i + SOLVE_BLOCK), np.linalg.inv(factor[i:i + SOLVE_BLOCK, i:i + SOLVE_BLOCK]))
+        for i in range(0, factor.shape[0], SOLVE_BLOCK)
+    ]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = np.empty(factor.shape[0])
+        for rows, inv in blocks:
+            x[rows] = inv @ (rhs[rows] - factor[rows, :rows.start] @ x[:rows.start])
+        for rows, inv in reversed(blocks):
+            x[rows] = inv.T @ (x[rows] - factor[rows.stop:, rows].T @ x[rows.stop:])
+        return x
+
+    return solve
+
+
+def _schur_solver(m: np.ndarray):
+    """The map r -> M^-1 r of one Newton step's Schur complement M.
+
+    Raises LinAlgError unless M is positive definite.  Above
+    CHOLESKY_SOLVE_ROWS rows the Cholesky factor of that test also solves.
+    Up to it the factor is only the test, and np.linalg.solve, an LU,
+    solves; M can pass the test yet be exactly singular to that LU, which
+    raises LinAlgError at the solve.
+    """
+    if m.shape[0] > CHOLESKY_SOLVE_ROWS:
+        return _cholesky_solver(m)
+    np.linalg.cholesky(m)
+    return lambda rhs: np.linalg.solve(m, rhs)
+
+
 def _max_step(l_inv: np.ndarray, d: np.ndarray) -> float:
     """Largest alpha with L L' + alpha d >= 0, capped at 1 / STEP_FRACTION."""
     lowest = float(np.linalg.eigvalsh(l_inv @ d @ l_inv.T)[0])
@@ -253,7 +317,7 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
     def direction(target):
         # Solves dX S + X dS = target S together with the linear residuals
         # of the current step; HKM then symmetrizes dX.
-        dy = np.linalg.solve(m, base - ops.constraints(target))
+        dy = solve(base - ops.constraints(target))
         ds = r_dual - ops.adjoint(dy)
         dx = target - x @ ds @ s_inv
         return 0.5 * (dx + dx.T), dy, ds
@@ -267,16 +331,13 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
             lx_inv = _inverse_cholesky(x)
             ls_inv = _inverse_cholesky(s)
             s_inv = ls_inv.T @ ls_inv
-            m = ops.schur(x, s_inv)
-            # Only the positive-definiteness test: its failure is the stall exit.
-            np.linalg.cholesky(m)
+            # A failed factorization or solve of M is the stall exit.  The
+            # corrector solves with the predictor's M, so it cannot raise.
+            solve = _schur_solver(ops.schur(x, s_inv))
             mu = float(np.sum(x * s)) / n
             r_primal = b - ops.constraints(x)
             r_dual = gamma0 - ops.adjoint(y) - s
             base = ops.constraints(x @ r_dual @ s_inv) + r_primal
-            # M can pass the Cholesky test yet be exactly singular to the LU
-            # of the solve; that too ends the solve at the last iterate.  The
-            # corrector solves with the same M, so it cannot raise.
             dx, dy, ds = direction(-x)
         except np.linalg.LinAlgError:
             break

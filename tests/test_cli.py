@@ -293,6 +293,22 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_analyze_loads_no_scipy(tmp_path):
+    # The package solves with numpy alone; scipy is a dependency of the
+    # benchmark harness only.  Graph-linear on (3,3,2) takes the solver's
+    # Cholesky-solve path, where scipy.linalg.cho_solve would be the shortcut.
+    code = (
+        "import sys, momentcert.cli\n"
+        f"code = momentcert.cli.main(['analyze', '--state', 'graph-linear', '--suite', 'graph',"
+        f" '--parties', '3', '--settings', '3', '--out', {str(tmp_path / 'report.json')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "2 []"
+
+
 def test_removed_solver_flags_are_usage_errors(tmp_path, capsys):
     for flag in (["--seed", "3"], ["--restarts", "2"]):
         assert run(["analyze", "--state", "basis:000", "--suite", "w"] + flag) == 1

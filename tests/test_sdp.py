@@ -99,6 +99,34 @@ def test_degenerate_family_rejected():
             maximize_lambda_min(family, FAST)
 
 
+@pytest.mark.parametrize(
+    "support, nvars, message",
+    [
+        (([0], [3], [0]), 1, "outside the matrix"),
+        (([-1], [0], [0]), 1, "outside the matrix"),
+        (([1], [1], [0]), 1, "on its diagonal"),
+        (([0, 0], [1, 1], [0, 1]), 2, "repeats a position"),
+        (([0, 1], [1, 0], [0, 1]), 2, "repeats a position"),
+        (([0, 0, 1], [1, 1, 2], [0, 0, 1]), 2, "repeats a position"),
+        (([0, 0, 1], [1, 2, 2], [0, 1, 2]), 2, "outside range"),
+        (([0, 1], [1, 2], [-1, 0]), 2, "outside range"),
+    ],
+    ids=["row-past-end", "negative-row", "diagonal", "shared", "mirrored",
+         "repeated-in-one-variable", "variable-past-end", "negative-variable"],
+)
+def test_malformed_support_rejected(support, nvars, message):
+    # combine writes one value per position while inner sums every entry
+    # naming it, so the solver's two maps are adjoint only when each
+    # off-diagonal position inside the matrix belongs to one variable once.
+    family = AffineMatrixFamily(
+        gamma0=np.eye(3),
+        support=tuple(np.array(a, dtype=np.intp) for a in support),
+        variables=tuple(((1, k),) for k in range(nvars)),
+    )
+    with pytest.raises(ValueError, match=message):
+        maximize_lambda_min(family, FAST)
+
+
 def test_extraction_skipped_when_feasible():
     family = _family(np.eye(3), [])
     out = maximize_lambda_min(family, FAST)
@@ -221,6 +249,9 @@ def test_solver_against_grid_oracle():
         assert abs(out.lambda_star - oracle) <= 1e-3
         if out.certificate is not None:
             assert verify_certificate(family, out.certificate)
+            # Weak duality: the grid's attained values stay below the
+            # certificate value, up to the tolerance it was verified at.
+            assert oracle <= out.certificate.value + SolverConfig().tol_cert
             _assert_unrepaired_form(family, out.certificate)
             assert out.lambda_star <= out.certificate.value + 1e-6
 
@@ -260,6 +291,67 @@ def test_schur_rows_of_the_visibility_form_match_dense_formula(monkeypatch):
     dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
     assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
     assert np.array_equal(ops.schur(x, w), sdp._FamilyOps(high).schur(x, w))
+
+
+def _spd(rng, n, condition):
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    m = (q * np.logspace(0.0, -np.log10(condition), n)) @ q.T
+    return 0.5 * (m + m.T)
+
+
+@pytest.mark.parametrize(
+    "n, condition",
+    [(1, 1e2), (31, 1e2), (32, 1e2), (33, 1e2), (96, 1e12), (193, 1e2)],
+)
+def test_cholesky_solver_agrees_with_a_direct_solve(n, condition):
+    # Sizes on both sides of the SOLVE_BLOCK = 32 block boundaries.  The
+    # solve is backward stable like the LU of np.linalg.solve: its relative
+    # residual |M x - r| / (|M| |x|) stays at rounding level at every
+    # condition number, and on well-conditioned M the two solutions agree.
+    rng = np.random.default_rng(n)
+    m = _spd(rng, n, condition)
+    rhs = rng.normal(size=n)
+    solve = sdp._cholesky_solver(m)
+    x, reference = solve(rhs), np.linalg.solve(m, rhs)
+    assert np.linalg.norm(m @ x - rhs) <= 1e-14 * np.linalg.norm(m, 2) * np.linalg.norm(x)
+    if condition < 1e3:
+        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+    assert np.array_equal(solve(rhs), x)
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_schur_solver_rejects_an_indefinite_matrix(n):
+    # On either side of CHOLESKY_SOLVE_ROWS the failed factorization raises,
+    # and that is the solve's stall exit.
+    m = _spd(np.random.default_rng(n), n, 1e2)
+    m[n // 2, n // 2] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._schur_solver(m)
+
+
+@pytest.mark.parametrize(
+    "structure_name, state, suite, direct",
+    [("structure_332", "graph-linear", "graph", False), ("structure_322", "w", "w", True)],
+)
+def test_schur_systems_above_the_gate_skip_the_direct_solve(
+    monkeypatch, request, structure_name, state, suite, direct
+):
+    # Graph-linear (3,3,2) has a Schur complement of 193 rows, above
+    # CHOLESKY_SOLVE_ROWS, and solves through its Cholesky factor; W (3,2,2)
+    # has 27 rows and keeps np.linalg.solve.
+    family = _state_family(request.getfixturevalue(structure_name), state, suite)
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    out = maximize_lambda_min(family)
+    assert out.status == CERTIFIED_INFEASIBLE
+    assert (family.num_variables + 1 > sdp.CHOLESKY_SOLVE_ROWS) != direct
+    assert len(calls) == (2 * out.iterations if direct else 0)
 
 
 def test_support_is_never_scanned_from_patterns(structure_322):
