@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
 
 # A letter is one local measurement choice; a moment is the sorted letter
 # tuple of a canonical word, and a moment key is a moment in which each party
@@ -48,7 +49,7 @@ def key_name(key: MomentKey) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
-    """An (N, m, d) measurement scenario with d fixed to 2.
+    """An (N, m, 2) measurement scenario: every measurement is dichotomic.
 
     Parameters
     ----------
@@ -56,25 +57,16 @@ class Scenario:
         Number of parties N, at least 1.
     settings : int
         Number of measurement choices m per party, at least 1.
-    outcomes : int
-        Number of outcomes per measurement.  Only dichotomic measurements
-        are supported; anything other than 2 is rejected because the +-1
-        correlator encoding below is specific to two outcomes.
     """
 
     parties: int
     settings: int
-    outcomes: int = 2
 
     def __post_init__(self):
-        if self.parties < 1:
-            raise ValueError(f"parties must be >= 1, got {self.parties}")
-        if self.settings < 1:
-            raise ValueError(f"settings must be >= 1, got {self.settings}")
-        if self.outcomes != 2:
-            raise ValueError(
-                f"only dichotomic scenarios (outcomes=2) are supported, got {self.outcomes}"
-            )
+        for name in ("parties", "settings"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def letters(self) -> list[Letter]:
         """All letters of the scenario in sorted (party, setting) order."""
@@ -94,7 +86,7 @@ def scenario_document(scenario: Scenario) -> dict:
     return {
         "parties": scenario.parties,
         "settings": scenario.settings,
-        "outcomes": scenario.outcomes,
+        "outcomes": 2,
     }
 
 
@@ -155,7 +147,7 @@ def generate_basis(scenario: Scenario, level: int) -> list[Moment]:
     ``level`` measurement operators reduces to exactly one element of this
     list, so no deduplication is needed.
     """
-    if level < 1:
-        raise ValueError(f"hierarchy level must be >= 1, got {level}")
+    if not isinstance(level, Integral) or isinstance(level, bool) or level < 1:
+        raise ValueError(f"hierarchy level must be an integer >= 1, got {level!r}")
     letters = scenario.letters()
     return [combo for length in range(level + 1) for combo in combinations(letters, length)]

@@ -433,8 +433,9 @@ def ingest_table(document) -> CorrelatorTable:
     parties = _expect_int(scenario_doc.get("parties"), "scenario.parties")
     settings = _expect_int(scenario_doc.get("settings"), "scenario.settings")
     outcomes = _expect_int(scenario_doc.get("outcomes", 2), "scenario.outcomes")
+    _expect(outcomes == 2, "scenario.outcomes", "expected 2 (dichotomic measurements)")
     try:
-        scenario = Scenario(parties, settings, outcomes)
+        scenario = Scenario(parties, settings)
     except ValueError as exc:
         raise SchemaError(f"scenario: {exc}") from exc
 

@@ -64,7 +64,7 @@ def _add_solver_flags(parser):
     parser.add_argument(
         "--max-iters", type=int, default=SolverConfig.max_iters,
         help=f"cap on interior-point steps (default {SolverConfig.max_iters};"
-        " a solve takes about 10-20)",
+        " a (3,2,2) or (3,3,2) solve takes 6-23)",
     )
     parser.add_argument(
         "--margin", type=float, default=SolverConfig.margin,
@@ -161,7 +161,7 @@ def _cmd_structure(args) -> int:
     structure = hierarchy.build_structure(scenario, args.level)
     report = hierarchy.structure_report(structure)
     print(
-        f"scenario ({scenario.parties},{scenario.settings},{scenario.outcomes})"
+        f"scenario ({scenario.parties},{scenario.settings},2)"
         f" level {args.level}: dim {structure.dim},"
         f" {len(structure.observables)} observable moments,"
         f" {len(structure.freevars)} free variables"

@@ -81,7 +81,7 @@ class MomentMatrixStructure:
         return positions
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def build_structure(scenario: Scenario, level: int) -> MomentMatrixStructure:
     """Compile the symbolic moment matrix for ``scenario`` at ``level``, once."""
     words = tuple(generate_basis(scenario, level))

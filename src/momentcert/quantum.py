@@ -5,8 +5,9 @@ systems of interest have n = 3, so there is no need for sparse or stabilizer
 machinery.  Party 1 is the leftmost tensor factor throughout.
 
 :func:`correlator_table` forms no Kronecker product: one ``einsum``
-contracts each party's stack (I, O_0, ..., O_{m-1}) into the density matrix
-viewed as a (2,) * 2n tensor, which yields every correlator at once.
+contracts the suite's stack (I, O_0, ..., O_{m-1}) into every party of the
+density matrix, viewed as a (2,) * 2n tensor, which yields every correlator
+at once.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class MeasurementSuite:
     def settings(self) -> int:
         return len(self.operators)
 
-    def operator(self, party: int, setting: int) -> np.ndarray:
+    def operator(self, setting: int) -> np.ndarray:
         if not 0 <= setting < self.settings:
             raise ValueError(f"setting {setting} outside suite {self.name!r}")
         return self.operators[setting]
@@ -253,9 +254,6 @@ class CorrelatorTable:
     def from_values(cls, scenario: Scenario, values: Mapping[MomentKey, float]) -> "CorrelatorTable":
         return cls(scenario, {key: (float(v), None) for key, v in values.items()})
 
-    def __contains__(self, key: MomentKey) -> bool:
-        return key in self.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -276,9 +274,9 @@ class CorrelatorTable:
 def correlator_table(state: QuantumState, suite: MeasurementSuite, structure) -> CorrelatorTable:
     """Evaluate every observable moment of ``structure`` on ``state``.
 
-    T[s_1, ..., s_N] = Tr((ops_1[s_1] x ... x ops_N[s_N]) rho) for the
-    stacks ops_p = (I, O_0, ..., O_{m-1}); a key's moment is T at
-    s_p = setting + 1 for its parties and 0 for the others.
+    T[s_1, ..., s_N] = Tr((ops[s_1] x ... x ops[s_N]) rho) for the stack
+    ops = (I, O_0, ..., O_{m-1}) that every party shares; a key's moment is
+    T at s_p = setting + 1 for its parties and 0 for the others.
     """
     scenario = structure.scenario
     n = state.n
@@ -288,11 +286,11 @@ def correlator_table(state: QuantumState, suite: MeasurementSuite, structure) ->
         raise ValueError(
             f"suite {suite.name!r} has {suite.settings} settings, scenario wants {scenario.settings}"
         )
-    # rho[j_1..j_N, i_1..i_N] ops_1[s_1, i_1, j_1] ... ops_N[s_N, i_N, j_N]
+    # rho[j_1..j_N, i_1..i_N] ops[s_1, i_1, j_1] ... ops[s_N, i_N, j_N]
     operands = [state.rho.reshape((2,) * (2 * n)), [*range(n, 2 * n), *range(n)]]
+    stack = np.stack([IDENTITY_2] + [suite.operator(s) for s in range(scenario.settings)])
     for p in range(n):
-        stack = [IDENTITY_2] + [suite.operator(p + 1, s) for s in range(scenario.settings)]
-        operands += [np.stack(stack), [2 * n + p, p, n + p]]
+        operands += [stack, [2 * n + p, p, n + p]]
     table = np.einsum(*operands, list(range(2 * n, 3 * n)))
     if np.abs(table.imag).max() > IMAG_TOL:
         raise ValueError(f"nonreal expectation, |imaginary part| {np.abs(table.imag).max()!r}")

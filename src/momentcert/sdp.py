@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -118,11 +119,12 @@ class SolverConfig:
     restarts: int = 4
 
     def __post_init__(self):
-        for name in ("max_iters", "tol_cert", "margin", "restarts"):
+        iters = self.max_iters
+        if not isinstance(iters, Integral) or isinstance(iters, bool) or iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {iters!r}")
+        for name in ("tol_cert", "margin", "restarts"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
         if self.tol_cert <= 0.0:
             raise ValueError("tol_cert must be positive")
         if self.margin <= self.tol_cert:

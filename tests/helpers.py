@@ -188,7 +188,7 @@ def classical_completion(family, state, suite, scenario):
     """
     letters = scenario.letters()
     means = {
-        letter: expectation(state, {letter[0]: suite.operator(letter[0], letter[1])})
+        letter: expectation(state, {letter[0]: suite.operator(letter[1])})
         for letter in letters
     }
     moments = {letter: 0.0 for letter in letters}

@@ -110,9 +110,8 @@ def test_criterion_02_structure_322(structure_322):
         assert st.ref_at(3, 11) == ((1, 0), (2, 0), (3, 1))
         assert key_name(word_product(st.words[3], st.words[11])) == "A0B0C1"
         suite = standard_suite("w")
-        assert np.allclose(suite.operator(1, 0), PAULI_X)
-        assert np.allclose(suite.operator(2, 0), PAULI_X)
-        assert np.allclose(suite.operator(3, 1), PAULI_Z)
+        assert np.allclose(suite.operator(0), PAULI_X)
+        assert np.allclose(suite.operator(1), PAULI_Z)
 
 
 def test_criterion_03_w_detection(structure_322):
@@ -175,7 +174,7 @@ def test_criterion_07_correlator_oracle_equivalence(structure_322):
             state = make_state(state_kind, 3)
             suite = standard_suite(suite_kind)
             for key in structure_322.observables:
-                assignment = {p: suite.operator(p, s) for p, s in key}
+                assignment = {p: suite.operator(s) for p, s in key}
                 direct = expectation(state, assignment)
                 enumerated = parity_expectation(born_probabilities(state, assignment))
                 assert abs(direct - enumerated) <= 1e-9

@@ -5,7 +5,10 @@ import pytest
 
 from momentcert import (
     Scenario,
+    SchemaError,
+    build_structure,
     generate_basis,
+    ingest_table,
     key_name,
     moment_kind,
     word_product,
@@ -24,8 +27,40 @@ def test_scenario_validation():
         Scenario(0, 2)
     with pytest.raises(ValueError):
         Scenario(2, 0)
-    with pytest.raises(ValueError):
-        Scenario(2, 2, outcomes=3)
+    # A scenario is dichotomic by definition; a table that claims otherwise
+    # is rejected where it is read.
+    document = {"schema_version": 1, "scenario": {"parties": 2, "settings": 2, "outcomes": 3},
+                "moments": []}
+    with pytest.raises(SchemaError, match=r"scenario\.outcomes"):
+        ingest_table(document)
+
+
+NOT_INTEGERS = [True, False, 2.0, 2.5, "2", None]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_scenario_rejects_non_integers(bad):
+    with pytest.raises(ValueError, match="parties"):
+        Scenario(bad, 2)
+    with pytest.raises(ValueError, match="settings"):
+        Scenario(3, bad)
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_level_rejects_non_integers(bad):
+    with pytest.raises(ValueError, match="level"):
+        generate_basis(Scenario(3, 2), bad)
+    # The structure cache tells True from 1, so the check runs even after a
+    # level-1 build.
+    build_structure(Scenario(1, 1), 1)
+    with pytest.raises(ValueError, match="level"):
+        build_structure(Scenario(1, 1), bad)
+
+
+def test_numpy_integers_are_integers():
+    scenario = Scenario(np.int64(3), np.int32(2))
+    assert scenario == Scenario(3, 2)
+    assert generate_basis(scenario, np.int64(2)) == generate_basis(Scenario(3, 2), 2)
 
 
 def test_basis_222_matches_printed_order():

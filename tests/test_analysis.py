@@ -494,7 +494,7 @@ def test_ingest_schema_diagnostics(structure_322):
         ingest_table(document)
     document = _w_document(structure_322)
     document["scenario"]["outcomes"] = 3
-    with pytest.raises(SchemaError, match="scenario"):
+    with pytest.raises(SchemaError, match=r"scenario\.outcomes"):
         ingest_table(document)
 
 

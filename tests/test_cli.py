@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -307,6 +308,20 @@ def test_analyze_loads_no_scipy(tmp_path):
         [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True
     )
     assert result.stdout.splitlines()[-1] == "2 []"
+
+
+def test_only_the_cli_prints():
+    # The library reports through return values and exceptions; only the
+    # command line writes to the terminal.
+    modules = [path for path in Path(momentcert.__file__).parent.rglob("*.py") if path.name != "cli.py"]
+    assert len(modules) > 1
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+    ]
+    assert calls == []
 
 
 def test_removed_solver_flags_are_usage_errors(tmp_path, capsys):

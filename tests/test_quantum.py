@@ -113,17 +113,17 @@ def test_standard_suites(kind, settings):
     suite = standard_suite(kind)
     assert suite.settings == settings
     for setting in range(settings):
-        op = suite.operator(1, setting)
+        op = suite.operator(setting)
         assert np.abs(op @ op - np.eye(2)).max() <= 1e-12
         assert np.abs(op - op.conj().T).max() <= 1e-12
 
 
 def test_suite_contents():
     w = standard_suite("w")
-    assert np.allclose(w.operator(1, 0), X)
-    assert np.allclose(w.operator(2, 1), Z)
+    assert np.allclose(w.operator(0), X)
+    assert np.allclose(w.operator(1), Z)
     ghz = standard_suite("ghz")
-    assert np.allclose(ghz.operator(1, 1), PAULI_DIAG)
+    assert np.allclose(ghz.operator(1), PAULI_DIAG)
     for bad in ("chsh", "wsuite"):
         with pytest.raises(ValueError):
             standard_suite(bad)
@@ -209,7 +209,7 @@ def test_correlator_table_matches_expectation(parties, settings):
     table = correlator_table(state, suite, structure)
     assert set(table.keys()) == set(structure.observables)
     for key in structure.observables:
-        oracle = expectation(state, {p: suite.operator(p, s) for p, s in key})
+        oracle = expectation(state, {p: suite.operator(s) for p, s in key})
         assert abs(table.value(key) - oracle) <= 1e-14
 
 
@@ -237,7 +237,7 @@ def test_expectation_agrees_with_born_rule(structure_322):
     for kind in ("w", "ghz", "graph-loop"):
         state = make_state(kind, 3)
         for key in structure_322.observables:
-            assignment = {p: suite.operator(p, s) for p, s in key}
+            assignment = {p: suite.operator(s) for p, s in key}
             direct = expectation(state, assignment)
             via_born = parity_expectation(born_probabilities(state, assignment))
             assert direct == pytest.approx(via_born, abs=1e-9)

@@ -59,6 +59,14 @@ def test_config_validation():
         SolverConfig(restarts=0)
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.5, 800.0, "800", None], ids=repr)
+def test_config_rejects_non_integer_max_iters(bad):
+    # True would pass as 1 and cap the solve at one Newton step.
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=bad)
+    assert SolverConfig(max_iters=np.int64(800)).max_iters == 800
+
+
 def test_two_by_two_feasible():
     # Gamma(v) = [[1, v], [v, 1]]: lambda_min = 1 - |v|, maximized at v = 0.
     family = _family(np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])
