@@ -30,6 +30,13 @@ MomentKey = tuple[Letter, ...]
 _PARTY_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+def checked_integer(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int; ValueError for a bool, a non-integer or a value below ``minimum``."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def party_name(party: int) -> str:
     """Display name of a 1-based party index (A, B, C, ...)."""
     if 1 <= party <= len(_PARTY_ALPHABET):
@@ -51,12 +58,8 @@ def key_name(key: MomentKey) -> str:
 class Scenario:
     """An (N, m, 2) measurement scenario: every measurement is dichotomic.
 
-    Parameters
-    ----------
-    parties : int
-        Number of parties N, at least 1.
-    settings : int
-        Number of measurement choices m per party, at least 1.
+    ``parties`` N and ``settings`` m, the measurement choices per party, are
+    integers >= 1, stored as int.
     """
 
     parties: int
@@ -64,9 +67,7 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("parties", "settings"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, checked_integer(getattr(self, name), name))
 
     def letters(self) -> list[Letter]:
         """All letters of the scenario in sorted (party, setting) order."""
@@ -147,7 +148,6 @@ def generate_basis(scenario: Scenario, level: int) -> list[Moment]:
     ``level`` measurement operators reduces to exactly one element of this
     list, so no deduplication is needed.
     """
-    if not isinstance(level, Integral) or isinstance(level, bool) or level < 1:
-        raise ValueError(f"hierarchy level must be an integer >= 1, got {level!r}")
+    level = checked_integer(level, "hierarchy level")
     letters = scenario.letters()
     return [combo for length in range(level + 1) for combo in combinations(letters, length)]

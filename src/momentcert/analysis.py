@@ -229,7 +229,7 @@ def analyze(request: AnalysisRequest) -> VerdictReport:
         lambda_star=outcome.lambda_star,
         iterations=outcome.iterations,
         scenario=request.scenario,
-        level=request.level,
+        level=int(request.level),  # checked at the structure stage
         policy=request.policy,
         pinned_keys=family.pinned_keys,
         pinned_values=family.pinned_values,

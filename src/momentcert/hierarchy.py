@@ -10,7 +10,8 @@ identical canonical words have identical letters.
 
 :func:`assemble` then substitutes measured values for the pinned observable
 moments and emits the affine family Gamma(v) = gamma0 + sum_k v_k G_k whose
-positive-semidefinite completion the solver searches for.
+positive-semidefinite completion the solver searches for.  Constructing a
+malformed family raises ValueError, so every reader gets a well-formed one.
 
 Both steps compile once.  A structure is built once per scenario and level,
 and the index maps of a family (which entries each pinned key fills, and the
@@ -32,6 +33,7 @@ from .algebra import (
     Moment,
     MomentKey,
     Scenario,
+    checked_integer,
     generate_basis,
     key_document,
     key_name,
@@ -93,7 +95,7 @@ def build_structure(scenario: Scenario, level: int) -> MomentMatrixStructure:
     moments = dict.fromkeys(entries.values())
     return MomentMatrixStructure(
         scenario=scenario,
-        level=level,
+        level=int(level),  # checked by generate_basis
         words=words,
         entries=MappingProxyType(entries),
         observables=tuple(m for m in moments if moment_kind(m) == "observable"),
@@ -119,8 +121,8 @@ class PinPolicy:
     def __post_init__(self):
         if self.kind not in ("all", "max_bodies", "explicit"):
             raise ValueError(f"unknown pin policy kind {self.kind!r}")
-        if self.kind == "max_bodies" and (self.bodies is None or self.bodies < 0):
-            raise ValueError("max_bodies policy needs a nonnegative body count")
+        if self.kind == "max_bodies":
+            object.__setattr__(self, "bodies", checked_integer(self.bodies, "max_bodies body count", 0))
         if self.kind == "explicit" and self.keys is None:
             raise ValueError("explicit policy needs a key set")
 
@@ -160,14 +162,19 @@ class AffineMatrixFamily:
 
     ``gamma0`` carries the unit diagonal and the pinned data.  ``support``
     is ``(rows, cols, vidx)``: G_k is 1 at (rows[p], cols[p]) and its mirror
-    for every p with vidx[p] = k, the positions in any order.  Supports are
-    pairwise disjoint and never touch the diagonal, so together with the
-    pinned positions they partition the off-diagonal entry set.  The
-    variables carry no bounds: where Gamma(v) is positive semidefinite, its
-    unit diagonal already keeps every |v_k| <= 1, the range of a moment of
+    for every p with vidx[p] = k.  ``variables`` names each variable by its
+    letter tuple: the unpinned observables, then the free variables.  They
+    carry no bounds: where Gamma(v) is positive semidefinite, its unit
+    diagonal already keeps every |v_k| <= 1, the range of a moment of
     commuting involutions.
-    ``variables`` names each variable by its letter tuple: the unpinned
-    observables, then the free variables.
+
+    Construction raises ValueError for a malformed family: gamma0 empty,
+    not finite or not exactly symmetric; a support position outside the
+    matrix, on its diagonal or repeated in either orientation; a variable
+    outside range(num_variables) or with no position; gamma0 nonzero on a
+    support.  So ``combine`` and ``inner`` are adjoint:
+    <combine(v), Z> = v . inner(Z) for symmetric Z.  The support is stored
+    grouped by variable in a stable order, as given if already grouped.
     """
 
     gamma0: np.ndarray
@@ -175,6 +182,29 @@ class AffineMatrixFamily:
     variables: tuple[Moment, ...]
     pinned_keys: tuple[MomentKey, ...] = ()
     pinned_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        gamma0, (rows, cols, vidx) = self.gamma0, self.support
+        n, nvars = len(gamma0), self.num_variables
+        if not (np.isfinite(gamma0).all() and np.array_equal(gamma0, gamma0.T)):
+            raise ValueError("gamma0 must be finite and symmetric")
+        if n == 0:
+            raise ValueError("degenerate family of dimension 0")
+        inside = (0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)
+        if not (inside & (rows != cols)).all():
+            raise ValueError("support has a position outside the matrix or on its diagonal")
+        if not ((0 <= vidx) & (vidx < nvars)).all():
+            raise ValueError("support names a variable outside range(num_variables)")
+        # Counted, not np.unique, which imports numpy.ma (about 1.7 MB).
+        if np.bincount(np.minimum(rows, cols) * n + np.maximum(rows, cols)).max(initial=0) > 1:
+            raise ValueError("support repeats a position")
+        if not np.bincount(vidx, minlength=nvars).all():
+            raise ValueError("family has a variable with empty support")
+        if gamma0[rows, cols].any():
+            raise ValueError("gamma0 overlaps a variable support")
+        if (vidx[1:] < vidx[:-1]).any():
+            order = np.argsort(vidx, kind="stable")
+            object.__setattr__(self, "support", (rows[order], cols[order], vidx[order]))
 
     @property
     def dim(self) -> int:
@@ -246,15 +276,10 @@ def assemble(
 ) -> AffineMatrixFamily:
     """Substitute pinned data into the structure and emit the affine family.
 
-    Parameters
-    ----------
-    structure : MomentMatrixStructure
-    table : CorrelatorTable
-        Must supply a value for every key the policy selects.  The table
-        validated its values; here they are only clipped to [-1, 1].  Its
-        sigmas are not read: every pinned key is fixed to its value.
-    policy : PinPolicy
-        Defaults to pinning every observable moment.
+    ``table`` must supply a value for every key that ``policy`` (default:
+    every observable) selects.  The table validated its values; here they
+    are only clipped to [-1, 1], and its sigmas are not read.  The family's
+    support is the compiled layout, already grouped, so it is not copied.
     """
     if policy is None:
         policy = PinPolicy.all()

@@ -71,10 +71,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
+from .algebra import checked_integer
 from .hierarchy import AffineMatrixFamily
 
 FEASIBLE = "FEASIBLE"
@@ -119,12 +119,12 @@ class SolverConfig:
     restarts: int = 4
 
     def __post_init__(self):
-        iters = self.max_iters
-        if not isinstance(iters, Integral) or isinstance(iters, bool) or iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {iters!r}")
+        object.__setattr__(self, "max_iters", checked_integer(self.max_iters, "max_iters"))
         for name in ("tol_cert", "margin", "restarts"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("tol_cert", "margin"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.tol_cert <= 0.0:
             raise ValueError("tol_cert must be positive")
         if self.margin <= self.tol_cert:
@@ -163,41 +163,15 @@ class _FamilyOps:
 
         max t   subject to   S = gamma0 - t I + sum_k v_k G_k >= 0,
 
-    with the blocks of its Schur assembly.  The maps sum_k v_k G_k and
-    <G_k, Z> are the family's own, and they are adjoint only on a
-    well-formed support.  A family whose gamma0 is not finite and exactly
-    symmetric, whose support has a position outside the matrix, on its
-    diagonal or repeated in either orientation, or names a variable outside
-    range(num_variables), or whose supports are empty or overlap gamma0, is
-    rejected with ValueError before any solve.
+    with the blocks of its Schur assembly over the family's grouped support.
     """
 
     def __init__(self, family: AffineMatrixFamily):
         self.family = family
-        self.dim = family.dim
-        self.nvars = family.num_variables
-        gamma0 = family.gamma0
-        if not (np.isfinite(gamma0).all() and np.array_equal(gamma0, gamma0.T)):
-            raise ValueError("gamma0 must be finite and symmetric")
         rows, cols, vidx = family.support
-        inside = (0 <= rows) & (rows < self.dim) & (0 <= cols) & (cols < self.dim)
-        if not (inside & (rows != cols)).all():
-            raise ValueError("support has a position outside the matrix or on its diagonal")
-        if not ((0 <= vidx) & (vidx < self.nvars)).all():
-            raise ValueError("support names a variable outside range(num_variables)")
-        # Counted, not np.unique, which imports numpy.ma (about 1.7 MB).
-        upper = np.minimum(rows, cols) * self.dim + np.maximum(rows, cols)
-        if np.bincount(upper).max(initial=0) > 1:
-            raise ValueError("support repeats a position")
-        # The positions sorted by variable; starts[k] is where k's group begins.
-        order = np.argsort(vidx, kind="stable")
-        self.rows, self.cols = rows[order], cols[order]
-        counts = np.bincount(vidx, minlength=self.nvars)
+        # starts[k] is where variable k's group of positions begins.
+        counts = np.bincount(vidx, minlength=family.num_variables)
         self.starts = np.cumsum(counts) - counts
-        if self.nvars and (counts == 0).any():
-            raise ValueError("family has a variable with empty support")
-        if rows.size and np.abs(gamma0[rows, cols]).max() > 0.0:
-            raise ValueError("gamma0 overlaps a variable support")
         # Blocks (ks, a, b) for the Schur assembly: the variables ks share
         # one support size s, and row j of the (len(ks), 2s) arrays a and b
         # lists (r..., c...) and (c..., r...) over the positions of ks[j].
@@ -207,10 +181,10 @@ class _FamilyOps:
         self.blocks = []
         for size in sorted(set(counts.tolist())):
             ks = np.flatnonzero(counts == size)
-            per_variable = max(self.dim, 2 * size) * self.dim
+            per_variable = max(family.dim, 2 * size) * family.dim
             width = max(1, SCHUR_BLOCK // max(per_variable, rows.size))
             at = self.starts[ks, None] + np.arange(size)
-            r, c = self.rows[at], self.cols[at]
+            r, c = rows[at], cols[at]
             a, b = np.hstack((r, c)), np.hstack((c, r))
             for j in range(0, ks.size, width):
                 self.blocks.append((ks[j:j + width], a[j:j + width], b[j:j + width]))
@@ -226,13 +200,12 @@ class _FamilyOps:
         products are formed a block of variables at a time, which bounds the
         transient memory.
         """
-        m = np.empty((self.nvars + 1, self.nvars + 1))
+        nvars = self.family.num_variables
+        m = np.empty((nvars + 1, nvars + 1))
         m[0, 0] = np.sum(x * s_inv)
-        if self.nvars:
-            cross = -self.family.inner(x @ s_inv)
-            m[0, 1:] = cross
-            m[1:, 0] = cross
-            r, c = self.rows, self.cols
+        if nvars:
+            m[0, 1:] = m[1:, 0] = -self.family.inner(x @ s_inv)
+            r, c, _ = self.family.support
             for ks, a, b in self.blocks:
                 y = np.matmul(x[a].transpose(0, 2, 1), s_inv[b])
                 m[1 + ks, 1:] = np.add.reduceat(y[:, r, c] + y[:, c, r], self.starts, axis=1)
@@ -244,7 +217,7 @@ class _FamilyOps:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """sum_i y_i A_i = y_0 I - sum_k y_k G_k."""
-        return y[0] * np.eye(self.dim) - self.family.combine(y[1:])
+        return y[0] * np.eye(self.family.dim) - self.family.combine(y[1:])
 
 
 def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -309,9 +282,9 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
     matrix Z.  Every iterate keeps S positive definite, so each t is
     attained.  Returns the last X, y and the number of steps.
     """
-    n = ops.dim
+    n = ops.family.dim
     gamma0 = ops.family.gamma0
-    b = np.zeros(ops.nvars + 1)
+    b = np.zeros(ops.family.num_variables + 1)
     b[0] = 1.0
     s = gamma0 - ops.adjoint(y)
     x = np.eye(n) / n
@@ -371,11 +344,9 @@ def maximize_lambda_min(
     with value below -margin, and UNDECIDED otherwise.
     """
     cfg = config if config is not None else SolverConfig()
-    if family.dim == 0:
-        raise ValueError("degenerate family of dimension 0")
     ops = _FamilyOps(family)
     # Start at v = 0, with t one below lambda_min there.
-    y = np.zeros(ops.nvars + 1)
+    y = np.zeros(family.num_variables + 1)
     y[0] = float(np.linalg.eigvalsh(family.gamma(y[1:]))[0]) - 1.0
     z, y_end, iterations = _interior_point(ops, y, cfg.max_iters)
     v_star = y_end[1:]
@@ -407,10 +378,12 @@ def extract_certificate(
     Z is taken as it stands, with value <gamma0, Z>: neither projected onto
     {Tr Z = 1, <G_k, Z> = 0} nor shifted onto the PSD cone.  The result is
     returned only if :func:`verify_certificate` accepts it, so a Z off the
-    verified form, or not finite, yields None, never an unchecked
-    certificate.
+    verified form, of the wrong shape or not finite, yields None, never an
+    unchecked certificate.
     """
     z = np.asarray(z, dtype=float)
+    if z.shape != family.gamma0.shape:
+        return None
     # A non-finite Z may value to NaN (inf times a zero of gamma0); the
     # verifier rejects it either way.
     with np.errstate(invalid="ignore"):
@@ -425,29 +398,25 @@ def verify_certificate(
 
     Uses only an eigendecomposition and inner products; in particular it
     does not trust the stored value, which is recomputed and compared.
-    A non-finite ``tol`` raises ValueError: every comparison against NaN is
-    false, so it would accept anything.  For the same reason a certificate
-    whose matrix or value is not finite is rejected.
+    The checks bound lambda_min(Gamma(v)) at every v through
+    <Gamma(v), Z> = <gamma0, Z> + v . inner(Z), which every
+    :class:`AffineMatrixFamily` guarantees at construction.  A non-finite
+    ``tol`` raises ValueError, since it would pass or fail every check, and
+    a certificate whose matrix or value is not finite is rejected.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol!r}")
     z = np.asarray(certificate.matrix, dtype=float)
-    if z.shape != (family.dim, family.dim):
-        return False
-    if not (np.isfinite(z).all() and math.isfinite(certificate.value)):
-        return False
-    if np.abs(z - z.T).max() > tol:
+    if z.shape != family.gamma0.shape or not (np.isfinite(z).all() and math.isfinite(certificate.value)):
         return False
     z_sym = 0.5 * (z + z.T)
-    if np.linalg.eigvalsh(z_sym)[0] < -tol:
-        return False
-    if abs(np.trace(z_sym) - 1.0) > tol:
-        return False
-    if np.abs(family.inner(z_sym)).max(initial=0.0) > tol:
-        return False
-    if abs(float(np.sum(family.gamma0 * z_sym)) - certificate.value) > tol:
-        return False
-    return True
+    return bool(
+        np.abs(z - z.T).max() <= tol
+        and np.linalg.eigvalsh(z_sym)[0] >= -tol
+        and abs(np.trace(z_sym) - 1.0) <= tol
+        and np.abs(family.inner(z_sym)).max(initial=0.0) <= tol
+        and abs(float(np.sum(family.gamma0 * z_sym)) - certificate.value) <= tol
+    )
 
 
 def certificate_floor(

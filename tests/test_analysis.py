@@ -181,6 +181,31 @@ def test_measured_source_must_cover_policy(structure_322):
         assert info.value.stage == "assembly"
 
 
+def test_numpy_numbers_are_recorded_as_plain_numbers():
+    # Every number a document records is a plain int or float, so numpy
+    # inputs give the documents of their plain values.
+    def documents(scenario, level, config, bodies):
+        request = AnalysisRequest(
+            SimulatedSource("w", "w"), scenario, level, PinPolicy.max_bodies(bodies), config
+        )
+        report = analyze(request).document()
+        del report["meta"]["wall_time_s"]
+        structure = hierarchy.structure_report(hierarchy.build_structure(scenario, level))
+        return json.dumps(report), json.dumps(structure)
+
+    margin = np.float32(1e-3)
+    typed = documents(
+        Scenario(np.int64(3), np.int64(2)),
+        np.int64(2),
+        SolverConfig(max_iters=np.int64(50), margin=margin),
+        np.int64(2),
+    )
+    plain = documents(Scenario(3, 2), 2, SolverConfig(max_iters=50, margin=float(margin)), 2)
+    assert typed == plain
+    config = SolverConfig(tol_cert=np.float32(1e-7), margin=margin)
+    assert type(config.tol_cert) is float and type(config.margin) is float
+
+
 def test_pipeline_error_stages(structure_322):
     level_zero = AnalysisRequest(
         source=SimulatedSource("w", "w"), scenario=S322, level=0, config=FAST

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,8 @@ from momentcert import (
     structure_report,
     word_product,
 )
+
+from momentcert.analysis import white_noise_family
 
 from helpers import dense_patterns
 
@@ -201,6 +204,32 @@ def test_support_partition(structure_322):
     off_diagonal = ~np.eye(dim, dtype=bool)
     assert np.all(covered[off_diagonal] == 1.0)
     assert np.all(covered[~off_diagonal] == 0.0)
+
+
+def test_family_stores_its_support_grouped(structure_322):
+    # assemble's compiled layout is grouped already and is stored as it is,
+    # also by the white-noise mixes; a support in another order is regrouped
+    # by variable, each group keeping its given order.
+    family = assemble(structure_322, _full_table(structure_322), PinPolicy.all())
+    again = assemble(structure_322, _full_table(structure_322), PinPolicy.all())
+    mixed = white_noise_family(family, 0.5)
+    for layout, kept, mixed_kept in zip(family.support, again.support, mixed.support):
+        assert kept is layout and mixed_kept is layout
+    rows, cols, vidx = family.support
+    order = np.random.default_rng(3).permutation(rows.size)
+    shuffled = dataclasses.replace(family, support=(rows[order], cols[order], vidx[order]))
+    grouped = order[np.argsort(vidx[order], kind="stable")]
+    for stored, before in zip(shuffled.support, family.support):
+        assert np.array_equal(stored, before[grouped])
+    assert np.array_equal(shuffled.support[2], vidx)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, 2.0, -1, None, "2"], ids=repr)
+def test_max_bodies_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="body count"):
+        PinPolicy.max_bodies(bad)
+    assert PinPolicy.max_bodies(np.int64(2)).describe() == {"kind": "max_bodies", "bodies": 2}
+    assert type(PinPolicy.max_bodies(np.int64(2)).bodies) is int
 
 
 def test_gamma_stays_symmetric_and_bounded(structure_322):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from momentcert import (
     SimulatedSource,
     SolverConfig,
     assemble,
+    build_structure,
     correlator_table,
     extract_certificate,
     family_for_request,
@@ -89,22 +91,21 @@ def test_no_variable_infeasible():
 
 
 def test_degenerate_family_rejected():
-    family = _family(np.zeros((0, 0)), [])
-    with pytest.raises(ValueError):
-        maximize_lambda_min(family, FAST)
+    with pytest.raises(ValueError, match="dimension 0"):
+        _family(np.zeros((0, 0)), [])
     off_diagonal = np.array([[0.0, 1.0], [1.0, 0.0]])
     malformed = [
-        (_family(np.eye(2), [off_diagonal, np.zeros((2, 2))]), "empty support"),
-        (_family(np.eye(2) + 0.5 * off_diagonal, [off_diagonal]), "overlaps a variable support"),
-        (_family(np.array([[1.0, np.nan], [np.nan, 1.0]]), []), "finite and symmetric"),
-        (_family(np.diag([1.0, np.inf]), [off_diagonal]), "finite and symmetric"),
+        (np.eye(2), [off_diagonal, np.zeros((2, 2))], "empty support"),
+        (np.eye(2) + 0.5 * off_diagonal, [off_diagonal], "overlaps a variable support"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), [], "finite and symmetric"),
+        (np.diag([1.0, np.inf]), [off_diagonal], "finite and symmetric"),
         # eigvalsh reads only the lower triangle, which is the identity here;
         # the symmetric part has lambda_min 0.75, not 1.
-        (_family(np.triu(np.full((3, 3), 0.5)) + 0.5 * np.eye(3), []), "finite and symmetric"),
+        (np.triu(np.full((3, 3), 0.5)) + 0.5 * np.eye(3), [], "finite and symmetric"),
     ]
-    for family, message in malformed:
+    for gamma0, patterns, message in malformed:
         with pytest.raises(ValueError, match=message):
-            maximize_lambda_min(family, FAST)
+            _family(gamma0, patterns)
 
 
 @pytest.mark.parametrize(
@@ -124,15 +125,87 @@ def test_degenerate_family_rejected():
 )
 def test_malformed_support_rejected(support, nvars, message):
     # combine writes one value per position while inner sums every entry
-    # naming it, so the solver's two maps are adjoint only when each
+    # naming it, so the family's two maps are adjoint only when each
     # off-diagonal position inside the matrix belongs to one variable once.
-    family = AffineMatrixFamily(
-        gamma0=np.eye(3),
-        support=tuple(np.array(a, dtype=np.intp) for a in support),
-        variables=tuple(((1, k),) for k in range(nvars)),
-    )
     with pytest.raises(ValueError, match=message):
-        maximize_lambda_min(family, FAST)
+        AffineMatrixFamily(
+            gamma0=np.eye(3),
+            support=tuple(np.array(a, dtype=np.intp) for a in support),
+            variables=tuple(((1, k),) for k in range(nvars)),
+        )
+
+
+def test_a_repeated_position_cannot_carry_a_false_certificate():
+    # Variables 0 and 1 share the position (0, 2).  combine writes one value
+    # there, and some completion of that kind is positive definite.  inner
+    # sums the position once per variable, so Z = u u' with
+    # u = (a, -a, a, b) has <G_k, Z> = 0 for both, unit trace and value
+    # 1 - 2 / sqrt(3) = -0.155: a false proof of infeasibility.  The family
+    # is rejected at construction, before any verifier can see that Z.
+    gamma0 = np.eye(4)
+    for (i, j), value in {(0, 3): -0.9, (1, 3): 0.5, (2, 3): -0.6}.items():
+        gamma0[i, j] = gamma0[j, i] = value
+    rows, cols, vidx = np.array([0, 0, 0, 1]), np.array([1, 2, 2, 2]), np.array([0, 0, 1, 1])
+    completion = gamma0.copy()
+    for (i, j), value in {(0, 1): -0.74, (0, 2): 0.32, (1, 2): 0.32}.items():
+        completion[i, j] = completion[j, i] = value
+    assert np.linalg.eigvalsh(completion)[0] > 0.04
+    u = np.array([1.0, -1.0, 1.0, np.sqrt(3.0)]) / np.sqrt(6.0)
+    z = np.outer(u, u)
+    assert np.abs(np.bincount(vidx, weights=z[rows, cols] + z[cols, rows])).max() <= 1e-15
+    assert np.trace(z) == pytest.approx(1.0, abs=1e-15)
+    assert np.sum(gamma0 * z) == pytest.approx(1.0 - 2.0 / np.sqrt(3.0), abs=1e-15)
+    with pytest.raises(ValueError, match="repeats a position"):
+        AffineMatrixFamily(gamma0=gamma0, support=(rows, cols, vidx), variables=(((1, 0),), ((1, 1),)))
+
+
+@functools.cache
+def _benchmark_family(name):
+    if name == "w-322":
+        return _state_family(build_structure(Scenario(3, 2), 2), "w", "w")
+    return _state_family(build_structure(Scenario(3, 3), 2), "graph-linear", "graph")
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    case=st.sampled_from(["random", "repeated", "diagonal", "w-322", "graph-linear-332"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_family_maps_are_adjoint_or_rejected(case, seed):
+    # The certificate proof rests on <combine(v), Z> = v . inner(Z) and
+    # gamma(v) - gamma0 = combine(v).  A support in any order keeps them; a
+    # repeated or diagonal position breaks the first, so such a family must
+    # not construct.
+    rng = np.random.default_rng(seed)
+    if case in ("w-322", "graph-linear-332"):
+        family = _benchmark_family(case)
+    else:
+        family = random_family(rng, int(rng.integers(2, 9)), int(rng.integers(1, 9)))
+    n, nvars = family.dim, family.num_variables
+    rows, cols, vidx = family.support
+    order = rng.permutation(rows.size)
+    rows, cols, vidx = rows[order], cols[order], vidx[order]
+    if case == "repeated":
+        p = int(rng.integers(rows.size))
+        i, j = (rows[p], cols[p]) if rng.random() < 0.5 else (cols[p], rows[p])
+    elif case == "diagonal":
+        i = j = int(rng.integers(n))
+    if case in ("repeated", "diagonal"):
+        k = int(rng.integers(nvars))
+        rows, cols, vidx = np.append(rows, i), np.append(cols, j), np.append(vidx, k)
+    try:
+        family = AffineMatrixFamily(gamma0=family.gamma0, support=(rows, cols, vidx), variables=family.variables)
+    except ValueError:
+        assert case in ("repeated", "diagonal")
+        return
+    v = rng.uniform(-1.0, 1.0, nvars)
+    a = rng.normal(size=(n, n))
+    z = a + a.T
+    combined = family.combine(v)
+    scale = np.sum(np.abs(combined) * np.abs(z))
+    assert abs(np.sum(combined * z) - v @ family.inner(z)) <= 1e-12 * scale
+    gamma = family.gamma(v)
+    assert np.abs(gamma - family.gamma0 - combined).max() <= 1e-12 * np.abs(gamma).max()
 
 
 def test_extraction_skipped_when_feasible():
@@ -163,6 +236,13 @@ def test_extract_certificate_rejects_what_it_no_longer_repairs():
     z = np.diag([0.2, 0.3, 0.5]) + 0.05 * pattern
     assert np.linalg.eigvalsh(z)[0] > 0.0
     assert extract_certificate(family, z, 1e-9) is None
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5,), (22, 21)], ids=str)
+def test_extract_certificate_rejects_a_wrong_shape(structure_322, shape):
+    # A Z that gamma0 cannot be paired with is off the verified form.
+    family = _state_family(structure_322, "w", "w")
+    assert extract_certificate(family, np.full(shape, 1.0 / 22)) is None
 
 
 def _assert_unrepaired_form(family, certificate):
