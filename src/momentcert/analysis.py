@@ -73,6 +73,7 @@ class SimulatedSource:
     def __post_init__(self):
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
+        object.__setattr__(self, "visibility", float(self.visibility))
 
 
 @dataclass(frozen=True)
@@ -313,6 +314,7 @@ def robustness(
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
+    tolerance = float(tolerance)
     policy = policy if policy is not None else PinPolicy.all()
     config = config if config is not None else SolverConfig()
     source = SimulatedSource(state, suite)

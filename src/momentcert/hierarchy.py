@@ -175,6 +175,8 @@ class AffineMatrixFamily:
     support.  So ``combine`` and ``inner`` are adjoint:
     <combine(v), Z> = v . inner(Z) for symmetric Z.  The support is stored
     grouped by variable in a stable order, as given if already grouped.
+    gamma0 and the support are stored read-only, each writable array as a
+    copy, so no later write to the caller's arrays undoes these checks.
     """
 
     gamma0: np.ndarray
@@ -204,7 +206,12 @@ class AffineMatrixFamily:
             raise ValueError("gamma0 overlaps a variable support")
         if (vidx[1:] < vidx[:-1]).any():
             order = np.argsort(vidx, kind="stable")
-            object.__setattr__(self, "support", (rows[order], cols[order], vidx[order]))
+            rows, cols, vidx = rows[order], cols[order], vidx[order]
+        arrays = [a.copy() if a.flags.writeable else a for a in (gamma0, rows, cols, vidx)]
+        for array in arrays:
+            array.flags.writeable = False
+        object.__setattr__(self, "gamma0", arrays[0])
+        object.__setattr__(self, "support", tuple(arrays[1:]))
 
     @property
     def dim(self) -> int:

@@ -16,19 +16,16 @@ pair Z = I/n, v = 0.  The solve stops when the relative duality gap
 reaches GAP_TOL.  On boundary-feasible data, such as
 product states with optimum exactly 0, the Newton system degenerates first;
 the solve then stops at the last iterate (the stall exit): when the Schur
-complement is no longer positive definite or is singular to its solve, or
-when a step shrinks below MIN_STEP.  The Schur complement of each Newton
-step is assembled from low-rank products: a variable with s entry
-positions makes X G_k S^-1 a product of rank 2s, and variables of one
-support size are taken in blocks whose transient memory stays bounded.
-The complement itself holds (K + 1)^2 floats for K variables.  Its
-Cholesky factor is the positive-definiteness test.  Above
-CHOLESKY_SOLVE_ROWS rows the complement is factored only that once per
-step: the predictor and corrector directions come from forward and back
-substitution over blocks of the factor, whose diagonal blocks are
-inverted once.  Up to that size, where an LU costs no more, the two
-direction systems are solved directly.  The maps
-sum_k v_k G_k and <G_k, Z> are the family's own
+complement is no longer positive definite, or when a step shrinks below
+MIN_STEP.  The Schur complement of each Newton step is assembled from
+low-rank products: a variable with s entry positions makes X G_k S^-1 a
+product of rank 2s, and variables of one support size are taken in blocks
+whose transient memory stays bounded.  The complement itself holds
+(K + 1)^2 floats for K variables.  It is factored once per step, at every
+size: its Cholesky factor is the positive-definiteness test, and the
+predictor and corrector directions come from forward and back
+substitution over blocks of that factor, whose diagonal blocks are
+inverted once.  The maps sum_k v_k G_k and <G_k, Z> are the family's own
 (:meth:`AffineMatrixFamily.combine` and ``.inner``); the solver adds only
 the program around them.
 
@@ -92,12 +89,8 @@ STEP_FRACTION = 0.98
 # Entries per array in a block of the Schur assembly; its transient memory
 # is a few times this many floats, whatever the family's size.
 SCHUR_BLOCK = 1 << 16
-# A Schur complement of more rows than this is solved through its own
-# Cholesky factor (:func:`_cholesky_solver`); up to it, np.linalg.solve is
-# as fast.  Measured crossover with one BLAS thread: about 90 rows.
-CHOLESKY_SOLVE_ROWS = 90
-# Rows per diagonal block of that factor; each block is inverted once per
-# Newton step.
+# Rows per diagonal block of the Schur complement's Cholesky factor; each
+# block is inverted once per Newton step.
 SOLVE_BLOCK = 32
 
 
@@ -110,7 +103,7 @@ class SolverConfig:
     threshold separating a certified negative value from numerical noise;
     it must stay well above ``tol_cert``, the tolerance at which
     certificates are verified.  ``restarts`` belonged to an earlier
-    first-order solver; it is still accepted and validated but ignored.
+    first-order solver; it must be a positive integer but is ignored.
     """
 
     max_iters: int = 5000
@@ -119,18 +112,16 @@ class SolverConfig:
     restarts: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "max_iters", checked_integer(self.max_iters, "max_iters"))
-        for name in ("tol_cert", "margin", "restarts"):
+        for name in ("max_iters", "restarts"):
+            object.__setattr__(self, name, checked_integer(getattr(self, name), name))
+        for name in ("tol_cert", "margin"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("tol_cert", "margin"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.tol_cert <= 0.0:
             raise ValueError("tol_cert must be positive")
         if self.margin <= self.tol_cert:
             raise ValueError("margin must exceed tol_cert")
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -228,11 +219,14 @@ def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
 def _cholesky_solver(matrix: np.ndarray):
     """The map r -> matrix^-1 r through the Cholesky factor L of ``matrix``.
 
-    Raises LinAlgError unless ``matrix`` is positive definite.  The diagonal
-    blocks of L, SOLVE_BLOCK rows each, are inverted once here; each solve
-    is then a forward substitution L w = r and a back substitution L' x = w
-    over the blocks, each block from the ones already solved, in
-    matrix-vector products.
+    This is how every Newton step solves its Schur complement, at every
+    size: the one factorization is both the positive-definiteness test and
+    the solve.  Raises LinAlgError unless ``matrix`` is positive definite.
+    The diagonal blocks of L, SOLVE_BLOCK rows each, are inverted once here;
+    each solve is then a forward substitution L w = r and a back
+    substitution L' x = w over the blocks, each block from the ones already
+    solved, in matrix-vector products.  Up to SOLVE_BLOCK rows that is one
+    block inverse and two products.
     """
     factor = np.linalg.cholesky(matrix)
     blocks = [
@@ -251,21 +245,6 @@ def _cholesky_solver(matrix: np.ndarray):
     return solve
 
 
-def _schur_solver(m: np.ndarray):
-    """The map r -> M^-1 r of one Newton step's Schur complement M.
-
-    Raises LinAlgError unless M is positive definite.  Above
-    CHOLESKY_SOLVE_ROWS rows the Cholesky factor of that test also solves.
-    Up to it the factor is only the test, and np.linalg.solve, an LU,
-    solves; M can pass the test yet be exactly singular to that LU, which
-    raises LinAlgError at the solve.
-    """
-    if m.shape[0] > CHOLESKY_SOLVE_ROWS:
-        return _cholesky_solver(m)
-    np.linalg.cholesky(m)
-    return lambda rhs: np.linalg.solve(m, rhs)
-
-
 def _max_step(l_inv: np.ndarray, d: np.ndarray) -> float:
     """Largest alpha with L L' + alpha d >= 0, capped at 1 / STEP_FRACTION."""
     lowest = float(np.linalg.eigvalsh(l_inv @ d @ l_inv.T)[0])
@@ -280,7 +259,10 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
     positive definite, together with min <gamma0, Z> subject to Tr Z = 1,
     <G_k, Z> = 0 and Z >= 0 from Z = I/n.  The iterate is (X, y, S), X the
     matrix Z.  Every iterate keeps S positive definite, so each t is
-    attained.  Returns the last X, y and the number of steps.
+    attained.  Each step solves its Schur complement M through M's one
+    Cholesky factorization (:func:`_cholesky_solver`); a failed
+    factorization is the only Newton-system stall.  Returns the last X, y
+    and the number of steps.
     """
     n = ops.family.dim
     gamma0 = ops.family.gamma0
@@ -306,9 +288,9 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
             lx_inv = _inverse_cholesky(x)
             ls_inv = _inverse_cholesky(s)
             s_inv = ls_inv.T @ ls_inv
-            # A failed factorization or solve of M is the stall exit.  The
-            # corrector solves with the predictor's M, so it cannot raise.
-            solve = _schur_solver(ops.schur(x, s_inv))
+            # A failed factorization of M is the stall exit.  The
+            # corrector solves with the predictor's factor, so it cannot raise.
+            solve = _cholesky_solver(ops.schur(x, s_inv))
             mu = float(np.sum(x * s)) / n
             r_primal = b - ops.constraints(x)
             r_dual = gamma0 - ops.adjoint(y) - s

@@ -204,6 +204,15 @@ def test_numpy_numbers_are_recorded_as_plain_numbers():
     assert typed == plain
     config = SolverConfig(tol_cert=np.float32(1e-7), margin=margin)
     assert type(config.tol_cert) is float and type(config.margin) is float
+    visibility = np.float32(0.9)
+    reports = [
+        analyze(AnalysisRequest(SimulatedSource("w", "w", p), Scenario(3, 2))).document()
+        for p in (visibility, float(visibility))
+    ]
+    for report in reports:
+        del report["meta"]["wall_time_s"]
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
+    assert type(robustness("w", "w", Scenario(3, 2), tolerance=np.float32(1e-2)).tolerance) is float
 
 
 def test_pipeline_error_stages(structure_322):

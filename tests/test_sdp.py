@@ -61,12 +61,21 @@ def test_config_validation():
         SolverConfig(restarts=0)
 
 
-@pytest.mark.parametrize("bad", [True, False, 1.5, 800.0, "800", None], ids=repr)
-def test_config_rejects_non_integer_max_iters(bad):
-    # True would pass as 1 and cap the solve at one Newton step.
-    with pytest.raises(ValueError, match="max_iters"):
-        SolverConfig(max_iters=bad)
-    assert SolverConfig(max_iters=np.int64(800)).max_iters == 800
+NON_INTEGERS = [True, False, 1.5, 800.0, "800", None]
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [pytest.param("max_iters", bad, id=repr(bad)) for bad in NON_INTEGERS]
+    + [pytest.param("restarts", bad, id=f"restarts={bad!r}") for bad in NON_INTEGERS],
+)
+def test_config_rejects_non_integer_max_iters(name, bad):
+    # True would pass as 1 and cap the solve at one Newton step.  restarts,
+    # which the solver ignores, is typed the same way.
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: bad})
+    value = getattr(SolverConfig(**{name: np.int64(800)}), name)
+    assert value == 800 and type(value) is int
 
 
 def test_two_by_two_feasible():
@@ -157,6 +166,30 @@ def test_a_repeated_position_cannot_carry_a_false_certificate():
     assert np.sum(gamma0 * z) == pytest.approx(1.0 - 2.0 / np.sqrt(3.0), abs=1e-15)
     with pytest.raises(ValueError, match="repeats a position"):
         AffineMatrixFamily(gamma0=gamma0, support=(rows, cols, vidx), variables=(((1, 0),), ((1, 1),)))
+
+
+def test_a_family_cannot_be_changed_after_its_checks():
+    # The family above padded by a unit row, with variable 1 at (1, 2) and
+    # (0, 4): no position repeats, so it constructs.  Moving (0, 4) to the
+    # shared (0, 2) afterwards, through the caller's array, must not reach
+    # the family, or the false Z above, padded by a zero, would verify.
+    gamma0 = np.eye(5)
+    for (i, j), value in {(0, 3): -0.9, (1, 3): 0.5, (2, 3): -0.6}.items():
+        gamma0[i, j] = gamma0[j, i] = value
+    rows, cols, vidx = np.array([0, 0, 1, 0]), np.array([1, 2, 2, 4]), np.array([0, 0, 1, 1])
+    family = AffineMatrixFamily(gamma0=gamma0, support=(rows, cols, vidx), variables=(((1, 0),), ((1, 1),)))
+    cols[3] = 2
+    gamma0[4, 4] = 0.0
+    assert np.array_equal(family.support[1], [1, 2, 2, 4])
+    assert family.gamma0[4, 4] == 1.0
+    for array in (family.gamma0, *family.support):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    u = np.array([1.0, -1.0, 1.0, np.sqrt(3.0), 0.0]) / np.sqrt(6.0)
+    z = np.outer(u, u)
+    false_proof = DualCertificate(matrix=z, value=float(np.sum(family.gamma0 * z)))
+    assert false_proof.value == pytest.approx(1.0 - 2.0 / np.sqrt(3.0), abs=1e-15)
+    assert not verify_certificate(family, false_proof)
 
 
 @functools.cache
@@ -407,27 +440,32 @@ def test_cholesky_solver_agrees_with_a_direct_solve(n, condition):
     assert np.array_equal(solve(rhs), x)
 
 
-@pytest.mark.parametrize("n", [50, 100])
+@pytest.mark.parametrize("n", [20, 50, 100])
 def test_schur_solver_rejects_an_indefinite_matrix(n):
-    # On either side of CHOLESKY_SOLVE_ROWS the failed factorization raises,
-    # and that is the solve's stall exit.
+    # Within one SOLVE_BLOCK and across blocks the failed factorization
+    # raises, and that is the solve's stall exit.
     m = _spd(np.random.default_rng(n), n, 1e2)
     m[n // 2, n // 2] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
-        sdp._schur_solver(m)
+        sdp._cholesky_solver(m)
 
 
 @pytest.mark.parametrize(
-    "structure_name, state, suite, direct",
-    [("structure_332", "graph-linear", "graph", False), ("structure_322", "w", "w", True)],
+    "state, suite, scenario, rows",
+    [
+        ("w", "w", Scenario(3, 2), 31),
+        ("w", "w", Scenario(4, 2), 83),
+        ("graph-linear", "graph", Scenario(3, 3), 193),
+    ],
+    ids=["w-322", "w-422", "graph-linear-332"],
 )
-def test_schur_systems_above_the_gate_skip_the_direct_solve(
-    monkeypatch, request, structure_name, state, suite, direct
-):
-    # Graph-linear (3,3,2) has a Schur complement of 193 rows, above
-    # CHOLESKY_SOLVE_ROWS, and solves through its Cholesky factor; W (3,2,2)
-    # has 27 rows and keeps np.linalg.solve.
-    family = _state_family(request.getfixturevalue(structure_name), state, suite)
+def test_newton_systems_never_call_the_direct_solve(monkeypatch, state, suite, scenario, rows):
+    # At every size the Schur complement is solved through the Cholesky
+    # factor that tests it, never by np.linalg.solve.
+    structure = build_structure(scenario, 2)
+    table = correlator_table(make_state(state, scenario.parties), standard_suite(suite), structure)
+    family = assemble(structure, table)
+    assert family.num_variables + 1 == rows
     calls = []
     solve = np.linalg.solve
 
@@ -436,10 +474,8 @@ def test_schur_systems_above_the_gate_skip_the_direct_solve(
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    out = maximize_lambda_min(family)
-    assert out.status == CERTIFIED_INFEASIBLE
-    assert (family.num_variables + 1 > sdp.CHOLESKY_SOLVE_ROWS) != direct
-    assert len(calls) == (2 * out.iterations if direct else 0)
+    assert maximize_lambda_min(family).status == CERTIFIED_INFEASIBLE
+    assert calls == []
 
 
 def test_support_is_never_scanned_from_patterns(structure_322):
