@@ -16,9 +16,10 @@ leftmost tensor factor), settings are 0-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
-from numbers import Integral
+from numbers import Integral, Real
 
 # A letter is one local measurement choice; a moment is the sorted letter
 # tuple of a canonical word, and a moment key is a moment in which each party
@@ -35,6 +36,13 @@ def checked_integer(value, name: str, minimum: int = 1) -> int:
     if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def checked_real(value, name: str) -> float:
+    """``value`` as a float; ValueError for a bool, a non-real or a non-finite value."""
+    if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def party_name(party: int) -> str:

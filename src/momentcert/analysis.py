@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .algebra import (
+    Moment,
     MomentKey,
     Scenario,
+    checked_real,
     key_document,
     key_name,
     scenario_document,
@@ -71,9 +73,10 @@ class SimulatedSource:
     visibility: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
-        object.__setattr__(self, "visibility", float(self.visibility))
+        visibility = checked_real(self.visibility, "visibility")
+        if not 0.0 <= visibility <= 1.0:
+            raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+        object.__setattr__(self, "visibility", visibility)
 
 
 @dataclass(frozen=True)
@@ -94,83 +97,79 @@ class AnalysisRequest:
 
 @dataclass
 class VerdictReport:
-    """One analysis; ``pinned`` and ``witness`` pair the shared keys and names with values."""
+    """One analysis: its request, the solve's outcome and the family's layout.
 
-    verdict: str
-    status: str
-    lambda_star: float
-    iterations: int
-    scenario: Scenario
-    level: int
-    policy: PinPolicy
+    ``pinned_keys`` and ``variables`` are the layout's shared tuples, not copies.
+    """
+
+    request: AnalysisRequest
     pinned_keys: tuple[MomentKey, ...]
     pinned_values: np.ndarray
-    variable_names: tuple[str, ...]
-    v_star: np.ndarray
-    certificate: DualCertificate | None
-    config: SolverConfig
-    source_description: dict
+    variables: tuple[Moment, ...]
+    outcome: SolveOutcome
     wall_time_s: float
 
     @property
-    def pinned(self) -> tuple[tuple[MomentKey, float], ...]:
-        return tuple(zip(self.pinned_keys, self.pinned_values.tolist()))
+    def verdict(self) -> str:
+        return NONLOCAL if self.outcome.status == CERTIFIED_INFEASIBLE else INCONCLUSIVE
 
     @property
-    def witness(self) -> tuple[tuple[str, float], ...]:
-        return tuple(zip(self.variable_names, self.v_star.tolist()))
+    def certificate(self) -> DualCertificate | None:
+        return self.outcome.certificate
+
+    @property
+    def lambda_star(self) -> float:
+        return self.outcome.lambda_star
 
     def body_document(self) -> dict:
         """The scientific content of the report, free of run metadata."""
+        outcome = self.outcome
         certificate = None
-        if self.certificate is not None:
+        if outcome.certificate is not None:
             certificate = {
-                "value": self.certificate.value,
+                "value": outcome.certificate.value,
                 "verified": True,  # the solver holds only verified certificates
-                "matrix": np.asarray(self.certificate.matrix, dtype=float).tolist(),
+                "matrix": np.asarray(outcome.certificate.matrix, dtype=float).tolist(),
             }
         return {
             "verdict": self.verdict,
-            "status": self.status,
-            "lambda_star": self.lambda_star,
-            "iterations": self.iterations,
-            "scenario": scenario_document(self.scenario),
-            "level": self.level,
-            "policy": self.policy.describe(),
+            "status": outcome.status,
+            "lambda_star": outcome.lambda_star,
+            "iterations": outcome.iterations,
+            "scenario": scenario_document(self.request.scenario),
+            "level": int(self.request.level),  # checked at the structure stage
+            "policy": self.request.policy.describe(),
             "pinned": [
                 {**key_document(key), "name": key_name(key), "value": value}
-                for key, value in self.pinned
+                for key, value in zip(self.pinned_keys, self.pinned_values.tolist())
             ],
-            "witness": [{"variable": name, "value": value} for name, value in self.witness],
+            "witness": [
+                {"variable": key_name(letters), "value": value}
+                for letters, value in zip(self.variables, outcome.v_star.tolist())
+            ],
             "certificate": certificate,
         }
 
     def document(self) -> dict:
+        source, config = self.request.source, self.request.config
+        if isinstance(source, SimulatedSource):
+            described = {"kind": "simulated", **asdict(source)}
+        else:
+            described = {"kind": "measured", "moments": len(source.table)}
         return {
             "schema_version": 1,
             "kind": "verdict_report",
             "body": self.body_document(),
             "meta": {
-                "source": self.source_description,
+                "source": described,
                 "config": {
-                    "max_iters": self.config.max_iters,
-                    "tol_cert": self.config.tol_cert,
-                    "margin": self.config.margin,
+                    "max_iters": config.max_iters,
+                    "tol_cert": config.tol_cert,
+                    "margin": config.margin,
                 },
                 "wall_time_s": self.wall_time_s,
             },
         }
-
-
-def _source_description(source) -> dict:
-    if isinstance(source, SimulatedSource):
-        return {
-            "kind": "simulated",
-            "state": source.state,
-            "suite": source.suite,
-            "visibility": source.visibility,
-        }
-    return {"kind": "measured", "moments": len(source.table)}
 
 
 def _stage(stage: str, fn, *args, **kwargs):
@@ -225,21 +224,12 @@ def analyze(request: AnalysisRequest) -> VerdictReport:
     family = family_for_request(request)
     outcome: SolveOutcome = _stage("solve", maximize_lambda_min, family, request.config)
     return VerdictReport(
-        verdict=NONLOCAL if outcome.status == CERTIFIED_INFEASIBLE else INCONCLUSIVE,
-        status=outcome.status,
-        lambda_star=outcome.lambda_star,
-        iterations=outcome.iterations,
-        scenario=request.scenario,
-        level=int(request.level),  # checked at the structure stage
-        policy=request.policy,
-        pinned_keys=family.pinned_keys,
-        pinned_values=family.pinned_values,
-        variable_names=family.variable_names(),
-        v_star=outcome.v_star,
-        certificate=outcome.certificate,
-        config=request.config,
-        source_description=_source_description(request.source),
-        wall_time_s=time.perf_counter() - started,
+        request,
+        family.pinned_keys,
+        family.pinned_values,
+        family.variables,
+        outcome,
+        time.perf_counter() - started,
     )
 
 
@@ -312,9 +302,9 @@ def robustness(
 
     NoBracket is raised instead of returning an unconfirmed threshold.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
-    tolerance = float(tolerance)
+    tolerance = checked_real(tolerance, "tolerance")
+    if tolerance <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     policy = policy if policy is not None else PinPolicy.all()
     config = config if config is not None else SolverConfig()
     source = SimulatedSource(state, suite)
@@ -459,7 +449,7 @@ def ingest_table(document) -> CorrelatorTable:
             )
         if key in entries:
             raise DuplicateMoment(f"{path}: duplicate moment {key_name(key)}")
-        entries[key] = (value, None if sigma is None else float(sigma))
+        entries[key] = (value, sigma)
     return CorrelatorTable(scenario, entries)
 
 

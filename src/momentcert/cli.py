@@ -189,12 +189,13 @@ def _analysis_request(args) -> analysis.AnalysisRequest:
 
 
 def _print_report(report: analysis.VerdictReport) -> None:
+    scenario = report.request.scenario
     print(
-        f"scenario ({report.scenario.parties},{report.scenario.settings},2)"
-        f" level {report.level}, pinned {len(report.pinned)} moments,"
-        f" {len(report.witness)} variables"
+        f"scenario ({scenario.parties},{scenario.settings},2)"
+        f" level {report.request.level}, pinned {len(report.pinned_keys)} moments,"
+        f" {len(report.variables)} variables"
     )
-    print(f"status: {report.status}   lambda*: {report.lambda_star:.6g}")
+    print(f"status: {report.outcome.status}   lambda*: {report.lambda_star:.6g}")
     if report.certificate is not None:
         print(f"certificate value: {report.certificate.value:.6g} (verified)")
     print(f"verdict: {report.verdict}")

@@ -123,8 +123,10 @@ class PinPolicy:
             raise ValueError(f"unknown pin policy kind {self.kind!r}")
         if self.kind == "max_bodies":
             object.__setattr__(self, "bodies", checked_integer(self.bodies, "max_bodies body count", 0))
-        if self.kind == "explicit" and self.keys is None:
-            raise ValueError("explicit policy needs a key set")
+        if self.kind == "explicit":
+            if self.keys is None:
+                raise ValueError("explicit policy needs a key set")
+            object.__setattr__(self, "keys", frozenset(self.keys))
 
     @classmethod
     def all(cls) -> "PinPolicy":
@@ -136,7 +138,7 @@ class PinPolicy:
 
     @classmethod
     def explicit(cls, keys) -> "PinPolicy":
-        return cls("explicit", keys=frozenset(keys))
+        return cls("explicit", keys=keys)
 
     def selects(self, key: MomentKey) -> bool:
         if self.kind == "all":
@@ -242,15 +244,6 @@ class AffineMatrixFamily:
         rows, cols, vidx = self.support
         weights = z[rows, cols] + z[cols, rows]
         return np.bincount(vidx, weights=weights, minlength=self.num_variables)
-
-    def variable_names(self) -> tuple[str, ...]:
-        # Shared by the families of one layout, which share their variables.
-        return _names(self.variables)
-
-
-@lru_cache(maxsize=32)
-def _names(variables: tuple[Moment, ...]) -> tuple[str, ...]:
-    return tuple(key_name(letters) for letters in variables)
 
 
 def _index_arrays(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

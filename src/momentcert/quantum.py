@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .algebra import MomentKey, Scenario, key_name, validate_moment_key
+from .algebra import MomentKey, Scenario, checked_real, key_name, validate_moment_key
 from .errors import MissingMoment, RangeError
 
 # Tolerated overshoot when validating moment values against [-1, 1]; the
@@ -237,22 +239,30 @@ class CorrelatorTable:
     """Measured or simulated values for observable moments.
 
     ``entries`` maps a moment key to ``(value, sigma)`` where sigma is an
-    optional nonnegative uncertainty.
+    optional nonnegative uncertainty.  The checked entries are stored as a
+    read-only copy of plain floats; a bool is not a number, as in a table
+    document.
     """
 
     scenario: Scenario
-    entries: dict[MomentKey, tuple[float, float | None]]
+    entries: Mapping[MomentKey, tuple[float, float | None]]
 
     def __post_init__(self):
+        entries = {}
         for key, (value, sigma) in self.entries.items():
             _checked_key(self.scenario, key)
-            checked_moment(value, key)
-            if sigma is not None and (not np.isfinite(sigma) or sigma < 0.0):
-                raise ValueError(f"sigma for {key_name(key)} must be nonnegative")
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ValueError(f"moment {key_name(key)} must be a number, got {value!r}")
+            if sigma is not None:
+                sigma = checked_real(sigma, f"sigma for {key_name(key)}")
+                if sigma < 0.0:
+                    raise ValueError(f"sigma for {key_name(key)} must be nonnegative")
+            entries[key] = (checked_moment(value, key), sigma)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     @classmethod
     def from_values(cls, scenario: Scenario, values: Mapping[MomentKey, float]) -> "CorrelatorTable":
-        return cls(scenario, {key: (float(v), None) for key, v in values.items()})
+        return cls(scenario, {key: (v, None) for key, v in values.items()})
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import checked_integer
+from .algebra import checked_integer, checked_real
 from .hierarchy import AffineMatrixFamily
 
 FEASIBLE = "FEASIBLE"
@@ -115,9 +115,7 @@ class SolverConfig:
         for name in ("max_iters", "restarts"):
             object.__setattr__(self, name, checked_integer(getattr(self, name), name))
         for name in ("tol_cert", "margin"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, checked_real(getattr(self, name), name))
         if self.tol_cert <= 0.0:
             raise ValueError("tol_cert must be positive")
         if self.margin <= self.tol_cert:
@@ -386,8 +384,7 @@ def verify_certificate(
     ``tol`` raises ValueError, since it would pass or fail every check, and
     a certificate whose matrix or value is not finite is rejected.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    tol = checked_real(tol, "tol")
     z = np.asarray(certificate.matrix, dtype=float)
     if z.shape != family.gamma0.shape or not (np.isfinite(z).all() and math.isfinite(certificate.value)):
         return False
@@ -418,8 +415,7 @@ def certificate_floor(
     Gamma(v), whose unit diagonal keeps every |v_k| <= 1, the floor is at
     least -(n + K + 1) tol.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    tol = checked_real(tol, "tol")
     gamma = family.gamma(v)
     lam = float(np.linalg.eigvalsh(gamma)[0])
     slack = abs(lam) + float(np.trace(gamma)) - family.dim * lam + float(np.abs(v).sum()) + 1.0

@@ -139,7 +139,7 @@ def test_criterion_05_graph_states(kind, structure_332):
         request = _simulated(kind, "graph", scenario=S332)
         report = analyze(request)
         assert report.verdict == NONLOCAL
-        assert report.status == "CERTIFIED_INFEASIBLE"
+        assert report.outcome.status == "CERTIFIED_INFEASIBLE"
         assert report.certificate is not None
         assert verify_certificate(family_for_request(request), report.certificate)
 

@@ -13,6 +13,7 @@ from momentcert import (
     moment_kind,
     word_product,
 )
+from momentcert.algebra import validate_moment_key
 
 from helpers import brute_force_words
 
@@ -179,3 +180,17 @@ def test_classify_depends_only_on_canonical_word():
 def test_key_name_roundtrip_display():
     assert key_name(((1, 0), (2, 0), (3, 1))) == "A0B0C1"
     assert key_name(((2, 0), (2, 1))) == "B0B1"
+
+
+def test_validate_moment_key_rejects_malformed_keys():
+    scenario = Scenario(3, 2)
+    validate_moment_key(scenario, ((1, 0), (3, 1)))
+    for key, message in (
+        ((), "non-empty"),
+        (((2, 0), (1, 0)), "strictly increasing"),
+        (((1, 0), (1, 1)), "strictly increasing"),
+        (((4, 0),), "outside scenario"),
+        (((1, 2),), "outside scenario"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            validate_moment_key(scenario, key)

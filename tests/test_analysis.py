@@ -37,6 +37,7 @@ from momentcert import (
     verify_certificate,
 )
 from momentcert import analysis, hierarchy
+from momentcert.algebra import key_name
 from momentcert.sdp import WITNESS_TOL, certificate_floor
 
 from helpers import bisect_visibility
@@ -60,11 +61,11 @@ def test_w_state_detected():
     request = _request("w", "w")
     report = analyze(request)
     assert report.verdict == NONLOCAL
-    assert report.status == "CERTIFIED_INFEASIBLE"
+    assert report.outcome.status == "CERTIFIED_INFEASIBLE"
     assert report.certificate is not None
     assert verify_certificate(family_for_request(request), report.certificate)
     assert report.certificate.value < -1e-3
-    assert len(report.pinned) == 26
+    assert len(report.pinned_keys) == 26
 
 
 def test_ghz_needs_full_body_pins():
@@ -77,7 +78,7 @@ def test_ghz_needs_full_body_pins():
 def test_product_state_is_inconclusive_with_witness():
     report = analyze(_request("basis:000", "w"))
     assert report.verdict == INCONCLUSIVE
-    assert report.status == "FEASIBLE"
+    assert report.outcome.status == "FEASIBLE"
     body = json.loads(json.dumps(report.document()))["body"]
     assert certificate_from_document(body) is None
 
@@ -213,6 +214,42 @@ def test_numpy_numbers_are_recorded_as_plain_numbers():
         del report["meta"]["wall_time_s"]
     assert json.dumps(reports[0]) == json.dumps(reports[1])
     assert type(robustness("w", "w", Scenario(3, 2), tolerance=np.float32(1e-2)).tolerance) is float
+    tables = [
+        CorrelatorTable(S322, {((1, 0),): (value, sigma)})
+        for value, sigma in ((np.float32(0.5), np.float32(0.25)), (0.5, 0.25))
+    ]
+    assert json.dumps(table_document(tables[0])) == json.dumps(table_document(tables[1]))
+
+
+def test_a_table_keeps_a_checked_copy_of_its_entries():
+    # A later write to the caller's dict, or to the table's, would otherwise
+    # reach assembly unchecked: 5.0 at A0B0C0, clipped to 1.0, certifies
+    # NONLOCAL.
+    separable = ingest_table(json.loads((DATA / "separable_table_322.json").read_text()))
+    entries = dict(separable.entries)
+    table = CorrelatorTable(S322, entries)
+    key = ((1, 0), (2, 0), (3, 0))
+    before = table.value(key)
+    entries[key] = (5.0, None)
+    with pytest.raises(TypeError):
+        table.entries[key] = (5.0, None)
+    assert table.value(key) == before
+    assert analyze(AnalysisRequest(MeasuredSource(table), S322)).verdict == INCONCLUSIVE
+    # A bool is not a number, as in a table document.
+    for value, sigma in ((True, None), (0.5, True), ("0.5", None)):
+        with pytest.raises(ValueError, match="A0"):
+            CorrelatorTable(S322, {((1, 0),): (value, sigma)})
+
+
+def test_an_explicit_policy_takes_a_list_of_keys():
+    keys = [((1, 0),), ((1, 0), (2, 0))]
+    from_list = PinPolicy("explicit", keys=keys)
+    assert from_list == PinPolicy.explicit(keys)
+    bodies = [
+        analyze(_request("basis:000", "w", policy)).body_document()
+        for policy in (from_list, PinPolicy.explicit(keys))
+    ]
+    assert bodies[0] == bodies[1]
 
 
 def test_pipeline_error_stages(structure_322):
@@ -238,8 +275,9 @@ def test_pipeline_error_stages(structure_322):
 
 
 def test_simulated_source_validates_visibility():
-    with pytest.raises(ValueError):
-        SimulatedSource("w", "w", 1.5)
+    for bad in (1.5, True, float("nan"), "0.5"):
+        with pytest.raises(ValueError, match="visibility"):
+            SimulatedSource("w", "w", bad)
 
 
 def test_robustness_requires_bracket():
@@ -258,7 +296,7 @@ def test_robustness_small_run():
 
 def test_robustness_rejects_non_finite_tolerance():
     # NaN fails every comparison, so a plain positivity check lets it through.
-    for bad in (float("nan"), float("inf"), 0.0):
+    for bad in (float("nan"), float("inf"), 0.0, True):
         with pytest.raises(ValueError, match="tolerance"):
             robustness("w", "w", S322, tolerance=bad)
 
@@ -439,7 +477,7 @@ def test_every_explicit_pin_set_gets_a_verdict(case, data):
     observables = hierarchy.build_structure(scenario, 2).observables
     keys = data.draw(st.sets(st.sampled_from(observables), min_size=1, max_size=3))
     report = analyze(_request(state, suite, PinPolicy.explicit(keys), scenario=scenario))
-    if report.status == "FEASIBLE":
+    if report.outcome.status == "FEASIBLE":
         assert report.lambda_star >= -WITNESS_TOL
 
 
@@ -522,9 +560,19 @@ def test_ingest_schema_diagnostics(structure_322):
     document["moments"][3]["settings"] = [0]
     with pytest.raises(SchemaError, match=r"moments\[3\]"):
         ingest_table(document)
+    for parties, settings, message in (
+        ([2, 1], [0, 0], "strictly increasing"),
+        ([1, 1], [0, 1], "strictly increasing"),
+        ([1, 4], [0, 0], "outside scenario"),
+        ([1, 2], [0, 2], "outside scenario"),
+    ):
+        document = _w_document(structure_322)
+        document["moments"][0].update(parties=parties, settings=settings)
+        with pytest.raises(SchemaError, match=rf"moments\[0\]: .*{message}"):
+            ingest_table(document)
     document = _w_document(structure_322)
-    document["moments"][0]["parties"] = [2, 1]
-    with pytest.raises(SchemaError, match=r"moments\[0\]"):
+    document["scenario"]["parties"] = 0
+    with pytest.raises(SchemaError, match=r"^scenario: parties"):
         ingest_table(document)
     document = _w_document(structure_322)
     document["scenario"]["outcomes"] = 3
@@ -586,16 +634,17 @@ def test_ingest_schema_version_must_be_the_integer_one(structure_322):
 
 
 def test_witness_names_are_shared_between_reports():
-    # Reports keep the compiled layout's key and name tuples, not copies.
+    # Reports keep the compiled layout's key and variable tuples, not copies.
     first = analyze(_request("w", "w"))
     second = analyze(_request("w", "w"))
-    assert first.witness and all(
-        a is b for (a, _), (b, _) in zip(first.witness, second.witness)
-    )
-    assert first.variable_names is second.variable_names
+    assert first.variables and first.pinned_keys
+    assert first.variables is second.variables
     assert first.pinned_keys is second.pinned_keys
-    assert [name for name, _ in first.witness] == list(first.variable_names)
-    assert first.pinned == tuple(zip(first.pinned_keys, first.pinned_values.tolist()))
+    body = first.body_document()
+    assert [entry["variable"] for entry in body["witness"]] == [
+        key_name(letters) for letters in first.variables
+    ]
+    assert [entry["value"] for entry in body["pinned"]] == first.pinned_values.tolist()
 
 
 def test_ingested_report_body_matches_golden():
@@ -640,4 +689,4 @@ def test_margin_must_make_acceptance_a_proof():
         level=3,
         config=SolverConfig(max_iters=1),
     )
-    assert analyze(request).iterations == 1
+    assert analyze(request).outcome.iterations == 1

@@ -138,10 +138,15 @@ def _analysis(state, suite, settings, expected):
 
 def _unread(flag, *argv):
     # A flag the command's mode never reads is a usage error naming it.
-    return pytest.param(list(argv), 1, flag, id=f"unread-{argv[0]}{flag}")
+    return pytest.param(list(argv), 1, f"{flag} is not read", id=f"unread-{argv[0]}{flag}")
 
 
-@pytest.mark.parametrize("argv,expected,unread_flag", [
+def _usage(message, ident, *argv):
+    # A missing or malformed flag is a usage error that says what is wrong.
+    return pytest.param(list(argv), 1, message, id=ident)
+
+
+@pytest.mark.parametrize("argv,expected,message", [
     _analysis("w", "w", "2", 2),
     _analysis("ghz", "ghz", "2", 2),
     _analysis("graph-linear", "graph", "3", 2),
@@ -158,16 +163,21 @@ def _unread(flag, *argv):
     _unread("--state", "analyze", "--from-table", TABLE, "--state", "w"),
     _unread("--parties", "analyze", "--from-table", TABLE, "--parties", "3"),
     _unread("--settings", "analyze", "--from-table", TABLE, "--settings", "2"),
+    _usage("--state and --suite are required", "robustness-no-suite", "robustness", "--state", "w"),
+    _usage("--state is required", "states-no-state", "states"),
+    _usage("--dump needs --suite", "dump-no-suite", "states", "--state", "w", "--dump"),
+    _usage("bad --pin value 'max-bodies:x'", "pin-max-bodies-x",
+           "analyze", "--state", "w", "--suite", "w", "--pin", "max-bodies:x"),
 ])
-def test_exit_code_matrix(tmp_path, capsys, argv, expected, unread_flag):
+def test_exit_code_matrix(tmp_path, capsys, argv, expected, message):
     if TABLE in argv:
         table_path = str(tmp_path / "table.json")
         assert run(["states", "--state", "w", "--suite", "w", "--dump", "--out", table_path]) == 0
         argv = [table_path if arg == TABLE else arg for arg in argv]
     capsys.readouterr()
     assert run(argv) == expected
-    if unread_flag is not None:
-        assert f"{unread_flag} is not read" in capsys.readouterr().err
+    if message is not None:
+        assert message in capsys.readouterr().err
 
 
 def test_analyze_from_table_reads_the_table_scenario(tmp_path):
@@ -345,7 +355,11 @@ def test_robustness_rejects_noise(capsys):
     ([{"parties": [1, 2], "settings": [0]}], "$[0].settings: parties and settings must have equal length"),
     (["A0"], "$[0]: expected an object"),
     ([{"parties": 1, "settings": 0}], "$[0].parties: expected a nonempty list"),
-], ids=["unequal-lengths", "not-an-object", "scalars"])
+    ([{"parties": [1, 1], "settings": [0, 1]}], "$[0]: moment key parties must be strictly increasing"),
+    ([{"parties": [4], "settings": [0]}], "$[0]: letter (4, 0) outside scenario"),
+    ([{"parties": [1], "settings": [2]}], "$[0]: letter (1, 2) outside scenario"),
+], ids=["unequal-lengths", "not-an-object", "scalars", "repeated-party", "party-outside",
+        "setting-outside"])
 def test_bad_explicit_pin_file_is_an_error(tmp_path, capsys, entries, message):
     pin_path = tmp_path / "pins.json"
     pin_path.write_text(json.dumps(entries))

@@ -186,6 +186,12 @@ def test_correlator_table_requires_enough_settings(structure_332):
         correlator_table(make_state("w", 3), standard_suite("w"), structure_332)
 
 
+def test_correlator_table_requires_one_qubit_per_party():
+    structure = build_structure(Scenario(4, 2), 1)
+    with pytest.raises(ValueError, match="3 qubits, scenario wants 4"):
+        correlator_table(make_state("w", 3), standard_suite("w"), structure)
+
+
 def _random_state(rng, n):
     g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     rho = g @ g.conj().T

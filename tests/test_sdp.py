@@ -59,23 +59,41 @@ def test_config_validation():
         SolverConfig(margin=1e-8, tol_cert=1e-7)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
+    for tol_cert in (0.0, -1e-7):
+        with pytest.raises(ValueError, match="tol_cert must be positive"):
+            SolverConfig(tol_cert=tol_cert)
 
 
 NON_INTEGERS = [True, False, 1.5, 800.0, "800", None]
+NON_REALS = [True, False, "1e-3", None, 1e-3j]
+# A typed value of each setting and the plain value it must be stored as.
+TYPED = {
+    "max_iters": (np.int64(800), 800),
+    "restarts": (np.int64(800), 800),
+    "tol_cert": (np.float32(2**-30), 2**-30),
+    "margin": (np.int64(1), 1.0),
+}
 
 
 @pytest.mark.parametrize(
     "name, bad",
     [pytest.param("max_iters", bad, id=repr(bad)) for bad in NON_INTEGERS]
-    + [pytest.param("restarts", bad, id=f"restarts={bad!r}") for bad in NON_INTEGERS],
+    + [pytest.param("restarts", bad, id=f"restarts={bad!r}") for bad in NON_INTEGERS]
+    + [
+        pytest.param(name, bad, id=f"{name}={bad!r}")
+        for name in ("tol_cert", "margin")
+        for bad in NON_REALS
+    ],
 )
 def test_config_rejects_non_integer_max_iters(name, bad):
     # True would pass as 1 and cap the solve at one Newton step.  restarts,
-    # which the solver ignores, is typed the same way.
+    # which the solver ignores, is typed the same way, and the real-valued
+    # settings take no bool either: margin=True would read as 1.0.
     with pytest.raises(ValueError, match=name):
         SolverConfig(**{name: bad})
-    value = getattr(SolverConfig(**{name: np.int64(800)}), name)
-    assert value == 800 and type(value) is int
+    typed, plain = TYPED[name]
+    value = getattr(SolverConfig(**{name: typed}), name)
+    assert value == plain and type(value) is type(plain)
 
 
 def test_two_by_two_feasible():
