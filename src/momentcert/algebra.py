@@ -39,10 +39,14 @@ def checked_integer(value, name: str, minimum: int = 1) -> int:
 
 
 def checked_real(value, name: str) -> float:
-    """``value`` as a float; ValueError for a bool, a non-real or a non-finite value."""
-    if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+    """``value`` as a float; ValueError for a bool, a non-real or a value no finite float holds."""
+    try:
+        number = float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer or fraction beyond float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
+    return number
 
 
 def party_name(party: int) -> str:

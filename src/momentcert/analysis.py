@@ -46,6 +46,7 @@ from .quantum import (
     CorrelatorTable,
     add_white_noise,
     checked_moment,
+    checked_visibility,
     correlator_table,
     make_state,
     standard_suite,
@@ -73,10 +74,7 @@ class SimulatedSource:
     visibility: float = 1.0
 
     def __post_init__(self):
-        visibility = checked_real(self.visibility, "visibility")
-        if not 0.0 <= visibility <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-        object.__setattr__(self, "visibility", visibility)
+        object.__setattr__(self, "visibility", checked_visibility(self.visibility))
 
 
 @dataclass(frozen=True)

@@ -323,10 +323,17 @@ def _table_index(structure) -> tuple[np.ndarray, ...]:
     return tuple(index)
 
 
-def add_white_noise(state: QuantumState, visibility: float) -> QuantumState:
-    """Convex mixture visibility * rho + (1 - visibility) * I / 2^n."""
+def checked_visibility(value) -> float:
+    """``value`` as a float in [0, 1]; ValueError otherwise, for a bool or NaN too."""
+    visibility = checked_real(value, "visibility")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+    return visibility
+
+
+def add_white_noise(state: QuantumState, visibility: float) -> QuantumState:
+    """Convex mixture visibility * rho + (1 - visibility) * I / 2^n."""
+    visibility = checked_visibility(visibility)
     dim = 2**state.n
     mixed = visibility * state.rho + (1.0 - visibility) * np.eye(dim, dtype=complex) / dim
     return QuantumState(state.n, mixed)

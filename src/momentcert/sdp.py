@@ -20,12 +20,13 @@ complement is no longer positive definite, or when a step shrinks below
 MIN_STEP.  The Schur complement of each Newton step is assembled from
 low-rank products: a variable with s entry positions makes X G_k S^-1 a
 product of rank 2s, and variables of one support size are taken in blocks
-whose transient memory stays bounded.  The complement itself holds
-(K + 1)^2 floats for K variables.  It is factored once per step, at every
-size: its Cholesky factor is the positive-definiteness test, and the
-predictor and corrector directions come from forward and back
-substitution over blocks of that factor, whose diagonal blocks are
-inverted once.  The maps sum_k v_k G_k and <G_k, Z> are the family's own
+of bounded size.  The complement, (K + 1)^2 floats for K variables, and the
+arrays of its largest block are one workspace that each solve allocates
+once and every Newton step overwrites, so a step allocates none of them.
+The complement is factored once per step, at every size: its Cholesky
+factor is the positive-definiteness test, and the predictor and corrector
+directions come from forward and back substitution over blocks of that
+factor, whose diagonal blocks are inverted once.  The maps sum_k v_k G_k and <G_k, Z> are the family's own
 (:meth:`AffineMatrixFamily.combine` and ``.inner``); the solver adds only
 the program around them.
 
@@ -86,8 +87,9 @@ GAP_TOL = 1e-9
 MIN_STEP = 1e-8
 # Fraction of the distance to the cone boundary that each step covers.
 STEP_FRACTION = 0.98
-# Entries per array in a block of the Schur assembly; its transient memory
-# is a few times this many floats, whatever the family's size.
+# Entries per array in a block of the Schur assembly.  Each solve allocates
+# one workspace of a few such arrays, whatever the family's size, and
+# reuses it at every Newton step.
 SCHUR_BLOCK = 1 << 16
 # Rows per diagonal block of the Schur complement's Cholesky factor; each
 # block is inverted once per Newton step.
@@ -161,9 +163,10 @@ class _FamilyOps:
         # starts[k] is where variable k's group of positions begins.
         counts = np.bincount(vidx, minlength=family.num_variables)
         self.starts = np.cumsum(counts) - counts
-        # Blocks (ks, a, b) for the Schur assembly: the variables ks share
-        # one support size s, and row j of the (len(ks), 2s) arrays a and b
-        # lists (r..., c...) and (c..., r...) over the positions of ks[j].
+        # Blocks (m_rows, a, b) for the Schur assembly: the variables ks
+        # share one support size s and fill rows m_rows = 1 + ks of M, and
+        # row j of the (len(ks), 2s) arrays a and b lists (r..., c...) and
+        # (c..., r...) over the positions of ks[j].
         # Each block is small enough that its arrays of dim^2, 2s dim or E
         # entries per variable (E = number of variable positions) hold at
         # most SCHUR_BLOCK entries.
@@ -176,7 +179,19 @@ class _FamilyOps:
             r, c = rows[at], cols[at]
             a, b = np.hstack((r, c)), np.hstack((c, r))
             for j in range(0, ks.size, width):
-                self.blocks.append((ks[j:j + width], a[j:j + width], b[j:j + width]))
+                self.blocks.append((1 + ks[j:j + width], a[j:j + width], b[j:j + width]))
+        n, nvars = family.dim, family.num_variables
+        # The support's flat positions r n + c and c n + r in a dim x dim product.
+        self.rc, self.cr = rows * n + cols, cols * n + rows
+        # The workspace of schur(), allocated once per solve: M, and one flat
+        # buffer for each array a block forms, sized for the largest; each
+        # block uses a prefix of it.
+        widest = max((m_rows.size for m_rows, _, _ in self.blocks), default=0)
+        self.m = np.empty((nvars + 1, nvars + 1))
+        self.operands = np.empty((2, max((a.size for _, a, _ in self.blocks), default=0) * n))
+        self.product = np.empty(widest * n * n)
+        self.gathered = np.empty((2, widest * rows.size))
+        self.sums = np.empty(widest * nvars)
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """Matrix-block part of the HKM Schur complement M_ij = Tr(A_i X A_j S^-1).
@@ -186,18 +201,30 @@ class _FamilyOps:
         <G_k, X G_l S^-1> for k, l >= 1.  With the positions (r_p, c_p) of
         variable l and X symmetric, X G_l S^-1 = X[a, :]' S^-1[b, :] for
         a = (r..., c...) and b = (c..., r...), a product of rank 2|l|; the
-        products are formed a block of variables at a time, which bounds the
-        transient memory.
+        products are formed a block of variables at a time, in the workspace
+        this object allocated.  The returned M is that workspace too: it is
+        valid only until the next call, so a caller that keeps it copies it.
         """
-        nvars = self.family.num_variables
-        m = np.empty((nvars + 1, nvars + 1))
+        n, nvars = self.family.dim, self.family.num_variables
+        m = self.m
         m[0, 0] = np.sum(x * s_inv)
         if nvars:
             m[0, 1:] = m[1:, 0] = -self.family.inner(x @ s_inv)
-            r, c, _ = self.family.support
-            for ks, a, b in self.blocks:
-                y = np.matmul(x[a].transpose(0, 2, 1), s_inv[b])
-                m[1 + ks, 1:] = np.add.reduceat(y[:, r, c] + y[:, c, r], self.starts, axis=1)
+            for m_rows, a, b in self.blocks:
+                w = m_rows.size
+                xa, sb = self.operands[:, :a.size * n].reshape(2, w, -1, n)
+                y = self.product[:w * n * n].reshape(w, n * n)
+                g, h = self.gathered[:, :w * self.rc.size].reshape(2, w, -1)
+                sums = self.sums[:w * nvars].reshape(w, nvars)
+                # mode="clip" takes straight into ``out``: "raise" would
+                # first gather into a temporary.  The indices are in range.
+                x.take(a, axis=0, out=xa, mode="clip")
+                s_inv.take(b, axis=0, out=sb, mode="clip")
+                np.matmul(xa.transpose(0, 2, 1), sb, out=y.reshape(w, n, n))
+                y.take(self.rc, axis=1, out=g, mode="clip")
+                y.take(self.cr, axis=1, out=h, mode="clip")
+                np.add(g, h, out=g)
+                m[m_rows, 1:] = np.add.reduceat(g, self.starts, axis=1, out=sums)
         return m
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
@@ -258,9 +285,10 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
     <G_k, Z> = 0 and Z >= 0 from Z = I/n.  The iterate is (X, y, S), X the
     matrix Z.  Every iterate keeps S positive definite, so each t is
     attained.  Each step solves its Schur complement M through M's one
-    Cholesky factorization (:func:`_cholesky_solver`); a failed
-    factorization is the only Newton-system stall.  Returns the last X, y
-    and the number of steps.
+    Cholesky factorization (:func:`_cholesky_solver`), taken at once: M is
+    the workspace of ``ops``, overwritten at the next step, and only its
+    factor is kept.  A failed factorization is the only Newton-system
+    stall.  Returns the last X, y and the number of steps.
     """
     n = ops.family.dim
     gamma0 = ops.family.gamma0

@@ -275,7 +275,7 @@ def test_pipeline_error_stages(structure_322):
 
 
 def test_simulated_source_validates_visibility():
-    for bad in (1.5, True, float("nan"), "0.5"):
+    for bad in (1.5, True, float("nan"), "0.5", 10**400):
         with pytest.raises(ValueError, match="visibility"):
             SimulatedSource("w", "w", bad)
 
@@ -296,7 +296,7 @@ def test_robustness_small_run():
 
 def test_robustness_rejects_non_finite_tolerance():
     # NaN fails every comparison, so a plain positivity check lets it through.
-    for bad in (float("nan"), float("inf"), 0.0, True):
+    for bad in (float("nan"), float("inf"), 0.0, True, 10**400):
         with pytest.raises(ValueError, match="tolerance"):
             robustness("w", "w", S322, tolerance=bad)
 

@@ -253,8 +253,10 @@ def test_white_noise_endpoints_and_scaling():
     state = make_state("ghz", 3)
     assert np.allclose(add_white_noise(state, 1.0).rho, state.rho)
     assert np.allclose(add_white_noise(state, 0.0).rho, np.eye(8) / 8)
-    with pytest.raises(ValueError):
-        add_white_noise(state, 1.2)
+    # True would pass the range check as 1, and "0.5" fail it with a TypeError.
+    for bad in (1.2, -0.1, True, float("nan"), "0.5", 10**400):
+        with pytest.raises(ValueError, match="visibility"):
+            add_white_noise(state, bad)
     for p in (0.3, 0.77):
         noisy = add_white_noise(state, p)
         for assignment in ({1: X, 2: X, 3: X}, {2: Z}, {1: PAULI_DIAG, 3: X}):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,10 @@ def test_config_validation():
     for tol_cert in (0.0, -1e-7):
         with pytest.raises(ValueError, match="tol_cert must be positive"):
             SolverConfig(tol_cert=tol_cert)
+    # An integer beyond float range is a ValueError, not an OverflowError.
+    for name in ("tol_cert", "margin"):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: 10**400})
 
 
 NON_INTEGERS = [True, False, 1.5, 800.0, "800", None]
@@ -395,9 +400,19 @@ def test_solver_against_grid_oracle():
             assert out.lambda_star <= out.certificate.value + 1e-6
 
 
+def _dense_schur(family, x, w):
+    # M_ij = Tr(A_i X A_j S^-1) with A_0 = I and A_k = -G_k, taken densely.
+    mats = [np.eye(family.dim)] + [-g for g in dense_patterns(family)]
+    return np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
+
+
+def _assert_schur_matches_dense_formula(ops, x, w):
+    dense = _dense_schur(ops.family, x, w)
+    assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
 def test_schur_blocks_match_dense_formula(monkeypatch):
-    # M_ij = Tr(A_i X A_j S^-1) with A_0 = I and A_k = -G_k, assembled in
-    # several row blocks, against the same sums taken densely.
+    # M assembled in several row blocks, against the same sums taken densely.
     monkeypatch.setattr(sdp, "SCHUR_BLOCK", 40)
     rng = np.random.default_rng(5)
     family = random_family(rng, 9, 12)
@@ -405,10 +420,66 @@ def test_schur_blocks_match_dense_formula(monkeypatch):
     assert len(ops.blocks) > 1
     a = rng.normal(size=(9, 9))
     b = rng.normal(size=(9, 9))
+    _assert_schur_matches_dense_formula(ops, a @ a.T, b @ b.T)
+
+
+def _assert_schur_reuses_its_workspace(ops, rng):
+    # Every call writes M into the same workspace: after a call at other
+    # points, no entry of it may be left over and no block may read
+    # another's part of a buffer.
+    n = ops.family.dim
+    points = []
+    for _ in range(2):
+        a = rng.normal(size=(n, n))
+        b = rng.normal(size=(n, n))
+        points.append((a @ a.T, b @ b.T))
+    first = ops.schur(*points[0]).copy()
+    for x, w in points + points[:1]:
+        _assert_schur_matches_dense_formula(ops, x, w)
+    assert np.array_equal(ops.schur(*points[0]), first)
+
+
+def test_schur_workspace_is_reused_across_blocks_of_several_widths(monkeypatch):
+    # Blocks of 3, 2 and 1 variables of support sizes 1 to 3: each fills a
+    # different prefix of the buffers, sized for the largest.
+    monkeypatch.setattr(sdp, "SCHUR_BLOCK", 250)
+    rng = np.random.default_rng(12)
+    ops = sdp._FamilyOps(random_family(rng, 9, 14))
+    assert {m_rows.size for m_rows, _, _ in ops.blocks} == {1, 2, 3}
+    assert {a.shape[1] for _, a, _ in ops.blocks} == {2, 4, 6}
+    _assert_schur_reuses_its_workspace(ops, rng)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 100, 250, 1000, sdp.SCHUR_BLOCK]))
+def test_schur_workspace_is_reused_on_random_families(seed, block):
+    rng = np.random.default_rng(seed)
+    family = random_family(rng, int(rng.integers(2, 10)), int(rng.integers(0, 16)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdp, "SCHUR_BLOCK", block)
+        ops = sdp._FamilyOps(family)
+    _assert_schur_reuses_its_workspace(ops, rng)
+
+
+def test_a_warm_schur_call_allocates_less_than_one_block_product():
+    # The workspace is allocated with the solve's _FamilyOps, so a Newton
+    # step's assembly allocates no block product, gathered entries or M.
+    family = _benchmark_family("graph-linear-332")
+    ops = sdp._FamilyOps(family)
+    n = family.dim
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(n, n))
+    b = rng.normal(size=(n, n))
     x, w = a @ a.T, b @ b.T
-    mats = [np.eye(9)] + [-g for g in dense_patterns(family)]
-    dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
-    assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
+    ops.schur(x, w)
+    tracemalloc.start()
+    try:
+        ops.schur(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    widest = max(m_rows.size for m_rows, _, _ in ops.blocks)
+    assert peak < widest * n * n * 8
 
 
 def test_schur_rows_of_the_visibility_form_match_dense_formula(monkeypatch):
@@ -426,8 +497,7 @@ def test_schur_rows_of_the_visibility_form_match_dense_formula(monkeypatch):
     a = rng.normal(size=(10, 10))
     b = rng.normal(size=(10, 10))
     x, w = a @ a.T, b @ b.T
-    mats = [np.eye(10)] + [-g for g in dense_patterns(high)]
-    dense = np.array([[np.trace(ai @ x @ aj @ w) for aj in mats] for ai in mats])
+    dense = _dense_schur(high, x, w)
     assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
     assert np.array_equal(ops.schur(x, w), sdp._FamilyOps(high).schur(x, w))
 
@@ -678,7 +748,7 @@ def test_verify_rejects_non_finite_tolerance(structure_322):
     family = assemble(structure_322, table)
     junk = DualCertificate(matrix=-np.ones((22, 22)), value=-123.0)
     assert not verify_certificate(family, junk, 1e-7)
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match="tol"):
             verify_certificate(family, junk, bad)
 
@@ -781,7 +851,7 @@ def test_certificate_floor_bounds_every_verified_certificate(seed, dim, nvars, s
 
 def test_certificate_floor_rejects_non_finite_tolerance():
     family = _family(np.eye(2), [])
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match="tol"):
             certificate_floor(family, np.zeros(0), bad)
 
