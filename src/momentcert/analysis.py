@@ -46,6 +46,7 @@ from .quantum import (
     CorrelatorTable,
     add_white_noise,
     checked_moment,
+    checked_sigma,
     checked_visibility,
     correlator_table,
     make_state,
@@ -366,14 +367,6 @@ def _is_number(document) -> bool:
     return isinstance(document, (int, float)) and not isinstance(document, bool)
 
 
-def _is_finite(number) -> bool:
-    """Whether a JSON number is a finite float; NaN, Infinity and huge integers are not."""
-    try:
-        return math.isfinite(float(number))
-    except OverflowError:
-        return False
-
-
 def _read_moment_key(item, scenario: Scenario, path: str) -> MomentKey:
     """The moment key of a document entry's ``parties``/``settings`` lists.
 
@@ -440,11 +433,10 @@ def ingest_table(document) -> CorrelatorTable:
         value = checked_moment(value, f"{path}.value")
         sigma = item.get("sigma")
         if sigma is not None:
-            _expect(
-                _is_number(sigma) and _is_finite(sigma) and sigma >= 0.0,
-                f"{path}.sigma",
-                "expected a finite nonnegative number",
-            )
+            try:
+                sigma = checked_sigma(sigma, "sigma")
+            except ValueError as exc:
+                raise SchemaError(f"{path}.sigma: {exc}") from exc
         if key in entries:
             raise DuplicateMoment(f"{path}: duplicate moment {key_name(key)}")
         entries[key] = (value, sigma)

@@ -170,12 +170,13 @@ class AffineMatrixFamily:
     diagonal already keeps every |v_k| <= 1, the range of a moment of
     commuting involutions.
 
-    Construction raises ValueError for a malformed family: gamma0 empty,
-    not finite or not exactly symmetric; a support position outside the
-    matrix, on its diagonal or repeated in either orientation; a variable
-    outside range(num_variables) or with no position; gamma0 nonzero on a
-    support.  So ``combine`` and ``inner`` are adjoint:
-    <combine(v), Z> = v . inner(Z) for symmetric Z.  The support is stored
+    Construction raises ValueError for a malformed family: gamma0 not a
+    square 2-D array of real numbers, empty, not finite or not exactly
+    symmetric; a support not three 1-D integer arrays of one length; a
+    support position outside the matrix, on its diagonal or repeated in
+    either orientation; a variable outside range(num_variables) or with no
+    position; gamma0 nonzero on a support.  So ``combine`` and ``inner``
+    are adjoint: <combine(v), Z> = v . inner(Z) for symmetric Z.  The support is stored
     grouped by variable in a stable order, as given if already grouped.
     gamma0 and the support are stored read-only, each writable array as a
     copy, so no later write to the caller's arrays undoes these checks.
@@ -188,7 +189,16 @@ class AffineMatrixFamily:
     pinned_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        gamma0, (rows, cols, vidx) = self.gamma0, self.support
+        gamma0 = np.asarray(self.gamma0)
+        rows, cols, vidx = (np.asarray(a) for a in self.support)
+        if gamma0.ndim != 2 or gamma0.shape[0] != gamma0.shape[1] or gamma0.dtype.kind not in "iuf":
+            raise ValueError("gamma0 must be a square 2-D array of real numbers")
+        if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (rows, cols, vidx)) or not (
+            rows.size == cols.size == vidx.size
+        ):
+            raise ValueError("support must be three 1-D integer arrays of one length")
+        # bincount takes no uint64; a value beyond intp wraps negative, out of range.
+        rows, cols, vidx = (a.astype(np.intp, copy=False) for a in (rows, cols, vidx))
         n, nvars = len(gamma0), self.num_variables
         if not (np.isfinite(gamma0).all() and np.array_equal(gamma0, gamma0.T)):
             raise ValueError("gamma0 must be finite and symmetric")

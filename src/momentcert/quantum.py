@@ -228,6 +228,14 @@ def checked_moment(value, where) -> float:
     return number
 
 
+def checked_sigma(value, where: str) -> float:
+    """``value`` as a nonnegative float; ValueError naming ``where`` otherwise."""
+    sigma = checked_real(value, where)
+    if sigma < 0.0:
+        raise ValueError(f"{where} must be nonnegative, got {sigma}")
+    return sigma
+
+
 @lru_cache(maxsize=4096)
 def _checked_key(scenario: Scenario, key: MomentKey) -> None:
     """:func:`validate_moment_key`, run once per (scenario, key); failures are not cached."""
@@ -254,9 +262,7 @@ class CorrelatorTable:
             if not isinstance(value, Real) or isinstance(value, bool):
                 raise ValueError(f"moment {key_name(key)} must be a number, got {value!r}")
             if sigma is not None:
-                sigma = checked_real(sigma, f"sigma for {key_name(key)}")
-                if sigma < 0.0:
-                    raise ValueError(f"sigma for {key_name(key)} must be nonnegative")
+                sigma = checked_sigma(sigma, f"sigma for {key_name(key)}")
             entries[key] = (checked_moment(value, key), sigma)
         object.__setattr__(self, "entries", MappingProxyType(entries))
 

@@ -25,8 +25,9 @@ arrays of its largest block are one workspace that each solve allocates
 once and every Newton step overwrites, so a step allocates none of them.
 The complement is factored once per step, at every size: its Cholesky
 factor is the positive-definiteness test, and the predictor and corrector
-directions come from forward and back substitution over blocks of that
-factor, whose diagonal blocks are inverted once.  The maps sum_k v_k G_k and <G_k, Z> are the family's own
+directions come from the inverse of that factor, built over blocks of its
+rows in the factor's own array, as the inverse factors of X and S are.
+The maps sum_k v_k G_k and <G_k, Z> are the family's own
 (:meth:`AffineMatrixFamily.combine` and ``.inner``); the solver adds only
 the program around them.
 
@@ -91,8 +92,8 @@ STEP_FRACTION = 0.98
 # one workspace of a few such arrays, whatever the family's size, and
 # reuses it at every Newton step.
 SCHUR_BLOCK = 1 << 16
-# Rows per diagonal block of the Schur complement's Cholesky factor; each
-# block is inverted once per Newton step.
+# Rows per block of every Cholesky factor the solver inverts (X, S and the
+# Schur complement); each diagonal block is inverted once per factor.
 SOLVE_BLOCK = 32
 
 
@@ -237,37 +238,21 @@ class _FamilyOps:
 
 
 def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
-    """L^-1 for matrix = L L'; raises LinAlgError unless positive definite."""
-    return np.linalg.inv(np.linalg.cholesky(matrix))
+    """L^-1 for matrix = L L'; raises LinAlgError unless positive definite.
 
-
-def _cholesky_solver(matrix: np.ndarray):
-    """The map r -> matrix^-1 r through the Cholesky factor L of ``matrix``.
-
-    This is how every Newton step solves its Schur complement, at every
-    size: the one factorization is both the positive-definiteness test and
-    the solve.  Raises LinAlgError unless ``matrix`` is positive definite.
-    The diagonal blocks of L, SOLVE_BLOCK rows each, are inverted once here;
-    each solve is then a forward substitution L w = r and a back
-    substitution L' x = w over the blocks, each block from the ones already
-    solved, in matrix-vector products.  Up to SOLVE_BLOCK rows that is one
-    block inverse and two products.
+    The inverse is written over the factor, one block row of SOLVE_BLOCK
+    rows at a time.  Write L's rows down to a block as [[A, 0], [B, D]],
+    with A's rows already inverted in place; the block's rows of L^-1 are
+    then (-D^-1 B A^-1, D^-1).  So the factor's array is the only (n, n)
+    one, and up to SOLVE_BLOCK rows the result is np.linalg.inv of it.
     """
-    factor = np.linalg.cholesky(matrix)
-    blocks = [
-        (slice(i, i + SOLVE_BLOCK), np.linalg.inv(factor[i:i + SOLVE_BLOCK, i:i + SOLVE_BLOCK]))
-        for i in range(0, factor.shape[0], SOLVE_BLOCK)
-    ]
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        x = np.empty(factor.shape[0])
-        for rows, inv in blocks:
-            x[rows] = inv @ (rhs[rows] - factor[rows, :rows.start] @ x[:rows.start])
-        for rows, inv in reversed(blocks):
-            x[rows] = inv.T @ (x[rows] - factor[rows.stop:, rows].T @ x[rows.stop:])
-        return x
-
-    return solve
+    inverse = np.linalg.cholesky(matrix)
+    for i in range(0, inverse.shape[0], SOLVE_BLOCK):
+        rows = slice(i, i + SOLVE_BLOCK)
+        left = inverse[rows, :i] @ inverse[:i, :i]
+        inverse[rows, rows] = np.linalg.inv(inverse[rows, rows])
+        inverse[rows, :i] = -inverse[rows, rows] @ left
+    return inverse
 
 
 def _max_step(l_inv: np.ndarray, d: np.ndarray) -> float:
@@ -284,11 +269,11 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
     positive definite, together with min <gamma0, Z> subject to Tr Z = 1,
     <G_k, Z> = 0 and Z >= 0 from Z = I/n.  The iterate is (X, y, S), X the
     matrix Z.  Every iterate keeps S positive definite, so each t is
-    attained.  Each step solves its Schur complement M through M's one
-    Cholesky factorization (:func:`_cholesky_solver`), taken at once: M is
-    the workspace of ``ops``, overwritten at the next step, and only its
-    factor is kept.  A failed factorization is the only Newton-system
-    stall.  Returns the last X, y and the number of steps.
+    attained.  Each step solves its Schur complement M through the inverse
+    of M's one Cholesky factor (:func:`_inverse_cholesky`), taken at once:
+    M is the workspace of ``ops``, overwritten at the next step, and only
+    the inverse factor is kept.  A failed factorization is the only
+    Newton-system stall.  Returns the last X, y and the number of steps.
     """
     n = ops.family.dim
     gamma0 = ops.family.gamma0
@@ -300,7 +285,7 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
     def direction(target):
         # Solves dX S + X dS = target S together with the linear residuals
         # of the current step; HKM then symmetrizes dX.
-        dy = solve(base - ops.constraints(target))
+        dy = lm_inv.T @ (lm_inv @ (base - ops.constraints(target)))
         ds = r_dual - ops.adjoint(dy)
         dx = target - x @ ds @ s_inv
         return 0.5 * (dx + dx.T), dy, ds
@@ -315,8 +300,8 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
             ls_inv = _inverse_cholesky(s)
             s_inv = ls_inv.T @ ls_inv
             # A failed factorization of M is the stall exit.  The
-            # corrector solves with the predictor's factor, so it cannot raise.
-            solve = _cholesky_solver(ops.schur(x, s_inv))
+            # corrector solves with the predictor's inverse, so it cannot raise.
+            lm_inv = _inverse_cholesky(ops.schur(x, s_inv))
             mu = float(np.sum(x * s)) / n
             r_primal = b - ops.constraints(x)
             r_dual = gamma0 - ops.adjoint(y) - s

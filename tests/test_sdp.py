@@ -167,6 +167,43 @@ def test_malformed_support_rejected(support, nvars, message):
         )
 
 
+_SUPPORT = (np.array([0, 1]), np.array([1, 2]), np.array([0, 1]))
+
+
+@pytest.mark.parametrize(
+    "gamma0, support, message",
+    [
+        (np.ones(3), _SUPPORT, "gamma0"),
+        (np.zeros((2, 2, 2)), _SUPPORT, "gamma0"),
+        (np.zeros((3, 2)), _SUPPORT, "gamma0"),
+        (np.eye(3) + 0.1j * (np.eye(3, k=2) + np.eye(3, k=-2)), _SUPPORT, "gamma0"),
+        (np.full((3, 3), "1"), _SUPPORT, "gamma0"),
+        (np.eye(3).astype(object), _SUPPORT, "gamma0"),
+        (np.eye(3, dtype=bool), _SUPPORT, "gamma0"),
+        (np.eye(3), (np.array([0.0, 1.0]), *_SUPPORT[1:]), "support"),
+        (np.eye(3), (*_SUPPORT[:2], np.array([0, 1]).astype(object)), "support"),
+        (np.eye(3), (np.array([[0, 1]]), *_SUPPORT[1:]), "support"),
+        (np.eye(3), (np.array([0, 1, 0]), *_SUPPORT[1:]), "support"),
+    ],
+    ids=["1-d", "3-d", "not-square", "complex", "string", "object", "bool",
+         "float-support", "object-support", "2-d-support", "unequal-lengths"],
+)
+def test_malformed_arrays_rejected(gamma0, support, message):
+    # Every entry must be a real number the solver and verifier read as
+    # given: a complex gamma0 would lose its imaginary part to both.
+    with pytest.raises(ValueError, match=message):
+        AffineMatrixFamily(gamma0=gamma0, support=support, variables=(((1, 0),), ((1, 1),)))
+
+
+def test_unsigned_support_is_stored_as_intp():
+    support = tuple(a.astype(np.uint64) for a in _SUPPORT)
+    family = AffineMatrixFamily(gamma0=np.eye(3), support=support, variables=(((1, 0),), ((1, 1),)))
+    for stored, given in zip(family.support, _SUPPORT):
+        assert stored.dtype == np.intp
+        assert np.array_equal(stored, given)
+    assert np.array_equal(family.inner(np.ones((3, 3))), [2.0, 2.0])
+
+
 def test_a_repeated_position_cannot_carry_a_false_certificate():
     # Variables 0 and 1 share the position (0, 2).  combine writes one value
     # there, and some completion of that kind is positive definite.  inner
@@ -513,19 +550,21 @@ def _spd(rng, n, condition):
     [(1, 1e2), (31, 1e2), (32, 1e2), (33, 1e2), (96, 1e12), (193, 1e2)],
 )
 def test_cholesky_solver_agrees_with_a_direct_solve(n, condition):
-    # Sizes on both sides of the SOLVE_BLOCK = 32 block boundaries.  The
-    # solve is backward stable like the LU of np.linalg.solve: its relative
-    # residual |M x - r| / (|M| |x|) stays at rounding level at every
-    # condition number, and on well-conditioned M the two solutions agree.
+    # Sizes on both sides of the SOLVE_BLOCK = 32 block boundaries.  A
+    # Newton step solves M x = r as L^-T (L^-1 r) with the inverse factor;
+    # that solve is backward stable like the LU of np.linalg.solve: its
+    # relative residual |M x - r| / (|M| |x|) stays at rounding level at
+    # every condition number, and on well-conditioned M the two solutions
+    # agree.
     rng = np.random.default_rng(n)
     m = _spd(rng, n, condition)
     rhs = rng.normal(size=n)
-    solve = sdp._cholesky_solver(m)
-    x, reference = solve(rhs), np.linalg.solve(m, rhs)
+    l_inv = sdp._inverse_cholesky(m)
+    x, reference = l_inv.T @ (l_inv @ rhs), np.linalg.solve(m, rhs)
     assert np.linalg.norm(m @ x - rhs) <= 1e-14 * np.linalg.norm(m, 2) * np.linalg.norm(x)
     if condition < 1e3:
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
-    assert np.array_equal(solve(rhs), x)
+    assert np.array_equal(sdp._inverse_cholesky(m), l_inv)
 
 
 @pytest.mark.parametrize("n", [20, 50, 100])
@@ -535,7 +574,36 @@ def test_schur_solver_rejects_an_indefinite_matrix(n):
     m = _spd(np.random.default_rng(n), n, 1e2)
     m[n // 2, n // 2] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
-        sdp._cholesky_solver(m)
+        sdp._inverse_cholesky(m)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 96, 193])
+def test_inverse_cholesky_inverts_the_factor_in_its_own_array(n):
+    # Up to SOLVE_BLOCK rows the block loop runs once and is the inverse of
+    # the whole factor, bit for bit.  Beyond, each block row is built from
+    # the rows above it: nothing above the diagonal blocks is written, so
+    # it stays exactly 0, and the result inverts the factor.  At the 193
+    # rows of a (3,3,2) level-2 Schur complement, a warm call allocates the
+    # factor and a block row's products, not a second (n, n) array as an
+    # inverse of the whole factor would.
+    m = _spd(np.random.default_rng(n), n, 1e2)
+    factor = np.linalg.cholesky(m)
+    inverse = sdp._inverse_cholesky(m)
+    if n <= sdp.SOLVE_BLOCK:
+        assert np.array_equal(inverse, np.linalg.inv(factor))
+        return
+    blocks = np.arange(n) // sdp.SOLVE_BLOCK
+    assert not inverse[blocks[:, None] < blocks[None, :]].any()
+    assert np.abs(inverse @ factor - np.eye(n)).max() <= 1e-12
+    if n < 193:
+        return
+    tracemalloc.start()
+    try:
+        sdp._inverse_cholesky(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
 
 
 @pytest.mark.parametrize(
