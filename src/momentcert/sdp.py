@@ -20,9 +20,11 @@ complement is no longer positive definite, or when a step shrinks below
 MIN_STEP.  The Schur complement of each Newton step is assembled from
 low-rank products: a variable with s entry positions makes X G_k S^-1 a
 product of rank 2s, and variables of one support size are taken in blocks
-of bounded size.  The complement, (K + 1)^2 floats for K variables, and the
-arrays of its largest block are one workspace that each solve allocates
-once and every Newton step overwrites, so a step allocates none of them.
+of bounded size.  Only its lower triangle is assembled, the one part its
+Cholesky factor reads.  The complement, (K + 1)^2 floats for K variables,
+and the arrays of its largest block are one workspace that each solve
+allocates once and every Newton step overwrites, so a step allocates none
+of them; an entry above the diagonal may hold an earlier step's value.
 The complement is factored once per step, at every size: its Cholesky
 factor is the positive-definiteness test, and the predictor and corrector
 directions come from the inverse of that factor, built over blocks of its
@@ -90,7 +92,8 @@ MIN_STEP = 1e-8
 STEP_FRACTION = 0.98
 # Entries per array in a block of the Schur assembly.  Each solve allocates
 # one workspace of a few such arrays, whatever the family's size, and
-# reuses it at every Newton step.
+# reuses it at every Newton step; a block fills only the prefix of them
+# that its rows' lower-triangle columns need.
 SCHUR_BLOCK = 1 << 16
 # Rows per block of every Cholesky factor the solver inverts (X, S and the
 # Schur complement); each diagonal block is inverted once per factor.
@@ -161,9 +164,10 @@ class _FamilyOps:
     def __init__(self, family: AffineMatrixFamily):
         self.family = family
         rows, cols, vidx = family.support
-        # starts[k] is where variable k's group of positions begins.
+        # Variable k's group of positions is starts[k]:ends[k].
         counts = np.bincount(vidx, minlength=family.num_variables)
-        self.starts = np.cumsum(counts) - counts
+        self.ends = np.cumsum(counts)
+        self.starts = self.ends - counts
         # Blocks (m_rows, a, b) for the Schur assembly: the variables ks
         # share one support size s and fill rows m_rows = 1 + ks of M, and
         # row j of the (len(ks), 2s) arrays a and b lists (r..., c...) and
@@ -195,7 +199,7 @@ class _FamilyOps:
         self.sums = np.empty(widest * nvars)
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
-        """Matrix-block part of the HKM Schur complement M_ij = Tr(A_i X A_j S^-1).
+        """Lower triangle of the HKM Schur complement M_ij = Tr(A_i X A_j S^-1).
 
         The matrix parts of the constraints are A_0 = I and A_k = -G_k, so
         M_0k = -<G_k, X S^-1> and M_kl = Tr(G_k X G_l S^-1) =
@@ -203,29 +207,35 @@ class _FamilyOps:
         variable l and X symmetric, X G_l S^-1 = X[a, :]' S^-1[b, :] for
         a = (r..., c...) and b = (c..., r...), a product of rank 2|l|; the
         products are formed a block of variables at a time, in the workspace
-        this object allocated.  The returned M is that workspace too: it is
-        valid only until the next call, so a caller that keeps it copies it.
+        this object allocated.  M is symmetric, and its Cholesky factor
+        reads only the lower triangle, so a block of rows sums only the
+        columns up to its last row's diagonal: those variables' positions
+        are a prefix of the grouped support.  The returned M is that
+        workspace too: its lower triangle holds M, an entry above it may be
+        stale, and it is valid only until the next call, so a caller that
+        keeps it copies it.
         """
         n, nvars = self.family.dim, self.family.num_variables
         m = self.m
         m[0, 0] = np.sum(x * s_inv)
         if nvars:
-            m[0, 1:] = m[1:, 0] = -self.family.inner(x @ s_inv)
+            m[1:, 0] = -self.family.inner(x @ s_inv)
             for m_rows, a, b in self.blocks:
-                w = m_rows.size
+                w, last = m_rows.size, m_rows[-1]
+                e = self.ends[last - 1]
                 xa, sb = self.operands[:, :a.size * n].reshape(2, w, -1, n)
                 y = self.product[:w * n * n].reshape(w, n * n)
-                g, h = self.gathered[:, :w * self.rc.size].reshape(2, w, -1)
-                sums = self.sums[:w * nvars].reshape(w, nvars)
+                g, h = self.gathered[:, :w * e].reshape(2, w, e)
+                sums = self.sums[:w * last].reshape(w, last)
                 # mode="clip" takes straight into ``out``: "raise" would
                 # first gather into a temporary.  The indices are in range.
                 x.take(a, axis=0, out=xa, mode="clip")
                 s_inv.take(b, axis=0, out=sb, mode="clip")
                 np.matmul(xa.transpose(0, 2, 1), sb, out=y.reshape(w, n, n))
-                y.take(self.rc, axis=1, out=g, mode="clip")
-                y.take(self.cr, axis=1, out=h, mode="clip")
+                y.take(self.rc[:e], axis=1, out=g, mode="clip")
+                y.take(self.cr[:e], axis=1, out=h, mode="clip")
                 np.add(g, h, out=g)
-                m[m_rows, 1:] = np.add.reduceat(g, self.starts, axis=1, out=sums)
+                m[m_rows, 1:last + 1] = np.add.reduceat(g, self.starts[:last], axis=1, out=sums)
         return m
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
@@ -245,9 +255,12 @@ def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
     with A's rows already inverted in place; the block's rows of L^-1 are
     then (-D^-1 B A^-1, D^-1).  So the factor's array is the only (n, n)
     one, and up to SOLVE_BLOCK rows the result is np.linalg.inv of it.
+    The factor reads only the lower triangle of ``matrix``.
     """
     inverse = np.linalg.cholesky(matrix)
-    for i in range(0, inverse.shape[0], SOLVE_BLOCK):
+    first = slice(0, SOLVE_BLOCK)
+    inverse[first, first] = np.linalg.inv(inverse[first, first])
+    for i in range(SOLVE_BLOCK, inverse.shape[0], SOLVE_BLOCK):
         rows = slice(i, i + SOLVE_BLOCK)
         left = inverse[rows, :i] @ inverse[:i, :i]
         inverse[rows, rows] = np.linalg.inv(inverse[rows, rows])
@@ -272,7 +285,8 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
     attained.  Each step solves its Schur complement M through the inverse
     of M's one Cholesky factor (:func:`_inverse_cholesky`), taken at once:
     M is the workspace of ``ops``, overwritten at the next step, and only
-    the inverse factor is kept.  A failed factorization is the only
+    its lower triangle is current, the one part the factor reads; only the
+    inverse factor is kept.  A failed factorization is the only
     Newton-system stall.  Returns the last X, y and the number of steps.
     """
     n = ops.family.dim

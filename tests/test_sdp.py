@@ -444,8 +444,9 @@ def _dense_schur(family, x, w):
 
 
 def _assert_schur_matches_dense_formula(ops, x, w):
+    # schur() assembles the lower triangle, all that M's Cholesky factor reads.
     dense = _dense_schur(ops.family, x, w)
-    assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.abs(np.tril(ops.schur(x, w)) - np.tril(dense)).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_schur_blocks_match_dense_formula(monkeypatch):
@@ -461,19 +462,19 @@ def test_schur_blocks_match_dense_formula(monkeypatch):
 
 
 def _assert_schur_reuses_its_workspace(ops, rng):
-    # Every call writes M into the same workspace: after a call at other
-    # points, no entry of it may be left over and no block may read
-    # another's part of a buffer.
+    # Every call writes M's lower triangle into the same workspace: after a
+    # call at other points, no entry of it may be left over and no block
+    # may read another's part of a buffer.
     n = ops.family.dim
     points = []
     for _ in range(2):
         a = rng.normal(size=(n, n))
         b = rng.normal(size=(n, n))
         points.append((a @ a.T, b @ b.T))
-    first = ops.schur(*points[0]).copy()
+    first = np.tril(ops.schur(*points[0]))
     for x, w in points + points[:1]:
         _assert_schur_matches_dense_formula(ops, x, w)
-    assert np.array_equal(ops.schur(*points[0]), first)
+    assert np.array_equal(np.tril(ops.schur(*points[0])), first)
 
 
 def test_schur_workspace_is_reused_across_blocks_of_several_widths(monkeypatch):
@@ -535,8 +536,8 @@ def test_schur_rows_of_the_visibility_form_match_dense_formula(monkeypatch):
     b = rng.normal(size=(10, 10))
     x, w = a @ a.T, b @ b.T
     dense = _dense_schur(high, x, w)
-    assert np.abs(ops.schur(x, w) - dense).max() <= 1e-12 * np.abs(dense).max()
-    assert np.array_equal(ops.schur(x, w), sdp._FamilyOps(high).schur(x, w))
+    assert np.abs(np.tril(ops.schur(x, w)) - np.tril(dense)).max() <= 1e-12 * np.abs(dense).max()
+    assert np.array_equal(np.tril(ops.schur(x, w)), np.tril(sdp._FamilyOps(high).schur(x, w)))
 
 
 def _spd(rng, n, condition):
@@ -604,6 +605,39 @@ def test_inverse_cholesky_inverts_the_factor_in_its_own_array(n):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * n * 8
+
+
+@pytest.mark.parametrize("n", [22, 46, 193])
+def test_inverse_cholesky_reads_only_the_lower_triangle(n):
+    # The Schur assembly leaves M's strict upper triangle stale: a NaN
+    # there must not reach the inverse factor.  22, 46 and 193 rows are the
+    # (3,2,2) and (3,3,2) level-2 sizes of X and of M.
+    m = _spd(np.random.default_rng(n), n, 1e2)
+    stale = m.copy()
+    stale[np.triu_indices(n, 1)] = np.nan
+    assert np.array_equal(sdp._inverse_cholesky(stale), sdp._inverse_cholesky(m))
+
+
+@pytest.mark.parametrize("name", ["w-322", "graph-linear-332"])
+def test_a_solve_never_reads_above_the_schur_diagonal(monkeypatch, name):
+    # With M's workspace all NaN before the first step, every entry a
+    # Newton step reads must have been written by its own assembly, so the
+    # solve is bit for bit the unpatched one.
+    family = _benchmark_family(name)
+    reference = maximize_lambda_min(family)
+
+    class Poisoned(sdp._FamilyOps):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.m.fill(np.nan)
+
+    monkeypatch.setattr(sdp, "_FamilyOps", Poisoned)
+    out = maximize_lambda_min(family)
+    assert out.status == reference.status == CERTIFIED_INFEASIBLE
+    assert (out.lambda_star, out.iterations) == (reference.lambda_star, reference.iterations)
+    assert out.v_star.tobytes() == reference.v_star.tobytes()
+    assert out.certificate.matrix.tobytes() == reference.certificate.matrix.tobytes()
+    assert out.certificate.value == reference.certificate.value
 
 
 @pytest.mark.parametrize(
