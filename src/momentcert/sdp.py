@@ -12,7 +12,12 @@ whose dual is
 Both are solved together by a primal-dual interior-point method with the HKM
 search direction (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) and
 Mehrotra's predictor-corrector steps, started from the strictly feasible
-pair Z = I/n, v = 0.  The solve stops when the relative duality gap
+pair Z = I/n, v = 0.  Each step solves one more Newton system on the same
+factorization, a second corrector that takes Mehrotra's second-order term
+from the first corrector's direction in place of the predictor's
+(Carpenter, Lustig, Mulvey & Shanno 1993); the step keeps it when it moves
+at least as far as the predictor could, and Mehrotra's corrector
+otherwise.  The solve stops when the relative duality gap
 reaches GAP_TOL.  On boundary-feasible data, such as
 product states with optimum exactly 0, the Newton system degenerates first;
 the solve then stops at the last iterate (the stall exit): when the Schur
@@ -143,7 +148,11 @@ class SolveOutcome:
     ``lambda_star`` is lambda_min(Gamma(v_star)), the primal value of the
     solve, and the certificate value <gamma0, Z> is the dual value of the
     same program, so lambda_star <= certificate.value whenever a
-    certificate is held; their difference is the solver's gap.
+    certificate is held; their difference is the solver's gap.  ``exit``
+    names what ended the solve: ``"gap"`` (the duality gap reached
+    GAP_TOL), ``"newton_stall"`` (the Schur complement was not positive
+    definite), ``"step_stall"`` (a step shorter than MIN_STEP) or
+    ``"max_iters"``.
     """
 
     status: str
@@ -151,6 +160,7 @@ class SolveOutcome:
     v_star: np.ndarray
     certificate: DualCertificate | None
     iterations: int
+    exit: str
 
 
 class _FamilyOps:
@@ -287,7 +297,13 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
     M is the workspace of ``ops``, overwritten at the next step, and only
     its lower triangle is current, the one part the factor reads; only the
     inverse factor is kept.  A failed factorization is the only
-    Newton-system stall.  Returns the last X, y and the number of steps.
+    Newton-system stall.  Three directions share that factor: the affine
+    predictor, Mehrotra's corrector with the predictor's dX dS S^-1, and a
+    second corrector with the first corrector's.  The second corrector is
+    taken when the shorter of its two step lengths is at least the shorter
+    of the predictor's; otherwise the step is Mehrotra's.  Returns the last
+    X, y, the number of steps and the exit that ended the solve (see
+    :class:`SolveOutcome`).
     """
     n = ops.family.dim
     gamma0 = ops.family.gamma0
@@ -304,17 +320,23 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
         dx = target - x @ ds @ s_inv
         return 0.5 * (dx + dx.T), dy, ds
 
-    steps = 0
+    def step_lengths(dx, ds):
+        # STEP_FRACTION of the way to the cone's boundary, at most a full step.
+        return (min(1.0, STEP_FRACTION * _max_step(lx_inv, dx)),
+                min(1.0, STEP_FRACTION * _max_step(ls_inv, ds)))
+
+    steps, exit = 0, "max_iters"
     while steps < max_iters:
         primal = float(np.sum(gamma0 * x))
         if primal - y[0] <= GAP_TOL * (1.0 + abs(primal) + abs(y[0])):
+            exit = "gap"
             break
         try:
             lx_inv = _inverse_cholesky(x)
             ls_inv = _inverse_cholesky(s)
             s_inv = ls_inv.T @ ls_inv
             # A failed factorization of M is the stall exit.  The
-            # corrector solves with the predictor's inverse, so it cannot raise.
+            # correctors solve with the predictor's inverse, so they cannot raise.
             lm_inv = _inverse_cholesky(ops.schur(x, s_inv))
             mu = float(np.sum(x * s)) / n
             r_primal = b - ops.constraints(x)
@@ -322,21 +344,30 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
             base = ops.constraints(x @ r_dual @ s_inv) + r_primal
             dx, dy, ds = direction(-x)
         except np.linalg.LinAlgError:
+            exit = "newton_stall"
             break
         alpha_p = min(1.0, _max_step(lx_inv, dx))
         alpha_d = min(1.0, _max_step(ls_inv, ds))
         mu_aff = float(np.sum((x + alpha_p * dx) * (s + alpha_d * ds))) / n
         sigma = min(1.0, (mu_aff / mu) ** 3)
         # Corrector: centring plus Mehrotra's second-order term dX dS.
-        dx, dy, ds = direction(sigma * mu * s_inv - x - dx @ ds @ s_inv)
-        alpha_p = min(1.0, STEP_FRACTION * _max_step(lx_inv, dx))
-        alpha_d = min(1.0, STEP_FRACTION * _max_step(ls_inv, ds))
+        centre = sigma * mu * s_inv - x
+        dx1, dy1, ds1 = direction(centre - dx @ ds @ s_inv)
+        # Second corrector: the same with the corrector's own dX dS, kept
+        # when it steps at least as far as the predictor could.
+        reach = min(alpha_p, alpha_d)
+        dx, dy, ds = direction(centre - dx1 @ ds1 @ s_inv)
+        alpha_p, alpha_d = step_lengths(dx, ds)
+        if min(alpha_p, alpha_d) < reach:
+            dx, dy, ds = dx1, dy1, ds1
+            alpha_p, alpha_d = step_lengths(dx, ds)
         x = x + alpha_p * dx
         y, s = y + alpha_d * dy, s + alpha_d * ds
         steps += 1
         if min(alpha_p, alpha_d) < MIN_STEP:
+            exit = "step_stall"
             break
-    return x, y, steps
+    return x, y, steps, exit
 
 
 def maximize_lambda_min(
@@ -355,7 +386,7 @@ def maximize_lambda_min(
     # Start at v = 0, with t one below lambda_min there.
     y = np.zeros(family.num_variables + 1)
     y[0] = float(np.linalg.eigvalsh(family.gamma(y[1:]))[0]) - 1.0
-    z, y_end, iterations = _interior_point(ops, y, cfg.max_iters)
+    z, y_end, iterations, exit = _interior_point(ops, y, cfg.max_iters)
     v_star = y_end[1:]
     lambda_star = float(np.linalg.eigvalsh(family.gamma(v_star))[0])
 
@@ -374,6 +405,7 @@ def maximize_lambda_min(
         v_star=v_star,
         certificate=certificate,
         iterations=iterations,
+        exit=exit,
     )
 
 

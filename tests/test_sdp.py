@@ -833,7 +833,35 @@ def test_basis_states_are_feasible(request, structure_name, suite):
         family = _state_family(structure, "basis:" + "".join(bits), suite)
         out = maximize_lambda_min(family)
         assert out.status == FEASIBLE
+        assert out.exit == ("newton_stall" if suite == "graph" else "gap")
         assert np.linalg.eigvalsh(family.gamma(out.v_star))[0] >= -1e-8
+
+
+@pytest.mark.parametrize("state, steps, step_lengths", [("w", 7, 30), ("ghz", 8, 32)])
+def test_steps_keep_the_second_corrector_or_fall_back(
+    monkeypatch, structure_322, state, steps, step_lengths
+):
+    # W and GHZ at p = 1 end on the gap exit.  A step takes two step
+    # lengths for the predictor and two for the second corrector, and two
+    # more when it falls back to Mehrotra's corrector: 4 calls per step kept
+    # and 6 per step that falls back.  So W takes both branches, and GHZ
+    # keeps the second corrector at every step.
+    calls = []
+    max_step = sdp._max_step
+
+    def counted(*args):
+        calls.append(args)
+        return max_step(*args)
+
+    monkeypatch.setattr(sdp, "_max_step", counted)
+    out = maximize_lambda_min(_state_family(structure_322, state, state))
+    assert out.status == CERTIFIED_INFEASIBLE
+    assert (out.exit, out.iterations, len(calls)) == ("gap", steps, step_lengths)
+
+
+def test_a_capped_solve_reports_the_max_iters_exit(structure_322):
+    out = maximize_lambda_min(_state_family(structure_322, "w", "w"), SolverConfig(max_iters=2))
+    assert (out.exit, out.iterations) == ("max_iters", 2)
 
 
 def test_config_rejects_non_finite_values():
