@@ -180,6 +180,7 @@ class AffineMatrixFamily:
     grouped by variable in a stable order, as given if already grouped.
     gamma0 and the support are stored read-only, each writable array as a
     copy, so no later write to the caller's arrays undoes these checks.
+    Both maps run on ``flat_support``: rows r n + c and c n + r of flat positions.
     """
 
     gamma0: np.ndarray
@@ -187,6 +188,7 @@ class AffineMatrixFamily:
     variables: tuple[Moment, ...]
     pinned_keys: tuple[MomentKey, ...] = ()
     pinned_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    flat_support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gamma0 = np.asarray(self.gamma0)
@@ -220,10 +222,12 @@ class AffineMatrixFamily:
             order = np.argsort(vidx, kind="stable")
             rows, cols, vidx = rows[order], cols[order], vidx[order]
         arrays = [a.copy() if a.flags.writeable else a for a in (gamma0, rows, cols, vidx)]
+        arrays.append(np.stack((rows * n + cols, cols * n + rows)))
         for array in arrays:
             array.flags.writeable = False
         object.__setattr__(self, "gamma0", arrays[0])
-        object.__setattr__(self, "support", tuple(arrays[1:]))
+        object.__setattr__(self, "support", tuple(arrays[1:4]))
+        object.__setattr__(self, "flat_support", arrays[4])
 
     @property
     def dim(self) -> int:
@@ -235,9 +239,9 @@ class AffineMatrixFamily:
 
     def combine(self, v: np.ndarray) -> np.ndarray:
         """sum_k v_k G_k."""
-        rows, cols, vidx = self.support
         out = np.zeros((self.dim, self.dim))
-        out[rows, cols] = out[cols, rows] = v[vidx]
+        # put repeats the values over the second row of positions.
+        out.put(self.flat_support, v.take(self.support[2]))
         return out
 
     def gamma(self, v: np.ndarray) -> np.ndarray:
@@ -251,9 +255,8 @@ class AffineMatrixFamily:
 
     def inner(self, z: np.ndarray) -> np.ndarray:
         """<G_k, Z> for every k."""
-        rows, cols, vidx = self.support
-        weights = z[rows, cols] + z[cols, rows]
-        return np.bincount(vidx, weights=weights, minlength=self.num_variables)
+        weights = np.add(*z.take(self.flat_support))
+        return np.bincount(self.support[2], weights=weights, minlength=self.num_variables)
 
 
 def _index_arrays(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

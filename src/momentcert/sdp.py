@@ -12,12 +12,13 @@ whose dual is
 Both are solved together by a primal-dual interior-point method with the HKM
 search direction (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) and
 Mehrotra's predictor-corrector steps, started from the strictly feasible
-pair Z = I/n, v = 0.  Each step solves one more Newton system on the same
-factorization, a second corrector that takes Mehrotra's second-order term
-from the first corrector's direction in place of the predictor's
-(Carpenter, Lustig, Mulvey & Shanno 1993); the step keeps it when it moves
-at least as far as the predictor could, and Mehrotra's corrector
-otherwise.  The solve stops when the relative duality gap
+pair Z = I/n, v = 0.  Each step takes S = Gamma(v) - t I from its (t, v),
+so only the primal residual is carried.  Each step solves one more Newton
+system on the same factorization, a second corrector that takes Mehrotra's
+second-order term from the first corrector's direction in place of the
+predictor's (Carpenter, Lustig, Mulvey & Shanno 1993); the step keeps it
+when it moves at least as far as the predictor could, and Mehrotra's
+corrector otherwise.  The solve stops when the relative duality gap
 reaches GAP_TOL.  On boundary-feasible data, such as
 product states with optimum exactly 0, the Newton system degenerates first;
 the solve then stops at the last iterate (the stall exit): when the Schur
@@ -152,7 +153,8 @@ class SolveOutcome:
     names what ended the solve: ``"gap"`` (the duality gap reached
     GAP_TOL), ``"newton_stall"`` (the Schur complement was not positive
     definite), ``"step_stall"`` (a step shorter than MIN_STEP) or
-    ``"max_iters"``.
+    ``"max_iters"``.  ``second_corrector_steps`` counts the steps that kept
+    the second corrector; the others fell back to Mehrotra's.
     """
 
     status: str
@@ -161,6 +163,7 @@ class SolveOutcome:
     certificate: DualCertificate | None
     iterations: int
     exit: str
+    second_corrector_steps: int
 
 
 class _FamilyOps:
@@ -196,13 +199,13 @@ class _FamilyOps:
             for j in range(0, ks.size, width):
                 self.blocks.append((1 + ks[j:j + width], a[j:j + width], b[j:j + width]))
         n, nvars = family.dim, family.num_variables
-        # The support's flat positions r n + c and c n + r in a dim x dim product.
-        self.rc, self.cr = rows * n + cols, cols * n + rows
+        self.rc, self.cr = family.flat_support
         # The workspace of schur(), allocated once per solve: M, and one flat
         # buffer for each array a block forms, sized for the largest; each
-        # block uses a prefix of it.
+        # block uses a prefix of it.  constraints() fills one vector too.
         widest = max((m_rows.size for m_rows, _, _ in self.blocks), default=0)
         self.m = np.empty((nvars + 1, nvars + 1))
+        self.values = np.empty(nvars + 1)
         self.operands = np.empty((2, max((a.size for _, a, _ in self.blocks), default=0) * n))
         self.product = np.empty(widest * n * n)
         self.gathered = np.empty((2, widest * rows.size))
@@ -227,7 +230,7 @@ class _FamilyOps:
         """
         n, nvars = self.family.dim, self.family.num_variables
         m = self.m
-        m[0, 0] = np.sum(x * s_inv)
+        m[0, 0] = np.vdot(x, s_inv)
         if nvars:
             m[1:, 0] = -self.family.inner(x @ s_inv)
             for m_rows, a, b in self.blocks:
@@ -249,12 +252,16 @@ class _FamilyOps:
         return m
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
-        """(<A_0, Z>, ..., <A_K, Z>) = (Tr Z, -<G_k, Z>)."""
-        return np.concatenate(([np.trace(z)], -self.family.inner(z)))
+        """(<A_0, Z>, ..., <A_K, Z>) = (Tr Z, -<G_k, Z>), valid until the next call."""
+        self.values[0] = np.trace(z)
+        np.negative(self.family.inner(z), out=self.values[1:])
+        return self.values
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """sum_i y_i A_i = y_0 I - sum_k y_k G_k."""
-        return y[0] * np.eye(self.family.dim) - self.family.combine(y[1:])
+        """sum_i y_i A_i = y_0 I - sum_k y_k G_k; no G_k touches the diagonal."""
+        out = self.family.combine(-y[1:])
+        np.fill_diagonal(out, y[0])
+        return out
 
 
 def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -291,32 +298,33 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
     program ``ops`` carries) from the start y = (t, v), where S must be
     positive definite, together with min <gamma0, Z> subject to Tr Z = 1,
     <G_k, Z> = 0 and Z >= 0 from Z = I/n.  The iterate is (X, y, S), X the
-    matrix Z.  Every iterate keeps S positive definite, so each t is
-    attained.  Each step solves its Schur complement M through the inverse
-    of M's one Cholesky factor (:func:`_inverse_cholesky`), taken at once:
-    M is the workspace of ``ops``, overwritten at the next step, and only
-    its lower triangle is current, the one part the factor reads; only the
-    inverse factor is kept.  A failed factorization is the only
-    Newton-system stall.  Three directions share that factor: the affine
-    predictor, Mehrotra's corrector with the predictor's dX dS S^-1, and a
-    second corrector with the first corrector's.  The second corrector is
-    taken when the shorter of its two step lengths is at least the shorter
-    of the predictor's; otherwise the step is Mehrotra's.  Returns the last
-    X, y, the number of steps and the exit that ended the solve (see
+    matrix Z; each step takes S = gamma0 - A*(y) from y and dS = -A*(dy), so
+    it carries only the primal residual b - A(X).  Every iterate keeps S
+    positive definite, so each t is attained.  Each step solves its Schur
+    complement M through the inverse of M's one Cholesky factor
+    (:func:`_inverse_cholesky`), taken at once: M is the workspace of
+    ``ops``, overwritten at the next step, and only its lower triangle is
+    current, the one part the factor reads; only the inverse factor is kept.
+    A failed factorization is the only Newton-system stall.  Three
+    directions share that factor: the affine predictor, Mehrotra's corrector
+    with the predictor's dX dS S^-1, and a second corrector with the first
+    corrector's.  The second corrector is taken when the shorter of its two
+    step lengths is at least the shorter of the predictor's; otherwise the
+    step is Mehrotra's.  Returns the last X, y, the number of steps, how
+    many kept the second corrector, and the exit that ended the solve (see
     :class:`SolveOutcome`).
     """
     n = ops.family.dim
     gamma0 = ops.family.gamma0
     b = np.zeros(ops.family.num_variables + 1)
     b[0] = 1.0
-    s = gamma0 - ops.adjoint(y)
     x = np.eye(n) / n
 
-    def direction(target):
-        # Solves dX S + X dS = target S together with the linear residuals
-        # of the current step; HKM then symmetrizes dX.
-        dy = lm_inv.T @ (lm_inv @ (base - ops.constraints(target)))
-        ds = r_dual - ops.adjoint(dy)
+    def direction(target, rhs):
+        # Solves dX S + X dS = target S with A(dX) = rhs and dS = -A*(dy);
+        # HKM then symmetrizes dX.  The predictor's target -X makes rhs = b.
+        dy = lm_inv.T @ (lm_inv @ rhs)
+        ds = ops.adjoint(-dy)
         dx = target - x @ ds @ s_inv
         return 0.5 * (dx + dx.T), dy, ds
 
@@ -325,12 +333,13 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
         return (min(1.0, STEP_FRACTION * _max_step(lx_inv, dx)),
                 min(1.0, STEP_FRACTION * _max_step(ls_inv, ds)))
 
-    steps, exit = 0, "max_iters"
+    steps, kept, exit = 0, 0, "max_iters"
     while steps < max_iters:
-        primal = float(np.sum(gamma0 * x))
+        primal = float(np.vdot(gamma0, x))
         if primal - y[0] <= GAP_TOL * (1.0 + abs(primal) + abs(y[0])):
             exit = "gap"
             break
+        s = gamma0 - ops.adjoint(y)
         try:
             lx_inv = _inverse_cholesky(x)
             ls_inv = _inverse_cholesky(s)
@@ -338,36 +347,38 @@ def _interior_point(ops: _FamilyOps, y: np.ndarray, max_iters: int):
             # A failed factorization of M is the stall exit.  The
             # correctors solve with the predictor's inverse, so they cannot raise.
             lm_inv = _inverse_cholesky(ops.schur(x, s_inv))
-            mu = float(np.sum(x * s)) / n
-            r_primal = b - ops.constraints(x)
-            r_dual = gamma0 - ops.adjoint(y) - s
-            base = ops.constraints(x @ r_dual @ s_inv) + r_primal
-            dx, dy, ds = direction(-x)
         except np.linalg.LinAlgError:
             exit = "newton_stall"
             break
+        mu = float(np.vdot(x, s)) / n
+        r_primal = b - ops.constraints(x)
+        dx, dy, ds = direction(-x, b)
         alpha_p = min(1.0, _max_step(lx_inv, dx))
         alpha_d = min(1.0, _max_step(ls_inv, ds))
-        mu_aff = float(np.sum((x + alpha_p * dx) * (s + alpha_d * ds))) / n
+        mu_aff = float(np.vdot(x + alpha_p * dx, s + alpha_d * ds)) / n
         sigma = min(1.0, (mu_aff / mu) ** 3)
         # Corrector: centring plus Mehrotra's second-order term dX dS.
         centre = sigma * mu * s_inv - x
-        dx1, dy1, ds1 = direction(centre - dx @ ds @ s_inv)
+        target = centre - dx @ ds @ s_inv
+        dx1, dy1, ds1 = direction(target, r_primal - ops.constraints(target))
         # Second corrector: the same with the corrector's own dX dS, kept
         # when it steps at least as far as the predictor could.
         reach = min(alpha_p, alpha_d)
-        dx, dy, ds = direction(centre - dx1 @ ds1 @ s_inv)
+        target = centre - dx1 @ ds1 @ s_inv
+        dx, dy, ds = direction(target, r_primal - ops.constraints(target))
         alpha_p, alpha_d = step_lengths(dx, ds)
         if min(alpha_p, alpha_d) < reach:
             dx, dy, ds = dx1, dy1, ds1
             alpha_p, alpha_d = step_lengths(dx, ds)
+        else:
+            kept += 1
         x = x + alpha_p * dx
-        y, s = y + alpha_d * dy, s + alpha_d * ds
+        y = y + alpha_d * dy
         steps += 1
         if min(alpha_p, alpha_d) < MIN_STEP:
             exit = "step_stall"
             break
-    return x, y, steps, exit
+    return x, y, steps, kept, exit
 
 
 def maximize_lambda_min(
@@ -386,7 +397,7 @@ def maximize_lambda_min(
     # Start at v = 0, with t one below lambda_min there.
     y = np.zeros(family.num_variables + 1)
     y[0] = float(np.linalg.eigvalsh(family.gamma(y[1:]))[0]) - 1.0
-    z, y_end, iterations, exit = _interior_point(ops, y, cfg.max_iters)
+    z, y_end, iterations, kept, exit = _interior_point(ops, y, cfg.max_iters)
     v_star = y_end[1:]
     lambda_star = float(np.linalg.eigvalsh(family.gamma(v_star))[0])
 
@@ -406,6 +417,7 @@ def maximize_lambda_min(
         certificate=certificate,
         iterations=iterations,
         exit=exit,
+        second_corrector_steps=kept,
     )
 
 

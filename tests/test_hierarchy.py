@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcert import (
     CorrelatorTable,
@@ -20,7 +22,7 @@ from momentcert import (
 
 from momentcert.analysis import white_noise_family
 
-from helpers import dense_patterns
+from helpers import dense_patterns, random_family
 
 # Index positions below refer to the level-2 basis order:
 # I, A0, A1, B0, B1, A0A1, A0B0, A0B1, A1B0, A1B1, B0B1.
@@ -332,3 +334,32 @@ def test_structure_is_compiled_once_and_read_only():
     assert build_structure(Scenario(2, 2), 2) is first
     with pytest.raises(TypeError):
         first.entries[(0, 0)] = None
+
+
+def _matrix_layouts(rng, n):
+    # The same kind of Z in three memory layouts that are not C-contiguous:
+    # a transposed view, a strided slice and a Fortran-ordered copy.
+    return [
+        rng.normal(size=(n, n)).T,
+        rng.normal(size=(2 * n, 3 * n))[::2, ::3],
+        np.asfortranarray(rng.normal(size=(n, n))),
+    ]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_family_maps_match_dense_patterns(seed):
+    # combine and inner run on the support's flat positions; they must
+    # agree with the dense sums over the 0/1 patterns G_k whatever the
+    # layout of Z, and stay adjoint.
+    rng = np.random.default_rng(seed)
+    family = random_family(rng, int(rng.integers(2, 10)), int(rng.integers(0, 16)))
+    patterns = dense_patterns(family)
+    v = rng.uniform(-1.0, 1.0, family.num_variables)
+    combined = family.combine(v)
+    assert np.array_equal(combined, np.einsum("k,kij->ij", v, patterns))
+    for z in _matrix_layouts(rng, family.dim):
+        assert not z.flags.c_contiguous
+        dense = np.einsum("kij,ij->k", patterns, z)
+        assert np.abs(family.inner(z) - dense).max(initial=0.0) <= 1e-12
+        assert abs(np.vdot(combined, z) - v @ family.inner(z)) <= 1e-12

@@ -844,8 +844,9 @@ def test_steps_keep_the_second_corrector_or_fall_back(
     # W and GHZ at p = 1 end on the gap exit.  A step takes two step
     # lengths for the predictor and two for the second corrector, and two
     # more when it falls back to Mehrotra's corrector: 4 calls per step kept
-    # and 6 per step that falls back.  So W takes both branches, and GHZ
-    # keeps the second corrector at every step.
+    # and 6 per step that falls back.  So W takes both branches, keeping
+    # the second corrector on 6 of its 7 steps, and GHZ keeps it at every
+    # step; the solve's own count of kept steps must say the same.
     calls = []
     max_step = sdp._max_step
 
@@ -857,6 +858,28 @@ def test_steps_keep_the_second_corrector_or_fall_back(
     out = maximize_lambda_min(_state_family(structure_322, state, state))
     assert out.status == CERTIFIED_INFEASIBLE
     assert (out.exit, out.iterations, len(calls)) == ("gap", steps, step_lengths)
+    assert out.second_corrector_steps == (6 * steps - step_lengths) // 2 == {"w": 6, "ghz": 8}[state]
+
+
+@pytest.mark.parametrize(
+    "structure_name, state, suite",
+    [
+        ("structure_322", "w", "w"),
+        ("structure_322", "ghz", "ghz"),
+        ("structure_332", "graph-linear", "graph"),
+        ("structure_332", "graph-loop", "graph"),
+    ],
+)
+def test_certificates_keep_the_dual_constraints(request, structure_name, state, suite):
+    # Each Newton step carries only the residual of Tr Z = 1 and
+    # <G_k, Z> = 0 (S is taken from y), so the certificate must still meet
+    # them to rounding, far inside the verifier's 1e-7.
+    family = _state_family(request.getfixturevalue(structure_name), state, suite)
+    out = maximize_lambda_min(family)
+    assert out.status == CERTIFIED_INFEASIBLE
+    z = out.certificate.matrix
+    assert abs(np.trace(z) - 1.0) <= 1e-10
+    assert np.abs(family.inner(z)).max() <= 1e-10
 
 
 def test_a_capped_solve_reports_the_max_iters_exit(structure_322):
