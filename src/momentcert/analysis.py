@@ -98,7 +98,7 @@ class AnalysisRequest:
 class VerdictReport:
     """One analysis: its request, the solve's outcome and the family's layout.
 
-    ``pinned_keys`` and ``variables`` are the layout's shared tuples, not copies.
+    ``pinned_keys`` and ``variables`` are the family's shared tuples, not copies.
     """
 
     request: AnalysisRequest
@@ -395,11 +395,15 @@ def _read_moment_key(item, scenario: Scenario, path: str) -> MomentKey:
 
 
 def explicit_pins(document, scenario: Scenario) -> PinPolicy:
-    """The policy of an explicit pin document: a JSON list of moment keys."""
+    """The policy of an explicit pin document: a JSON list of distinct moment keys."""
     _expect(isinstance(document, list), "$", "expected a JSON list")
-    return PinPolicy.explicit(
-        _read_moment_key(item, scenario, f"$[{index}]") for index, item in enumerate(document)
-    )
+    keys = set()
+    for index, item in enumerate(document):
+        key = _read_moment_key(item, scenario, f"$[{index}]")
+        if key in keys:
+            raise DuplicateMoment(f"$[{index}]: duplicate moment {key_name(key)}")
+        keys.add(key)
+    return PinPolicy.explicit(keys)
 
 
 def ingest_table(document) -> CorrelatorTable:

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+from .algebra import key_name
+
 
 class MissingMoment(KeyError):
     """A moment required by the pin policy is absent from the table."""
@@ -9,7 +11,7 @@ class MissingMoment(KeyError):
         self.key = key
 
     def __str__(self):
-        return f"no value supplied for pinned moment {self.key!r}"
+        return f"no value supplied for pinned moment {key_name(self.key)}"
 
 
 class RangeError(ValueError):

@@ -13,17 +13,17 @@ moments and emits the affine family Gamma(v) = gamma0 + sum_k v_k G_k whose
 positive-semidefinite completion the solver searches for.  Constructing a
 malformed family raises ValueError, so every reader gets a well-formed one.
 
-Both steps compile once.  A structure is built once per scenario and level,
-and the index maps of a family (which entries each pinned key fills, and the
-support of each variable) once per structure and choice of pinned keys.
-Assembling a table is then a scatter of its values into gamma0; no dense
-0/1 pattern is formed.
+Only the structure is compiled, once per scenario and level, and it holds
+every index map.  A choice of pinned keys is a mask over its moments, so
+the family of any pin set is two masked slices of the structure's support
+and a scatter of the table's values into gamma0; no dense 0/1 pattern is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from types import MappingProxyType
 from typing import Mapping
 
@@ -55,6 +55,10 @@ class MomentMatrixStructure:
     ``observables`` and ``freevars`` list the distinct letter tuples of each
     :func:`~momentcert.algebra.moment_kind` in order of first appearance in
     a row-major scan of the upper triangle.  Structures hash by identity.
+    Every index map is built here, as a read-only ``intp`` array: ``support``
+    is ``(rows, cols, moment)`` over the positions above the diagonal, grouped
+    by ``moment`` (into ``observables + freevars``), row-major in each group;
+    ``observable_settings[p, k]`` is party p + 1's setting in key k, or -1.
     """
 
     scenario: Scenario
@@ -63,6 +67,8 @@ class MomentMatrixStructure:
     entries: Mapping[tuple[int, int], Moment]
     observables: tuple[MomentKey, ...]
     freevars: tuple[Moment, ...]
+    support: tuple[np.ndarray, np.ndarray, np.ndarray]
+    observable_settings: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -74,32 +80,32 @@ class MomentMatrixStructure:
             i, j = j, i
         return self.entries[(i, j)]
 
-    def positions(self, moments) -> dict[Moment, list[tuple[int, int]]]:
-        """The upper-triangle positions of each of ``moments``, in row-major order."""
-        positions: dict[Moment, list[tuple[int, int]]] = {m: [] for m in moments}
-        for ij, letters in self.entries.items():
-            if letters in positions:
-                positions[letters].append(ij)
-        return positions
-
 
 @lru_cache(maxsize=8, typed=True)
 def build_structure(scenario: Scenario, level: int) -> MomentMatrixStructure:
-    """Compile the symbolic moment matrix for ``scenario`` at ``level``, once."""
+    """Compile the symbolic moment matrix and its index maps for ``scenario`` at ``level``, once."""
     words = tuple(generate_basis(scenario, level))
-    entries = {
-        (i, j): word_product(words[i], words[j])
-        for i in range(len(words))
-        for j in range(i, len(words))
-    }
+    n = len(words)
+    entries = {(i, j): word_product(words[i], words[j]) for i in range(n) for j in range(i, n)}
     moments = dict.fromkeys(entries.values())
+    observables = tuple(m for m in moments if moment_kind(m) == "observable")
+    freevars = tuple(m for m in moments if moment_kind(m) == "freevar")
+    # Off the diagonal no entry is the unit: the basis words are distinct.
+    number = {m: k for k, m in enumerate(observables + freevars)}
+    upper = np.array([(i, j, number[m]) for (i, j), m in entries.items() if i < j], dtype=np.intp)
+    support = upper[np.argsort(upper[:, 2], kind="stable")].T.copy()
+    settings = np.array([[dict(key).get(party, -1) for key in observables]
+                         for party in range(1, scenario.parties + 1)], dtype=np.intp)
+    support.flags.writeable = settings.flags.writeable = False
     return MomentMatrixStructure(
         scenario=scenario,
         level=int(level),  # checked by generate_basis
         words=words,
         entries=MappingProxyType(entries),
-        observables=tuple(m for m in moments if moment_kind(m) == "observable"),
-        freevars=tuple(m for m in moments if moment_kind(m) == "freevar"),
+        observables=observables,
+        freevars=freevars,
+        support=tuple(support),
+        observable_settings=settings,
     )
 
 
@@ -259,29 +265,6 @@ class AffineMatrixFamily:
         return np.bincount(self.support[2], weights=weights, minlength=self.num_variables)
 
 
-def _index_arrays(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(rows, cols, g)`` of groups of ``(i, j)`` positions, in order."""
-    pairs = np.array([ij for group in groups for ij in group], dtype=np.intp).reshape(-1, 2).T.copy()
-    owner = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    pairs.flags.writeable = owner.flags.writeable = False
-    return pairs[0], pairs[1], owner
-
-
-@lru_cache(maxsize=32)
-def _layout(structure: MomentMatrixStructure, pinned: tuple[bool, ...]):
-    """Index maps of ``structure`` when ``pinned`` flags its pinned observables.
-
-    Returns the pinned keys, the variables (unpinned observables, then free
-    variables), the pinned positions owned by key index, and the support.
-    """
-    keys = list(zip(structure.observables, pinned))
-    pinned_keys = tuple(key for key, is_pinned in keys if is_pinned)
-    variables = tuple(key for key, is_pinned in keys if not is_pinned) + structure.freevars
-    positions = structure.positions(pinned_keys + variables)
-    pins = _index_arrays([positions[key] for key in pinned_keys])
-    return pinned_keys, variables, pins, _index_arrays([positions[v] for v in variables])
-
-
 def assemble(
     structure: MomentMatrixStructure,
     table,
@@ -291,8 +274,10 @@ def assemble(
 
     ``table`` must supply a value for every key that ``policy`` (default:
     every observable) selects.  The table validated its values; here they
-    are only clipped to [-1, 1], and its sigmas are not read.  The family's
-    support is the compiled layout, already grouped, so it is not copied.
+    are only clipped to [-1, 1], and its sigmas are not read.  The pinned
+    positions and the family's support, already grouped, are the slices of
+    the structure's support that the policy's mask over its moments selects.
+    Pinning every observable shares the structure's key and variable tuples.
     """
     if policy is None:
         policy = PinPolicy.all()
@@ -302,14 +287,21 @@ def assemble(
             names = sorted(key_name(k) for k in stray)
             raise ValueError(f"explicit pin keys not in structure: {names}")
 
-    pinned = tuple(policy.selects(key) for key in structure.observables)
-    pinned_keys, variables, (rows, cols, owner), support = _layout(structure, pinned)
+    moments = structure.observables + structure.freevars
+    pinned = np.zeros(len(moments), dtype=bool)
+    pinned[: len(structure.observables)] = [policy.selects(key) for key in structure.observables]
+    shared = pinned.sum() == len(structure.observables)
+    pinned_keys = structure.observables if shared else tuple(compress(moments, pinned))
+    variables = structure.freevars if shared else tuple(compress(moments, ~pinned))
+    number = np.where(pinned, np.cumsum(pinned), np.cumsum(~pinned)) - 1
+    rows, cols, moment = structure.support
+    at = pinned[moment]
     pinned_values = np.clip(np.array([table.value(key) for key in pinned_keys], dtype=float), -1.0, 1.0)
     gamma0 = np.eye(structure.dim)
-    gamma0[rows, cols] = gamma0[cols, rows] = pinned_values[owner]
+    gamma0[rows[at], cols[at]] = gamma0[cols[at], rows[at]] = pinned_values[number[moment[at]]]
     return AffineMatrixFamily(
         gamma0=gamma0,
-        support=support,
+        support=(rows[~at], cols[~at], number[moment[~at]]),
         variables=variables,
         pinned_keys=pinned_keys,
         pinned_values=pinned_values,

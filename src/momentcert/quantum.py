@@ -292,7 +292,8 @@ def correlator_table(state: QuantumState, suite: MeasurementSuite, structure) ->
 
     T[s_1, ..., s_N] = Tr((ops[s_1] x ... x ops[s_N]) rho) for the stack
     ops = (I, O_0, ..., O_{m-1}) that every party shares; a key's moment is
-    T at s_p = setting + 1 for its parties and 0 for the others.
+    T at s_p = setting + 1 for its parties and 0 for the others, so T is
+    read at the structure's ``observable_settings + 1``.
     """
     scenario = structure.scenario
     n = state.n
@@ -310,23 +311,8 @@ def correlator_table(state: QuantumState, suite: MeasurementSuite, structure) ->
     table = np.einsum(*operands, list(range(2 * n, 3 * n)))
     if np.abs(table.imag).max() > IMAG_TOL:
         raise ValueError(f"nonreal expectation, |imaginary part| {np.abs(table.imag).max()!r}")
-    values = table.real[_table_index(structure)].tolist()
-    entries = {key: (value, None) for key, value in zip(structure.observables, values)}
-    return CorrelatorTable(scenario, entries)
-
-
-@lru_cache(maxsize=8)
-def _table_index(structure) -> tuple[np.ndarray, ...]:
-    """Per-party index arrays of the structure's observables into the table T.
-
-    Cached per structure, as many as :func:`~momentcert.hierarchy.build_structure` keeps.
-    """
-    index = np.zeros((structure.scenario.parties, len(structure.observables)), dtype=np.intp)
-    for column, key in enumerate(structure.observables):
-        for party, setting in key:
-            index[party - 1, column] = setting + 1
-    index.flags.writeable = False
-    return tuple(index)
+    values = table.real[tuple(structure.observable_settings + 1)].tolist()
+    return CorrelatorTable.from_values(scenario, dict(zip(structure.observables, values)))
 
 
 def checked_visibility(value) -> float:

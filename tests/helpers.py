@@ -6,8 +6,9 @@ distributions for expectations, grid refinement for the solver, dense
 projections for duals of the verified form, and an
 explicit classical mixture for separable completions, and bisection on
 full analyses for the critical visibility.  Hand-built families get their
-support from dense 0/1 patterns here, and :func:`dense_patterns` turns a
-family's support back into those patterns.
+support from dense 0/1 patterns here, :func:`dense_patterns` turns a
+family's support back into those patterns, and :func:`moment_positions`
+finds each moment's entries by scanning a structure's symbolic matrix.
 """
 
 import itertools
@@ -89,6 +90,18 @@ def support_arrays(patterns):
     ]
     rows, cols, vidx = np.array(triples, dtype=np.intp).reshape(-1, 3).T.copy()
     return rows, cols, vidx
+
+
+def moment_positions(structure, moments):
+    """The upper-triangle positions of each of ``moments``, in row-major order.
+
+    Scanned from the structure's symbolic entries, not read from its support.
+    """
+    positions = {m: [] for m in moments}
+    for (i, j), letters in sorted(structure.entries.items()):
+        if letters in positions:
+            positions[letters].append((i, j))
+    return positions
 
 
 def dense_patterns(family):

@@ -180,6 +180,9 @@ def test_measured_source_must_cover_policy(structure_322):
         with pytest.raises(PipelineError) as info:
             build(request)
         assert info.value.stage == "assembly"
+        # The message names the first missing key as every document does.
+        missing = key_name(structure_322.observables[10])
+        assert str(info.value) == f"[assembly] no value supplied for pinned moment {missing}"
 
 
 def test_numpy_numbers_are_recorded_as_plain_numbers():
@@ -517,7 +520,9 @@ def test_white_noise_family_matches_the_simulated_family(case, policy, p):
     high = family_for_request(_request(state, suite, policy, scenario=scenario))
     mixed = analysis.white_noise_family(high, p)
     simulated = family_for_request(_request(state, suite, policy, visibility=p, scenario=scenario))
-    assert all(a is b for a, b in zip(mixed.support, simulated.support))
+    assert all(a is b for a, b in zip(mixed.support, high.support))
+    for a, b in zip(mixed.support, simulated.support):
+        assert np.array_equal(a, b) and not a.flags.writeable and not b.flags.writeable
     assert mixed.variables == simulated.variables
     assert mixed.pinned_keys == simulated.pinned_keys
     assert np.abs(mixed.gamma0 - simulated.gamma0).max() <= 1e-15

@@ -358,8 +358,11 @@ def test_robustness_rejects_noise(capsys):
     ([{"parties": [1, 1], "settings": [0, 1]}], "$[0]: moment key parties must be strictly increasing"),
     ([{"parties": [4], "settings": [0]}], "$[0]: letter (4, 0) outside scenario"),
     ([{"parties": [1], "settings": [2]}], "$[0]: letter (1, 2) outside scenario"),
+    # Checked like the keys of a table, which may not repeat one either.
+    ([{"parties": [1], "settings": [0]}, {"parties": [2], "settings": [1]},
+      {"parties": [1], "settings": [0]}], "$[2]: duplicate moment A0"),
 ], ids=["unequal-lengths", "not-an-object", "scalars", "repeated-party", "party-outside",
-        "setting-outside"])
+        "setting-outside", "repeated-key"])
 def test_bad_explicit_pin_file_is_an_error(tmp_path, capsys, entries, message):
     pin_path = tmp_path / "pins.json"
     pin_path.write_text(json.dumps(entries))

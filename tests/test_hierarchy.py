@@ -22,7 +22,7 @@ from momentcert import (
 
 from momentcert.analysis import white_noise_family
 
-from helpers import dense_patterns, random_family
+from helpers import dense_patterns, moment_positions, random_family
 
 # Index positions below refer to the level-2 basis order:
 # I, A0, A1, B0, B1, A0A1, A0B0, A0B1, A1B0, A1B1, B0B1.
@@ -142,7 +142,7 @@ def test_assemble_pin_all(structure_322):
     assert all(moment_kind(var) == "freevar" for var in family.variables)
     assert np.allclose(np.diag(family.gamma0), 1.0)
     # Every pinned value lands at every position carrying its key.
-    for key, positions in structure_322.positions(structure_322.observables).items():
+    for key, positions in moment_positions(structure_322, structure_322.observables).items():
         for i, j in positions:
             assert family.gamma0[i, j] == values[key]
 
@@ -197,7 +197,7 @@ def test_support_partition(structure_322):
     covered += pinned_mask
     # Pinned values of exactly zero do not show in gamma0; account for them
     # through the structure's observable positions instead.
-    positions = structure_322.positions(structure_322.observables)
+    positions = moment_positions(structure_322, structure_322.observables)
     for key, value in zip(family.pinned_keys, family.pinned_values):
         if value == 0.0:
             for i, j in positions[key]:
@@ -209,14 +209,16 @@ def test_support_partition(structure_322):
 
 
 def test_family_stores_its_support_grouped(structure_322):
-    # assemble's compiled layout is grouped already and is stored as it is,
-    # also by the white-noise mixes; a support in another order is regrouped
-    # by variable, each group keeping its given order.
+    # assemble's support is grouped already and is stored read-only, the
+    # same for every assembly; a white-noise mix shares its parent's arrays.
+    # A support in another order is regrouped by variable, each group
+    # keeping its given order.
     family = assemble(structure_322, _full_table(structure_322), PinPolicy.all())
     again = assemble(structure_322, _full_table(structure_322), PinPolicy.all())
     mixed = white_noise_family(family, 0.5)
     for layout, kept, mixed_kept in zip(family.support, again.support, mixed.support):
-        assert kept is layout and mixed_kept is layout
+        assert np.array_equal(kept, layout) and not kept.flags.writeable
+        assert not layout.flags.writeable and mixed_kept is layout
     rows, cols, vidx = family.support
     order = np.random.default_rng(3).permutation(rows.size)
     shuffled = dataclasses.replace(family, support=(rows[order], cols[order], vidx[order]))
@@ -270,7 +272,7 @@ def test_structure_report_other_scenarios(structure_322):
 
 def _dense_reference(structure, table, policy):
     """The family assembled entry by entry from the structure's positions."""
-    observables = structure.positions(structure.observables)
+    observables = moment_positions(structure, structure.observables)
     gamma0 = np.eye(structure.dim)
     variables, groups = [], []
     for key in structure.observables:
@@ -281,7 +283,7 @@ def _dense_reference(structure, table, policy):
             continue
         variables.append(key)
         groups.append(observables[key])
-    for var, positions in structure.positions(structure.freevars).items():
+    for var, positions in moment_positions(structure, structure.freevars).items():
         variables.append(var)
         groups.append(positions)
     patterns = np.zeros((len(groups), structure.dim, structure.dim))
@@ -302,18 +304,44 @@ def _dense_reference(structure, table, policy):
     ids=["policy0-None", "policy1-None", "policy2-None"],
 )
 def test_assemble_matches_dense_reference(structure_322, policy):
-    rng = np.random.default_rng(19)
+    _assert_matches_dense_reference(structure_322, policy)
+
+
+def _drawn_pin_sets(structure, seed, count=4):
+    """Explicit policies: no key, every key, and ``count`` random subsets of all sizes."""
+    rng = np.random.default_rng(seed)
+    keys = structure.observables
+    drawn = [[key for key in keys if rng.random() < share] for share in rng.uniform(0.0, 1.0, count)]
+    return [PinPolicy.explicit(chosen) for chosen in ([], keys, *drawn)]
+
+
+@pytest.mark.parametrize(
+    "scenario, level",
+    [(Scenario(3, 2), 2), (Scenario(3, 3), 2), (Scenario(3, 2), 3)],
+    ids=["322-level2", "332-level2", "322-level3"],
+)
+def test_assemble_matches_dense_reference_for_drawn_pin_sets(scenario, level):
+    # Every pin set is a mask over the structure's moments; the masked
+    # slices of its support must give the family built entry by entry.
+    structure = build_structure(scenario, level)
+    policies = [PinPolicy.all(), PinPolicy.max_bodies(2), *_drawn_pin_sets(structure, 7 * level)]
+    for seed, policy in enumerate(policies):
+        _assert_matches_dense_reference(structure, policy, seed)
+
+
+def _assert_matches_dense_reference(structure, policy, seed=19):
+    rng = np.random.default_rng(seed)
     # Sigmas of every kind, absent, zero and positive, which assemble does
     # not read; values at and beyond the ends of [-1, 1] exercise the
     # clipping.
     sigmas = [None, 0.0, 0.01, 0.3]
     entries = {
         key: (float(rng.choice([rng.uniform(-1, 1), 1.0, -1.0, 1.0 + 5e-10])), sigmas[n % 4])
-        for n, key in enumerate(structure_322.observables)
+        for n, key in enumerate(structure.observables)
     }
-    table = CorrelatorTable(structure_322.scenario, entries)
-    family = assemble(structure_322, table, policy)
-    gamma0, variables, groups, patterns = _dense_reference(structure_322, table, policy)
+    table = CorrelatorTable(structure.scenario, entries)
+    family = assemble(structure, table, policy)
+    gamma0, variables, groups, patterns = _dense_reference(structure, table, policy)
     assert family.gamma0.tobytes() == gamma0.tobytes()
     assert family.variables == variables
     rows, cols, vidx = family.support
@@ -321,9 +349,12 @@ def test_assemble_matches_dense_reference(structure_322, policy):
     assert np.array_equal(cols, [j for group in groups for _, j in group])
     assert np.array_equal(vidx, [k for k, group in enumerate(groups) for _ in group])
     assert np.array_equal(dense_patterns(family).reshape(patterns.shape), patterns)
-    pinned = [key for key in structure_322.observables if policy.selects(key)]
+    pinned = [key for key in structure.observables if policy.selects(key)]
     assert family.pinned_keys == tuple(pinned)
     assert family.pinned_values.tolist() == [float(np.clip(entries[key][0], -1, 1)) for key in pinned]
+    if len(pinned) == len(structure.observables):
+        # Reports keep these tuples, so a full pin shares the structure's.
+        assert family.pinned_keys is structure.observables and family.variables is structure.freevars
     v = rng.uniform(-1, 1, family.num_variables)
     assert np.array_equal(family.gamma(v), gamma0 + np.einsum("k,kij->ij", v, patterns))
 
@@ -334,6 +365,27 @@ def test_structure_is_compiled_once_and_read_only():
     assert build_structure(Scenario(2, 2), 2) is first
     with pytest.raises(TypeError):
         first.entries[(0, 0)] = None
+    for array in (*first.support, first.observable_settings):
+        assert array.dtype == np.intp
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("scenario, level", [(Scenario(2, 2), 2), (Scenario(3, 3), 2), (Scenario(3, 2), 3)])
+def test_structure_index_maps_match_its_entries(scenario, level):
+    # The support lists every position above the diagonal once, grouped by
+    # moment and row-major in each group, and the settings table holds each
+    # observable's letters.
+    structure = build_structure(scenario, level)
+    moments = structure.observables + structure.freevars
+    positions = moment_positions(structure, moments)
+    rows, cols, moment = structure.support
+    assert rows.size == structure.dim * (structure.dim - 1) // 2
+    assert list(zip(rows.tolist(), cols.tolist())) == [ij for m in moments for ij in positions[m]]
+    assert np.array_equal(moment, [k for k, m in enumerate(moments) for _ in positions[m]])
+    for k, key in enumerate(structure.observables):
+        column = structure.observable_settings[:, k]
+        assert dict(key) == {p + 1: int(s) for p, s in enumerate(column) if s >= 0}
 
 
 def _matrix_layouts(rng, n):

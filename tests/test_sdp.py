@@ -36,6 +36,7 @@ from helpers import (
     dense_patterns,
     dual_of_the_verified_form,
     grid_max_lambda_min,
+    moment_positions,
     random_family,
     support_arrays,
 )
@@ -669,8 +670,9 @@ def test_newton_systems_never_call_the_direct_solve(monkeypatch, state, suite, s
 
 
 def test_support_is_never_scanned_from_patterns(structure_322):
-    # assemble emits the support from compiled index maps, in the order of
-    # the structure's positions; a family has no dense patterns to scan, and
+    # assemble emits the support as a slice of the structure's index maps,
+    # in the order of the structure's positions; a family has no dense
+    # patterns to scan, and
     # the solve, the certificate extraction and the verifier work on the
     # support alone.
     family = _state_family(structure_322, "w", "w")
@@ -678,7 +680,7 @@ def test_support_is_never_scanned_from_patterns(structure_322):
     assert out.status == CERTIFIED_INFEASIBLE
     assert verify_certificate(family, out.certificate)
     rows, cols, vidx = family.support
-    positions = structure_322.positions(structure_322.freevars)
+    positions = moment_positions(structure_322, structure_322.freevars)
     reference = [positions[var] for var in family.variables]
     assert np.array_equal(rows, [i for group in reference for i, _ in group])
     assert np.array_equal(cols, [j for group in reference for _, j in group])
@@ -878,6 +880,42 @@ def test_certificates_keep_the_dual_constraints(request, structure_name, state, 
     out = maximize_lambda_min(family)
     assert out.status == CERTIFIED_INFEASIBLE
     z = out.certificate.matrix
+    assert abs(np.trace(z) - 1.0) <= 1e-10
+    assert np.abs(family.inner(z)).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "structure_name, state, suite",
+    [("structure_322", "w", "w"), ("structure_332", "graph-loop", "graph")],
+)
+def test_the_primal_residual_pulls_z_back_onto_its_constraints(
+    monkeypatch, request, structure_name, state, suite
+):
+    # The first constraints() call scales the starting Z in place, off
+    # Tr Z = 1.  The correctors carry the residual b - A(Z), so the solve
+    # must still end on the constraints to rounding.
+    scaled = []
+    constraints = sdp._FamilyOps.constraints
+
+    def scaling(self, z):
+        if not scaled:
+            z *= 1.0 + 1e-3
+            scaled.append(True)
+        return constraints(self, z)
+
+    ends = []
+    interior_point = sdp._interior_point
+
+    def recorded(*args):
+        ends.append(interior_point(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(sdp._FamilyOps, "constraints", scaling)
+    monkeypatch.setattr(sdp, "_interior_point", recorded)
+    family = _state_family(request.getfixturevalue(structure_name), state, suite)
+    maximize_lambda_min(family)
+    z = ends[0][0]
+    assert scaled and ends[0][4] == "gap"
     assert abs(np.trace(z) - 1.0) <= 1e-10
     assert np.abs(family.inner(z)).max() <= 1e-10
 
