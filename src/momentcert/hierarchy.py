@@ -1,12 +1,15 @@
 """Symbolic moment-matrix structures and numeric affine PSD families.
 
 :func:`build_structure` compiles a scenario and hierarchy level into the
-symbolic matrix.  Its basis words are sorted letter tuples, entry (i, j) is
-the letter tuple of the canonical product of words i and j, and
-:func:`~momentcert.algebra.moment_kind` tells whether an entry is the unit,
-an observable moment or a free variable.  All variable identifications
-implied by commutation and idempotence happen structurally, because
-identical canonical words have identical letters.
+symbolic matrix: its basis words, each a sorted letter tuple, and its index
+maps.  Entry (i, j) is the canonical product of words i and j, the unit on
+the diagonal; each product above the diagonal is formed once, and the
+structure's support keeps only which distinct moment each position holds,
+with :func:`~momentcert.algebra.moment_kind` telling an observable moment
+from a free variable.  All variable identifications implied by commutation
+and idempotence happen structurally, because identical canonical words have
+identical letters.  :func:`structure_report` reads the entries back from
+the support.
 
 :func:`assemble` then substitutes measured values for the pinned observable
 moments and emits the affine family Gamma(v) = gamma0 + sum_k v_k G_k whose
@@ -24,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -45,26 +46,25 @@ from .algebra import (
 
 @dataclass(frozen=True, eq=False)
 class MomentMatrixStructure:
-    """Symbolic moment matrix for one scenario and hierarchy level.
+    """Symbolic moment matrix for one scenario and hierarchy level: words and index maps.
 
     ``words`` is the basis of :func:`~momentcert.algebra.generate_basis`,
-    each word its sorted letter tuple.  ``entries`` maps each upper-triangle
-    position (0-based ``(i, j)`` with ``i <= j``) to the letter tuple of its
-    canonical word, read-only because structures are shared; the matrix is
-    symmetric by construction.
-    ``observables`` and ``freevars`` list the distinct letter tuples of each
+    each word its sorted letter tuple; entry (i, j) is the canonical product
+    of words i and j, and the unit on the diagonal.  ``observables`` and
+    ``freevars`` list the distinct products above the diagonal of each
     :func:`~momentcert.algebra.moment_kind` in order of first appearance in
-    a row-major scan of the upper triangle.  Structures hash by identity.
-    Every index map is built here, as a read-only ``intp`` array: ``support``
-    is ``(rows, cols, moment)`` over the positions above the diagonal, grouped
-    by ``moment`` (into ``observables + freevars``), row-major in each group;
+    a row-major scan.  ``support`` is the one map from positions to moments:
+    ``(rows, cols, moment)`` lists every position above the diagonal once,
+    grouped by ``moment`` (into ``observables + freevars``), row-major in
+    each group; the matrix is symmetric by construction.
     ``observable_settings[p, k]`` is party p + 1's setting in key k, or -1.
+    Both are read-only ``intp`` arrays, because structures are shared, and
+    structures hash by identity.
     """
 
     scenario: Scenario
     level: int
     words: tuple[Moment, ...]
-    entries: Mapping[tuple[int, int], Moment]
     observables: tuple[MomentKey, ...]
     freevars: tuple[Moment, ...]
     support: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -74,26 +74,22 @@ class MomentMatrixStructure:
     def dim(self) -> int:
         return len(self.words)
 
-    def ref_at(self, i: int, j: int) -> Moment:
-        """The letters of entry (i, j), with symmetric access (0-based indices)."""
-        if i > j:
-            i, j = j, i
-        return self.entries[(i, j)]
-
 
 @lru_cache(maxsize=8, typed=True)
 def build_structure(scenario: Scenario, level: int) -> MomentMatrixStructure:
     """Compile the symbolic moment matrix and its index maps for ``scenario`` at ``level``, once."""
     words = tuple(generate_basis(scenario, level))
-    n = len(words)
-    entries = {(i, j): word_product(words[i], words[j]) for i in range(n) for j in range(i, n)}
-    moments = dict.fromkeys(entries.values())
-    observables = tuple(m for m in moments if moment_kind(m) == "observable")
-    freevars = tuple(m for m in moments if moment_kind(m) == "freevar")
-    # Off the diagonal no entry is the unit: the basis words are distinct.
+    # The diagonal is the unit, and off it no product is: the basis words are
+    # distinct.  Each product above it is formed once, in row-major order.
+    first = {}
+    seen = [first.setdefault(word_product(u, w), len(first))
+            for i, u in enumerate(words) for w in words[i + 1:]]
+    observables = tuple(m for m in first if moment_kind(m) == "observable")
+    freevars = tuple(m for m in first if moment_kind(m) == "freevar")
     number = {m: k for k, m in enumerate(observables + freevars)}
-    upper = np.array([(i, j, number[m]) for (i, j), m in entries.items() if i < j], dtype=np.intp)
-    support = upper[np.argsort(upper[:, 2], kind="stable")].T.copy()
+    moment = np.array([number[m] for m in first], dtype=np.intp)[seen]
+    order = np.argsort(moment, kind="stable")
+    support = np.stack((*np.triu_indices(len(words), 1), moment))[:, order]
     settings = np.array([[dict(key).get(party, -1) for key in observables]
                          for party in range(1, scenario.parties + 1)], dtype=np.intp)
     support.flags.writeable = settings.flags.writeable = False
@@ -101,7 +97,6 @@ def build_structure(scenario: Scenario, level: int) -> MomentMatrixStructure:
         scenario=scenario,
         level=int(level),  # checked by generate_basis
         words=words,
-        entries=MappingProxyType(entries),
         observables=observables,
         freevars=freevars,
         support=tuple(support),
@@ -321,9 +316,11 @@ def structure_report(structure: MomentMatrixStructure) -> dict:
     Row and column indices are reported 1-based to match the conventional
     printed-matrix numbering.
     """
-    entries = []
-    for (i, j), letters in sorted(structure.entries.items()):
-        entries.append({"row": i + 1, "col": j + 1, **_entry_document(letters)})
+    moments = structure.observables + structure.freevars
+    rows, cols, moment = (a.tolist() for a in structure.support)
+    cells = [(i, i, ()) for i in range(structure.dim)]
+    cells += [(i, j, moments[m]) for i, j, m in zip(rows, cols, moment)]
+    entries = [{"row": i + 1, "col": j + 1, **_entry_document(letters)} for i, j, letters in sorted(cells)]
     return {
         "schema_version": 1,
         "kind": "structure",

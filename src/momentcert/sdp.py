@@ -88,7 +88,7 @@ FEASIBLE = "FEASIBLE"
 CERTIFIED_INFEASIBLE = "CERTIFIED_INFEASIBLE"
 UNDECIDED = "UNDECIDED"
 
-# A point counts as a feasibility witness when lambda_min is above this.
+# A point counts as a feasibility witness when lambda_min is at least -WITNESS_TOL.
 WITNESS_TOL = 1e-8
 # The interior-point solve stops once the relative duality gap is this small.
 GAP_TOL = 1e-9

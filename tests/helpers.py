@@ -8,7 +8,7 @@ explicit classical mixture for separable completions, and bisection on
 full analyses for the critical visibility.  Hand-built families get their
 support from dense 0/1 patterns here, :func:`dense_patterns` turns a
 family's support back into those patterns, and :func:`moment_positions`
-finds each moment's entries by scanning a structure's symbolic matrix.
+finds each moment's entries by multiplying a structure's basis words.
 """
 
 import itertools
@@ -24,6 +24,7 @@ from momentcert import (
     SolverConfig,
     analyze,
     expectation,
+    word_product,
 )
 from momentcert.hierarchy import AffineMatrixFamily
 from momentcert.quantum import IDENTITY_2
@@ -95,13 +96,33 @@ def support_arrays(patterns):
 def moment_positions(structure, moments):
     """The upper-triangle positions of each of ``moments``, in row-major order.
 
-    Scanned from the structure's symbolic entries, not read from its support.
+    Scanned from ``word_product`` of the structure's basis words, not read
+    from its support.
     """
     positions = {m: [] for m in moments}
-    for (i, j), letters in sorted(structure.entries.items()):
-        if letters in positions:
-            positions[letters].append((i, j))
+    words = structure.words
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            letters = word_product(words[i], words[j])
+            if letters in positions:
+                positions[letters].append((i, j))
     return positions
+
+
+def entry_at(structure, i, j):
+    """The letters of entry (i, j) as the structure's support records them.
+
+    Symmetric in i and j.  A position above the diagonal must appear in the
+    support exactly once; one on the diagonal must not appear, and is the unit.
+    """
+    i, j = min(i, j), max(i, j)
+    rows, cols, moment = structure.support
+    at = np.flatnonzero((rows == i) & (cols == j))
+    if i == j:
+        assert at.size == 0, f"the support holds the diagonal position {(i, i)}"
+        return ()
+    (at,) = at
+    return (structure.observables + structure.freevars)[moment[at]]
 
 
 def dense_patterns(family):

@@ -42,6 +42,7 @@ from momentcert.quantum import PAULI_X, PAULI_Z
 from helpers import (
     born_probabilities,
     classical_completion,
+    entry_at,
     grid_max_lambda_min,
     parity_expectation,
     random_family,
@@ -86,14 +87,14 @@ def test_criterion_01_golden_structure_222(structure_222):
         a0b1 = ((1, 0), (2, 1))
         a1b0 = ((1, 1), (2, 0))
         # The six variable-to-observable promotions forced by commutation.
-        assert st.ref_at(2, 5) == a0       # A1 . A0A1      -> <A0>
-        assert st.ref_at(4, 10) == b0      # B1 . B0B1      -> <B0>
-        assert st.ref_at(5, 8) == a0b0     # A0A1 . A1B0    -> <A0B0>
-        assert st.ref_at(7, 10) == a0b0    # A0B1 . B0B1    -> <A0B0>
-        assert st.ref_at(5, 9) == a0b1     # A0A1 . A1B1    -> <A0B1>
-        assert st.ref_at(9, 10) == a1b0    # A1B1 . B0B1    -> <A1B0>
+        assert entry_at(st, 2, 5) == a0       # A1 . A0A1      -> <A0>
+        assert entry_at(st, 4, 10) == b0      # B1 . B0B1      -> <B0>
+        assert entry_at(st, 5, 8) == a0b0     # A0A1 . A1B0    -> <A0B0>
+        assert entry_at(st, 7, 10) == a0b0    # A0B1 . B0B1    -> <A0B0>
+        assert entry_at(st, 5, 9) == a0b1     # A0A1 . A1B1    -> <A0B1>
+        assert entry_at(st, 9, 10) == a1b0    # A1B1 . B0B1    -> <A1B0>
         # The three four-letter entries merge into a single variable.
-        merged = {st.ref_at(5, 10), st.ref_at(6, 9), st.ref_at(7, 8)}
+        merged = {entry_at(st, 5, 10), entry_at(st, 6, 9), entry_at(st, 7, 8)}
         assert len(merged) == 1
         assert moment_kind(merged.pop()) == "freevar"
 
@@ -103,11 +104,11 @@ def test_criterion_02_structure_322(structure_322):
         st = structure_322
         assert st.dim == 22
         for i in range(22):
-            assert st.ref_at(i, i) == ()
+            assert entry_at(st, i, i) == ()
         assert len(st.observables) == 26
         # 1-based entry (4, 12): word A0B0C1, i.e. sigma_x sigma_x sigma_z
         # under the w suite.
-        assert st.ref_at(3, 11) == ((1, 0), (2, 0), (3, 1))
+        assert entry_at(st, 3, 11) == ((1, 0), (2, 0), (3, 1))
         assert key_name(word_product(st.words[3], st.words[11])) == "A0B0C1"
         suite = standard_suite("w")
         assert np.allclose(suite.operator(0), PAULI_X)

@@ -20,9 +20,10 @@ from momentcert import (
     word_product,
 )
 
+from momentcert.algebra import key_document, scenario_document
 from momentcert.analysis import white_noise_family
 
-from helpers import dense_patterns, moment_positions, random_family
+from helpers import dense_patterns, entry_at, moment_positions, random_family
 
 # Index positions below refer to the level-2 basis order:
 # I, A0, A1, B0, B1, A0A1, A0B0, A0B1, A1B0, A1B1, B0B1.
@@ -45,17 +46,17 @@ def test_golden_222_structure(structure_222):
 def test_golden_222_identifications(structure_222):
     st = structure_222
     # A1 * A0A1 reduces to A0: a variable slot becomes the observable <A0>.
-    assert st.ref_at(2, 5) == A0
+    assert entry_at(st, 2, 5) == A0
     # B1 * B0B1 -> <B0>
-    assert st.ref_at(4, 10) == B0
+    assert entry_at(st, 4, 10) == B0
     # A0A1 * A1B0 and A0B1 * B0B1 both reduce to <A0B0>.
-    assert st.ref_at(5, 8) == A0 + B0
-    assert st.ref_at(7, 10) == A0 + B0
+    assert entry_at(st, 5, 8) == A0 + B0
+    assert entry_at(st, 7, 10) == A0 + B0
     # A0A1 * A1B1 -> <A0B1>;  A1B1 * B0B1 -> <A1B0>
-    assert st.ref_at(5, 9) == A0 + B1
-    assert st.ref_at(9, 10) == A1 + B0
+    assert entry_at(st, 5, 9) == A0 + B1
+    assert entry_at(st, 9, 10) == A1 + B0
     # The three four-letter products collapse onto one variable.
-    merged = {st.ref_at(5, 10), st.ref_at(6, 9), st.ref_at(7, 8)}
+    merged = {entry_at(st, 5, 10), entry_at(st, 6, 9), entry_at(st, 7, 8)}
     assert len(merged) == 1
     assert moment_kind(merged.pop()) == "freevar"
 
@@ -64,28 +65,28 @@ def test_structure_322(structure_322):
     st = structure_322
     assert st.dim == 22
     for i in range(22):
-        assert st.ref_at(i, i) == ()
+        assert entry_at(st, i, i) == ()
     assert len(st.observables) == 26
     by_bodies = {}
     for key in st.observables:
         by_bodies[len(key)] = by_bodies.get(len(key), 0) + 1
     assert by_bodies == {1: 6, 2: 12, 3: 8}
     # 1-based entry (4, 12): the product B0 * A0C1 is the observable A0B0C1.
-    assert st.ref_at(3, 11) == ((1, 0), (2, 0), (3, 1))
+    assert entry_at(st, 3, 11) == ((1, 0), (2, 0), (3, 1))
     assert key_name(word_product(st.words[3], st.words[11])) == "A0B0C1"
     # The word B0B1 (the -i sigma_y moment when the settings are x and z)
     # is not observable; 1-based it sits at (1, 17), and (1, 18) is B0C0.
-    assert moment_kind(st.ref_at(0, 16)) == "freevar"
+    assert moment_kind(entry_at(st, 0, 16)) == "freevar"
     assert key_name(word_product(st.words[0], st.words[16])) == "B0B1"
-    assert st.ref_at(0, 17) == ((2, 0), (3, 0))
+    assert entry_at(st, 0, 17) == ((2, 0), (3, 0))
 
 
 def test_structure_trivial():
     st = build_structure(Scenario(1, 1), 1)
     assert st.dim == 2
-    assert st.ref_at(0, 0) == ()
-    assert st.ref_at(1, 1) == ()
-    assert st.ref_at(0, 1) == ((1, 0),)
+    assert entry_at(st, 0, 0) == ()
+    assert entry_at(st, 1, 1) == ()
+    assert entry_at(st, 0, 1) == ((1, 0),)
     assert st.freevars == ()
 
 
@@ -94,7 +95,7 @@ def test_structure_level_three_smoke():
     st = build_structure(Scenario(2, 2), 3)
     assert st.dim == 15
     for i in range(st.dim):
-        assert st.ref_at(i, i) == ()
+        assert entry_at(st, i, i) == ()
 
 
 def test_structure_332(structure_332):
@@ -111,15 +112,16 @@ def test_entry_symmetry(structure_322):
     st = structure_322
     for i in range(st.dim):
         for j in range(st.dim):
-            assert st.ref_at(i, j) == st.ref_at(j, i)
+            assert entry_at(st, i, j) == entry_at(st, j, i) == word_product(st.words[j], st.words[i])
 
 
 def test_identification_soundness(structure_322):
     # Entries sharing a moment must come from the same canonical word.
     st = structure_322
     by_ref = {}
-    for (i, j), ref in st.entries.items():
-        by_ref.setdefault(ref, []).append((i, j))
+    for i in range(st.dim):
+        for j in range(i, st.dim):
+            by_ref.setdefault(entry_at(st, i, j), []).append((i, j))
     for ref, positions in by_ref.items():
         words = {word_product(st.words[i], st.words[j]) for i, j in positions}
         assert len(words) == 1
@@ -270,6 +272,52 @@ def test_structure_report_other_scenarios(structure_322):
     assert tiny["counts"] == {"observables": 1, "freevars": 0}
 
 
+def _report_from_words(structure):
+    """The structure document rebuilt from its words and word_product alone."""
+    words = structure.words
+    n = len(words)
+    products = {(i, j): word_product(words[i], words[j]) for i in range(n) for j in range(i, n)}
+    entries = []
+    for (i, j), letters in sorted(products.items()):
+        kind = moment_kind(letters)
+        entry = {"row": i + 1, "col": j + 1, "kind": kind}
+        if kind != "unit":
+            entry["key" if kind == "observable" else "var"] = key_name(letters)
+        entries.append(entry)
+    distinct = list(dict.fromkeys(products.values()))
+    observables = [m for m in distinct if moment_kind(m) == "observable"]
+    freevars = [m for m in distinct if moment_kind(m) == "freevar"]
+    return {
+        "schema_version": 1,
+        "kind": "structure",
+        "scenario": scenario_document(structure.scenario),
+        "level": structure.level,
+        "dim": n,
+        "words": [key_name(w) or "I" for w in words],
+        "entries": entries,
+        "observables": [{"name": key_name(key), **key_document(key)} for key in observables],
+        "freevars": [key_name(var) for var in freevars],
+        "counts": {"observables": len(observables), "freevars": len(freevars)},
+    }
+
+
+@pytest.mark.parametrize(
+    "parties, settings, level",
+    [(2, 2, 2), (3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2)],
+    ids=["222-level2", "322-level1", "322-level2", "322-level3", "332-level2", "422-level2"],
+)
+def test_structure_report_matches_one_rebuilt_from_words(parties, settings, level):
+    # The report reads its entries from the support; rebuilt here from the
+    # basis words, it must come out the same, and the support must hold each
+    # position above the diagonal exactly once and none on it.
+    structure = build_structure(Scenario(parties, settings), level)
+    assert structure_report(structure) == _report_from_words(structure)
+    rows, cols, _ = structure.support
+    n = structure.dim
+    counts = np.bincount(rows * n + cols, minlength=n * n).reshape(n, n)
+    assert np.array_equal(counts, np.triu(np.ones((n, n), dtype=int), 1))
+
+
 def _dense_reference(structure, table, policy):
     """The family assembled entry by entry from the structure's positions."""
     observables = moment_positions(structure, structure.observables)
@@ -363,8 +411,6 @@ def test_structure_is_compiled_once_and_read_only():
     scenario = Scenario(2, 2)
     first = build_structure(scenario, 2)
     assert build_structure(Scenario(2, 2), 2) is first
-    with pytest.raises(TypeError):
-        first.entries[(0, 0)] = None
     for array in (*first.support, first.observable_settings):
         assert array.dtype == np.intp
         with pytest.raises(ValueError, match="read-only"):
