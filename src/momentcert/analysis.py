@@ -2,6 +2,8 @@
 
 Analyses, robustness runs and certificate re-checks all build their family
 through :func:`family_for_request`, so they share one path and its errors.
+Each rule has one owner: a CorrelatorTable holds its values in [-1, 1], each
+solve checks its margin, and a robustness bracket fixes its verdicts.
 
 The verdict vocabulary is deliberately asymmetric.  A verified infeasibility
 certificate proves the observed correlations cannot come from local
@@ -174,7 +176,7 @@ class VerdictReport:
 def _stage(stage: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except PipelineError:
+    except (PipelineError, UnsoundConfig):
         raise
     except Exception as exc:
         raise PipelineError(stage, str(exc)) from exc
@@ -195,21 +197,15 @@ def request_table(request: AnalysisRequest, structure: MomentMatrixStructure) ->
 
 
 def family_for_request(request: AnalysisRequest) -> AffineMatrixFamily:
-    """The request's family, once its margin is known to make a verdict a proof.
+    """The request's family: its structure, its table and their assembly.
 
     Raises PipelineError naming the failed stage (``structure`` or
-    ``assembly``), and UnsoundConfig unless margin > (n + K + 1) tol_cert.
+    ``assembly``).  The config is not read: whether its margin makes a
+    verdict a proof is the solve's check.
     """
     structure = _stage("structure", build_structure, request.scenario, request.level)
     table = _stage("assembly", request_table, request, structure)
-    family = _stage("assembly", assemble, structure, table, request.policy)
-    # At a PSD Gamma(v) every verified certificate has value at least
-    # certificate_floor >= -(n + K + 1) tol, so value < -margin proves
-    # infeasibility only if this holds.
-    bound = (family.dim + family.num_variables + 1) * request.config.tol_cert
-    if request.config.margin <= bound:
-        raise UnsoundConfig(f"margin must exceed (n + K + 1) * tol_cert = {bound}")
-    return family
+    return _stage("assembly", assemble, structure, table, request.policy)
 
 
 def analyze(request: AnalysisRequest) -> VerdictReport:
@@ -245,22 +241,26 @@ def white_noise_family(family: AffineMatrixFamily, p: float) -> AffineMatrixFami
 
 @dataclass
 class RobustnessResult:
-    """The critical visibility, its confirmed bracket, and the verdicts behind it.
+    """The critical visibility and its confirmed bracket (lo, hi).
 
-    ``evaluations`` lists (visibility, verdict) pairs in the order 1, 0, hi,
-    lo, each visibility once, decided on white-noise mixes of one family.
-    The verdict at 1 is the solve of that family, hi is proved by its
-    certificate, 0 by the identity family, and lo by
-    :func:`~momentcert.sdp.certificate_floor` at its scaled completion.
-    Only when the floor at lo falls below -margin, at tolerances so fine
-    that lo is almost p_star, is the lo family solved, and the solve's
-    status is its verdict.
+    A result exists only once its verdicts are proved on white-noise mixes
+    of one family, so the bracket fixes them: NONLOCAL at 1 by the solve
+    of that family and at hi by its certificate, INCONCLUSIVE at 0 by the
+    identity family and at lo by :func:`~momentcert.sdp.certificate_floor`
+    at its scaled completion.  Only when the floor at lo falls below
+    -margin, at tolerances so fine that lo is almost p_star, is the lo
+    family solved, and the solve's status is its verdict.
     """
 
     p_star: float
     bracket: tuple[float, float]
     tolerance: float
-    evaluations: tuple[tuple[float, str], ...]
+
+    @property
+    def evaluations(self) -> tuple[tuple[float, str], ...]:
+        """(visibility, verdict) for 1, 0, hi, lo; the dict drops a repeat at hi = 1 or lo = 0."""
+        lo, hi = self.bracket
+        return tuple({1.0: NONLOCAL, 0.0: INCONCLUSIVE, hi: NONLOCAL, lo: INCONCLUSIVE}.items())
 
 
 def robustness(
@@ -327,14 +327,7 @@ def robustness(
         if certificate_floor(at_lo, lo * outcome.v_star, config.tol_cert) < -config.margin:
             if _stage("solve", maximize_lambda_min, at_lo, config).status == CERTIFIED_INFEASIBLE:
                 raise unconfirmed
-    # A dict drops the repeated visibility when hi = 1 or lo = 0.
-    evaluations = {1.0: NONLOCAL, 0.0: INCONCLUSIVE, hi: NONLOCAL, lo: INCONCLUSIVE}
-    return RobustnessResult(
-        p_star=p_star,
-        bracket=(lo, hi),
-        tolerance=tolerance,
-        evaluations=tuple(evaluations.items()),
-    )
+    return RobustnessResult(p_star=p_star, bracket=(lo, hi), tolerance=tolerance)
 
 
 def table_document(table: CorrelatorTable) -> dict:

@@ -268,8 +268,8 @@ def assemble(
     """Substitute pinned data into the structure and emit the affine family.
 
     ``table`` must supply a value for every key that ``policy`` (default:
-    every observable) selects.  The table validated its values; here they
-    are only clipped to [-1, 1], and its sigmas are not read.  The pinned
+    every observable) selects.  Its values are read as it stores them,
+    already checked into [-1, 1], and its sigmas are not read.  The pinned
     positions and the family's support, already grouped, are the slices of
     the structure's support that the policy's mask over its moments selects.
     Pinning every observable shares the structure's key and variable tuples.
@@ -291,7 +291,7 @@ def assemble(
     number = np.where(pinned, np.cumsum(pinned), np.cumsum(~pinned)) - 1
     rows, cols, moment = structure.support
     at = pinned[moment]
-    pinned_values = np.clip(np.array([table.value(key) for key in pinned_keys], dtype=float), -1.0, 1.0)
+    pinned_values = np.array([table.value(key) for key in pinned_keys], dtype=float)
     gamma0 = np.eye(structure.dim)
     gamma0[rows[at], cols[at]] = gamma0[cols[at], rows[at]] = pinned_values[number[moment[at]]]
     return AffineMatrixFamily(

@@ -23,8 +23,8 @@ import numpy as np
 from .algebra import MomentKey, Scenario, checked_real, key_name, validate_moment_key
 from .errors import MissingMoment, RangeError
 
-# Tolerated overshoot when validating moment values against [-1, 1]; the
-# one such tolerance, shared with analysis.
+# Tolerated overshoot of moment values beyond [-1, 1], read as the end it
+# passes; the one such tolerance, shared with analysis.
 VALUE_TOL = 1e-9
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -213,10 +213,10 @@ def expectation(state: QuantumState, assignment: Mapping[int, np.ndarray]) -> fl
 
 
 def checked_moment(value, where) -> float:
-    """The one range check of moment values; returns ``value`` as a float.
+    """The one range check of moment values; returns ``value`` as a float in [-1, 1].
 
     Raises RangeError naming ``where`` (a JSON path or a moment key) unless
-    the value is finite and in [-1, 1] up to VALUE_TOL.
+    the value is finite and within VALUE_TOL of [-1, 1], and clamps it there.
     """
     try:
         number = float(value)
@@ -225,7 +225,7 @@ def checked_moment(value, where) -> float:
     if not abs(number) <= 1.0 + VALUE_TOL:
         where = where if isinstance(where, str) else f"moment {key_name(where)}"
         raise RangeError(f"{where} = {value!r} outside [-1, 1]")
-    return number
+    return min(1.0, max(-1.0, number))
 
 
 def checked_sigma(value, where: str) -> float:

@@ -82,6 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import checked_integer, checked_real
+from .errors import UnsoundConfig
 from .hierarchy import AffineMatrixFamily
 
 FEASIBLE = "FEASIBLE"
@@ -113,9 +114,10 @@ class SolverConfig:
     ``max_iters`` caps the number of Newton steps; the solve normally stops
     well before on its gap or stall exit.  ``margin`` is the decision
     threshold separating a certified negative value from numerical noise;
-    it must stay well above ``tol_cert``, the tolerance at which
-    certificates are verified.  ``restarts`` belonged to an earlier
-    first-order solver; it must be a positive integer but is ignored.
+    it must exceed ``tol_cert``, the tolerance at which certificates are
+    verified, and each solve checks it against (n + K + 1) tol_cert.
+    ``restarts`` belonged to an earlier first-order solver; it must be a
+    positive integer but is ignored.
     """
 
     max_iters: int = 5000
@@ -390,9 +392,14 @@ def maximize_lambda_min(
     lambda_star = lambda_min(Gamma(v_star)) and the dual iterate Z.  Returns
     FEASIBLE with the witness v_star when lambda_star clears the witness
     tolerance, CERTIFIED_INFEASIBLE when Z is a verified dual certificate
-    with value below -margin, and UNDECIDED otherwise.
+    with value below -margin, and UNDECIDED otherwise.  Raises UnsoundConfig
+    first unless margin > (n + K + 1) tol_cert, since a PSD Gamma(v) would
+    allow verified values down to -(n + K + 1) tol_cert (:func:`certificate_floor`).
     """
     cfg = config if config is not None else SolverConfig()
+    bound = (family.dim + family.num_variables + 1) * cfg.tol_cert
+    if cfg.margin <= bound:
+        raise UnsoundConfig(f"margin must exceed (n + K + 1) * tol_cert = {bound}")
     ops = _FamilyOps(family)
     # Start at v = 0, with t one below lambda_min there.
     y = np.zeros(family.num_variables + 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -19,6 +20,7 @@ from momentcert import (
     PinPolicy,
     PipelineError,
     RangeError,
+    RobustnessResult,
     Scenario,
     SchemaError,
     SimulatedSource,
@@ -551,6 +553,21 @@ def test_ingest_range_error(structure_322):
         ingest_table(document)
 
 
+def test_values_within_tolerance_beyond_an_end_are_stored_at_it(structure_322):
+    key = structure_322.observables[0]
+    for value, stored in ((1.0 + 5e-10, 1.0), (-1.0 - 5e-10, -1.0), (-0.0, -0.0), (0.25, 0.25)):
+        table = CorrelatorTable.from_values(S322, {key: value})
+        assert math.copysign(1.0, table.value(key)) == math.copysign(1.0, stored)
+        assert table.value(key) == stored
+        assert table_document(table)["moments"][0]["value"] == stored
+        document = _w_document(structure_322)
+        document["moments"][0]["value"] = value
+        ingested = ingest_table(document)
+        assert table_document(ingested)["moments"][0]["value"] == stored
+    with pytest.raises(RangeError):
+        CorrelatorTable.from_values(S322, {key: 1.0 + 2e-9})
+
+
 def test_ingest_duplicate_moment(structure_322):
     document = _w_document(structure_322)
     document["moments"].append(dict(document["moments"][0]))
@@ -663,6 +680,12 @@ def test_ingested_report_body_matches_golden():
     assert body == (DATA / "separable_body_322.json").read_text()
 
 
+def test_robustness_result_keeps_only_what_its_bracket_does_not_fix():
+    assert [f.name for f in dataclasses.fields(RobustnessResult)] == ["p_star", "bracket", "tolerance"]
+    result = RobustnessResult(p_star=0.5, bracket=(0.0, 1.0), tolerance=2.0)
+    assert result.evaluations == ((1.0, NONLOCAL), (0.0, INCONCLUSIVE))
+
+
 def test_second_analysis_compiles_nothing(monkeypatch):
     analyze(_request("ghz", "ghz"))
     calls = []
@@ -678,13 +701,24 @@ def test_second_analysis_compiles_nothing(monkeypatch):
     assert calls == []
 
 
+# W on (3,2,2): n = 22 and K = 30, so the margin must exceed 53 tol_cert;
+# this margin sits on the bound.
+UNSOUND = SolverConfig(tol_cert=1e-5, margin=53 * 1e-5)
+
+
 def test_margin_must_make_acceptance_a_proof():
-    # W on (3,2,2): n = 22 and K = 30, so the margin must exceed 53 tol_cert.
-    bound = 53 * 1e-5
-    for build in (analyze, family_for_request):
-        with pytest.raises(UnsoundConfig, match="tol_cert"):
-            build(_request("w", "w", config=SolverConfig(tol_cert=1e-5, margin=bound)))
-    above = SolverConfig(tol_cert=1e-5, margin=math.nextafter(bound, 1.0))
+    # The solve checks the margin, so analyses, robustness runs and direct
+    # library solves all raise UnsoundConfig, never a PipelineError.
+    family = family_for_request(_request("w", "w"))
+    for margin in (53e-5, UNSOUND.margin):  # below the bound, and on it
+        with pytest.raises(UnsoundConfig, match=r"\(n \+ K \+ 1\) \* tol_cert = 0.00053"):
+            maximize_lambda_min(family, SolverConfig(tol_cert=1e-5, margin=margin))
+    for run in (lambda: analyze(_request("w", "w", config=UNSOUND)),
+                lambda: robustness("w", "w", S322, config=UNSOUND)):
+        with pytest.raises(UnsoundConfig, match="tol_cert") as raised:
+            run()
+        assert not isinstance(raised.value, PipelineError)
+    above = SolverConfig(tol_cert=1e-5, margin=math.nextafter(UNSOUND.margin, 1.0))
     assert analyze(_request("w", "w", config=above)).verdict == NONLOCAL
     # The default config holds at level-3 graph-linear: (130 + 402 + 1) * 1e-7
     # = 5.3e-5 < 1e-3.  One Newton step is enough to get past the check.
@@ -695,3 +729,14 @@ def test_margin_must_make_acceptance_a_proof():
         config=SolverConfig(max_iters=1),
     )
     assert analyze(request).outcome.iterations == 1
+
+
+def test_family_does_not_depend_on_the_config():
+    # The benchmark's gate rebuilds a NONLOCAL report's family to re-check
+    # its certificate; the solve, not the build, checks the margin.
+    sound = family_for_request(_request("w", "w"))
+    unsound = family_for_request(_request("w", "w", config=UNSOUND))
+    assert sound.gamma0.tobytes() == unsound.gamma0.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(sound.support, unsound.support))
+    assert sound.pinned_values.tobytes() == unsound.pinned_values.tobytes()
+    assert (sound.pinned_keys, sound.variables) == (unsound.pinned_keys, unsound.variables)

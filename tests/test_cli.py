@@ -295,6 +295,15 @@ def test_robustness_command_rejects_nan_tolerance(capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "robustness"])
+def test_unsound_margin_is_an_error(capsys, command):
+    # W on (3,2,2): n + K + 1 = 53, so --margin 1e-6 is below 53 tol_cert.
+    assert run([command, "--state", "w", "--suite", "w", "--margin", "1e-6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: margin must exceed (n + K + 1) * tol_cert = 5.3e-06\n"
+    assert captured.out == ""
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.optimize alone adds about half a second and 50 MB to start-up.
     code = "import sys, momentcert.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -325,7 +325,7 @@ def _dense_reference(structure, table, policy):
     variables, groups = [], []
     for key in structure.observables:
         if policy.selects(key):
-            value = float(np.clip(table.value(key), -1.0, 1.0))
+            value = table.value(key)
             for i, j in observables[key]:
                 gamma0[i, j] = gamma0[j, i] = value
             continue

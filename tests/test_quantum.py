@@ -219,6 +219,21 @@ def test_correlator_table_matches_expectation(parties, settings):
         assert abs(table.value(key) - oracle) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "settings, suites",
+    [(2, ("w", "ghz", "graph")), (3, ("graph",))],
+)
+def test_simulated_correlators_lie_in_range(settings, suites):
+    # Rounding in the contraction leaves some exact +-1 correlators 2e-16
+    # beyond them, W's A1B1C1 under the W suite among them; a table stores +-1.
+    structure = build_structure(Scenario(3, settings), 2)
+    states = ["w", "ghz", "graph-linear", "graph-loop"] + [f"basis:{b:03b}" for b in range(8)]
+    for state in states:
+        for suite in suites:
+            table = correlator_table(make_state(state, 3), standard_suite(suite), structure)
+            assert max(abs(table.value(key)) for key in table.keys()) <= 1.0, (state, suite)
+
+
 def test_correlator_table_rejects_nonreal_values(structure_322):
     # A non-Hermitian "observable" slips past a hand-made suite object.
     state = make_state("w", 3)
